@@ -35,7 +35,6 @@ from .triangle import (
     TriangleRow,
     binom_parity,
     diagonal_sum_brute,
-    digit_and,
     iter_triangle_terms,
     row_sum_brute,
     row_sum_closed,
@@ -64,7 +63,6 @@ __all__ = [
     "diagonal_sum_brute",
     "diagonal_sum_fast",
     "diagonal_sum_recurrence",
-    "digit_and",
     "generate_bfile",
     "iter_triangle_terms",
     "linear_rep_eval",

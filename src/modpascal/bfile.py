@@ -9,6 +9,9 @@ here, all indexed from 0:
     A114212  row sums of the parity triangle
     A114214  diagonal sums of the parity triangle
 
+Each id is the stream of one route in ROUTES, the table of evaluation
+routes behind the `seq` command.
+
 Files downloaded from the OEIS may use a different starting index; the
 comparison maps the i-th record of the file to the i-th term of the
 local sequence, so a constant offset shift is reconciled rather than
@@ -17,16 +20,24 @@ reported as a mismatch.
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 from .continuant import diagonal_sum_fast
-from .triangle import iter_triangle_terms, row_sum_closed
+from .regular import diagonal_sum_recurrence
+from .stern import carlitz_sum, stern
+from .triangle import (
+    diagonal_sum_brute,
+    iter_triangle_terms,
+    row_sum_brute,
+    row_sum_closed,
+)
 
 __all__ = [
     "BFile",
     "BFileComparison",
     "BFileParseError",
+    "ROUTES",
     "SEQUENCES",
-    "SequenceInfo",
     "compare_bfile",
     "generate_bfile",
     "parse_bfile",
@@ -61,63 +72,67 @@ class BFile:
                 )
 
 
-@dataclass(frozen=True)
-class SequenceInfo:
-    """A sequence the package can regenerate term by term."""
-
-    sequence_id: str
-    offset: int
-    description: str
-    values: Callable[[int, int], Iterator[int]]
+def _per_index(fn: Callable[[int], int]) -> Callable[[int, int], Iterator[int]]:
+    return lambda start, stop: map(fn, range(start, stop))
 
 
-def _exact_terms(start: int, stop: int) -> Iterator[int]:
-    return iter_triangle_terms(start, stop, "exact")
+# Every evaluation route of every `seq` sequence, as a terms(start, stop)
+# iterator over indices range(start, stop); the first one listed is the
+# default.  The routes of d, r and stern must agree term for term, and
+# t-row's parity route gives its exact entries mod 2.
+ROUTES = {
+    "d": {
+        "fast": _per_index(diagonal_sum_fast),
+        "brute": _per_index(diagonal_sum_brute),
+        "recurrence": _per_index(diagonal_sum_recurrence),
+    },
+    "r": {
+        "closed": _per_index(row_sum_closed),
+        "brute": _per_index(row_sum_brute),
+    },
+    "stern": {
+        "fast": _per_index(stern),
+        # s(n) read off the binomial-parity diagonal sum, which equals
+        # s(n+1); shift by one and patch the n=0 hole.
+        "carlitz": lambda start, stop: (
+            carlitz_sum(n - 1) if n else 0 for n in range(start, stop)
+        ),
+    },
+    "t-row": {
+        "exact": partial(iter_triangle_terms, mode="exact"),
+        "parity": partial(iter_triangle_terms, mode="parity"),
+    },
+}
 
-
-def _parity_terms(start: int, stop: int) -> Iterator[int]:
-    return iter_triangle_terms(start, stop, "parity")
-
-
-def _row_sums(start: int, stop: int) -> Iterator[int]:
-    return map(row_sum_closed, range(start, stop))
-
-
-def _diagonal_sums(start: int, stop: int) -> Iterator[int]:
-    return map(diagonal_sum_fast, range(start, stop))
-
-
+# The OEIS ids with b-files: each is the stream of one `seq` route,
+# indexed from 0.
 SEQUENCES = {
-    "A119326": SequenceInfo(
-        "A119326", 0, "triangle read by rows", _exact_terms
-    ),
-    "A114213": SequenceInfo(
-        "A114213", 0, "parity triangle read by rows", _parity_terms
-    ),
-    "A114212": SequenceInfo(
-        "A114212", 0, "parity triangle row sums", _row_sums
-    ),
-    "A114214": SequenceInfo(
-        "A114214", 0, "parity triangle diagonal sums", _diagonal_sums
-    ),
+    "A119326": ("t-row", "exact"),
+    "A114213": ("t-row", "parity"),
+    "A114212": ("r", "closed"),
+    "A114214": ("d", "fast"),
 }
 
 
-def generate_bfile(sequence_id: str, max_index: int) -> BFile:
-    """Build the b-file for sequence_id covering indices offset..max_index."""
-    info = SEQUENCES.get(sequence_id)
-    if info is None:
+def _terms(sequence_id: str) -> Callable[[int, int], Iterator[int]]:
+    if sequence_id not in SEQUENCES:
         raise ValueError(
             f"unknown sequence id {sequence_id!r}; "
             f"known: {', '.join(sorted(SEQUENCES))}"
         )
-    if max_index < info.offset:
+    which, route = SEQUENCES[sequence_id]
+    return ROUTES[which][route]
+
+
+def generate_bfile(sequence_id: str, max_index: int) -> BFile:
+    """Build the b-file for sequence_id covering indices 0..max_index."""
+    terms = _terms(sequence_id)
+    if max_index < 0:
         raise ValueError(
-            f"max index {max_index} is below the sequence offset {info.offset}"
+            f"max index {max_index} is below the sequence offset 0"
         )
-    values = info.values(info.offset, max_index + 1)
-    records = tuple(zip(range(info.offset, max_index + 1), values))
-    return BFile(sequence_id, info.offset, records)
+    records = tuple(zip(range(max_index + 1), terms(0, max_index + 1)))
+    return BFile(sequence_id, 0, records)
 
 
 def serialize_bfile(bfile: BFile) -> str:
@@ -129,7 +144,7 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
 
     Blank lines, lines starting with '#', and trailing whitespace are
     tolerated (OEIS files carry such comments); anything else must be
-    two decimal integers, with indices consecutive.
+    two ASCII decimal integers ('-?[0-9]+'), with indices consecutive.
     """
     records = []
     expected = None
@@ -143,6 +158,10 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
                 line_no, f"expected 'index value', got {raw!r}"
             )
         try:
+            # int() also takes '+', '_' separators and non-ASCII digits;
+            # a b-file field is ASCII '-?[0-9]+' only.
+            if not line.isascii() or "+" in line or "_" in line:
+                raise ValueError(line)
             index = int(parts[0])
             value = int(parts[1])
         except ValueError:
@@ -179,13 +198,7 @@ def compare_bfile(bfile: BFile) -> BFileComparison:
     The file's own offset says where its records start; the i-th record
     is checked against the i-th locally generated term.
     """
-    info = SEQUENCES.get(bfile.sequence_id)
-    if info is None:
-        raise ValueError(
-            f"unknown sequence id {bfile.sequence_id!r}; "
-            f"known: {', '.join(sorted(SEQUENCES))}"
-        )
-    values = info.values(info.offset, info.offset + len(bfile.records))
+    values = _terms(bfile.sequence_id)(0, len(bfile.records))
     mismatch = None
     checked = 0
     for (index, file_value), computed in zip(bfile.records, values):

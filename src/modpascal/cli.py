@@ -9,7 +9,6 @@ Subcommands:
     bfile-compare  recompute a local b-file's records and report the
                    first disagreement
     verify         run an identity cross-check suite
-    bench          time the fast paths against the brute-force ones
 
 Exit codes: 0 success, 1 a verification counterexample or b-file
 mismatch, 2 usage error, 3 I/O or parse error.  All numeric output is
@@ -17,29 +16,13 @@ decimal with unlimited precision.
 """
 
 import argparse
-import random
-import statistics
 import sys
-import time
 
 from . import bfile as bfile_mod
-from . import regular, verify
-from .continuant import diagonal_sum_fast
-from .stern import carlitz_sum, stern
-from .triangle import (
-    diagonal_sum_brute,
-    iter_triangle_terms,
-    row_sum_brute,
-    row_sum_closed,
-    triangle_row,
-    triangle_row_parity,
-)
+from . import verify
+from .triangle import triangle_row, triangle_row_parity
 
 __all__ = ["main", "run"]
-
-# Largest term count a brute-force benchmark target may cost before the
-# run is refused; O(n) targets on log-scale inputs would never return.
-BENCH_TERM_BUDGET = 5_000_000
 
 
 def _parse_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
@@ -66,44 +49,18 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stern_via_carlitz(n: int) -> int:
-    # s(n) read off the binomial-parity diagonal sum, which equals
-    # s(n+1); shift by one and patch the n=0 hole.
-    return carlitz_sum(n - 1) if n else 0
-
-
-_SEQ_METHODS = {
-    "d": {
-        "fast": diagonal_sum_fast,
-        "brute": diagonal_sum_brute,
-        "recurrence": regular.diagonal_sum_recurrence,
-    },
-    "r": {"closed": row_sum_closed, "brute": row_sum_brute},
-    "stern": {"fast": stern, "carlitz": _stern_via_carlitz},
-    "t-row": {"exact": None, "parity": None},
-}
-
-_SEQ_DEFAULT_METHOD = {"d": "fast", "r": "closed", "stern": "fast",
-                       "t-row": "exact"}
-
-
 def _cmd_seq(args: argparse.Namespace) -> int:
-    methods = _SEQ_METHODS[args.which]
-    method = args.method or _SEQ_DEFAULT_METHOD[args.which]
-    if method not in methods:
+    routes = bfile_mod.ROUTES[args.which]
+    method = args.method or next(iter(routes))
+    if method not in routes:
         args.parser.error(
             f"method {method!r} is not valid for {args.which!r}; "
-            f"choose from {', '.join(methods)}"
+            f"choose from {', '.join(routes)}"
         )
     first, last = _parse_range(args.parser, args.range)
-    if args.which == "t-row":
-        terms = iter_triangle_terms(first, last + 1, method)
-        for n, value in zip(range(first, last + 1), terms):
-            print(f"{n} {value}")
-        return 0
-    fn = methods[method]
-    for n in range(first, last + 1):
-        print(f"{n} {fn(n)}")
+    terms = routes[method](first, last + 1)
+    for n, value in zip(range(first, last + 1), terms):
+        print(f"{n} {value}")
     return 0
 
 
@@ -119,11 +76,6 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bfile_compare(args: argparse.Namespace) -> int:
-    if args.seq_id not in bfile_mod.SEQUENCES:
-        args.parser.error(
-            f"unknown sequence id {args.seq_id!r}; "
-            f"known: {', '.join(sorted(bfile_mod.SEQUENCES))}"
-        )
     with open(args.path, encoding="ascii") as handle:
         text = handle.read()
     parsed = bfile_mod.parse_bfile(text, args.seq_id)
@@ -148,54 +100,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _bench_cost(target: str, n: int) -> int:
-    """Term count a brute-force target would evaluate; 0 if cheap."""
-    if target == "d-brute":
-        return n // 2 + 1
-    if target == "rowsum-brute":
-        return n + 1
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.repeat < 1:
-        args.parser.error(f"--repeat must be >= 1, got {args.repeat}")
-    if any(size < 1 for size in args.sizes):
-        args.parser.error("sizes must be positive")
-    funcs = {
-        "d-fast": diagonal_sum_fast,
-        "d-brute": diagonal_sum_brute,
-        "stern": stern,
-        "rowsum-closed": row_sum_closed,
-        "rowsum-brute": row_sum_brute,
-    }
-    fn = funcs[args.target]
-    # The logarithmic-time targets take a size as a bit length and get
-    # a random n of that many bits; the others take n itself.
-    bit_sized = args.target in ("d-fast", "stern")
-    rng = random.Random(args.seed)
-    for size in args.sizes:
-        if bit_sized:
-            n = 1 if size == 1 else rng.getrandbits(size - 1) | 1 << (size - 1)
-        else:
-            n = size
-        cost = _bench_cost(args.target, n)
-        if cost > BENCH_TERM_BUDGET:
-            print(
-                f"{args.target} {size} refused "
-                f"({cost} terms exceeds the {BENCH_TERM_BUDGET}-term budget)"
-            )
-            continue
-        times = []
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            fn(n)
-            times.append(time.perf_counter() - start)
-        median_ms = statistics.median(times) * 1000.0
-        print(f"{args.target} {size} {median_ms:.6f}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modpascal",
@@ -218,23 +122,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "seq", help="stream '<n> <value>' lines for a sequence"
     )
     seq.add_argument(
-        "which", choices=tuple(_SEQ_METHODS),
+        "which", choices=tuple(bfile_mod.ROUTES),
         help="d: diagonal sums; r: row sums; stern: Stern's diatomic "
         "sequence; t-row: triangle entries in row-major order",
     )
     seq.add_argument("range", help="inclusive range 'A..B', or a single 'A'")
     seq.add_argument(
         "--method",
-        help="evaluation route (d: fast|brute|recurrence, r: closed|brute, "
-        "stern: fast|carlitz, t-row: exact|parity); default is the "
-        "fast route",
+        help="evaluation route ("
+        + ", ".join(
+            f"{which}: {'|'.join(routes)}"
+            for which, routes in bfile_mod.ROUTES.items()
+        )
+        + "); default is the first listed",
     )
     seq.set_defaults(handler=_cmd_seq, parser=seq)
 
     bf = commands.add_parser(
         "bfile", help="write an OEIS b-file for a sequence id"
     )
-    bf.add_argument("seq_id", help="A119326, A114213, A114212, or A114214")
+    bf.add_argument("seq_id", choices=tuple(bfile_mod.SEQUENCES))
     bf.add_argument("max_index", type=int, help="last index to include")
     bf.add_argument("out_path", help="output file path")
     bf.set_defaults(handler=_cmd_bfile, parser=bf)
@@ -243,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bfile-compare",
         help="recompute a local b-file's records and report disagreements",
     )
-    bfc.add_argument("seq_id", help="A119326, A114213, A114212, or A114214")
+    bfc.add_argument("seq_id", choices=tuple(bfile_mod.SEQUENCES))
     bfc.add_argument("path", help="local b-file to check")
     bfc.set_defaults(handler=_cmd_bfile_compare, parser=bfc)
 
@@ -257,29 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.set_defaults(handler=_cmd_verify, parser=ver)
 
-    bench = commands.add_parser(
-        "bench", help="median-of-k wall times for an evaluation route"
-    )
-    bench.add_argument(
-        "target",
-        choices=("d-fast", "d-brute", "stern", "rowsum-closed",
-                 "rowsum-brute"),
-    )
-    bench.add_argument(
-        "sizes", type=int, nargs="+",
-        help="bit lengths of random inputs for d-fast/stern, the value "
-        "of n itself for the rest",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=5,
-        help="timings per size, median reported (default: 5)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=2,
-        help="seed for the random bit-sized inputs (default: 2)",
-    )
-    bench.set_defaults(handler=_cmd_bench, parser=bench)
-
     return parser
 
 
@@ -287,10 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except bfile_mod.BFileParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (bfile_mod.BFileParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

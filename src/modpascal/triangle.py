@@ -29,7 +29,6 @@ __all__ = [
     "TriangleRow",
     "binom_parity",
     "diagonal_sum_brute",
-    "digit_and",
     "iter_triangle_terms",
     "row_sum_brute",
     "row_sum_closed",
@@ -99,13 +98,6 @@ def binom_parity(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
     return 1 if n & k == k else 0
-
-
-def digit_and(n: int, k: int) -> int:
-    """Digitwise minimum of two binary expansions, i.e. bitwise AND."""
-    if n < 0 or k < 0:
-        raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
-    return n & k
 
 
 def triangle_entry_parity(n: int, k: int) -> int:

@@ -4,10 +4,6 @@ Each suite scans a range of indices, compares two independently computed
 sides of an identity, and reports per-identity pass counts plus the
 first counterexample, if any.  Failures are data in the report, never
 exceptions; the CLI maps them to its exit status.
-
-Suites may be fanned out across workers by partitioning index ranges;
-every check is a pure function of its index, so reports are
-order-independent.
 """
 
 from dataclasses import dataclass
@@ -186,9 +182,7 @@ def _suite_carlitz(max_n):
 def verify_regular_identities(max_n: int) -> VerifyReport:
     """Check the four 2-regular identities for d against the continuant
     route, for every parameter n up to max_n."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    return VerifyReport("remark", max_n, tuple(_suite_remark(max_n)))
+    return run_suite("remark", max_n)
 
 
 def _suite_remark(max_n):

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modpascal import (
     BFile,
@@ -14,7 +18,6 @@ from modpascal import (
 
 def test_known_sequence_ids():
     assert sorted(SEQUENCES) == ["A114212", "A114213", "A114214", "A119326"]
-    assert all(info.offset == 0 for info in SEQUENCES.values())
 
 
 def test_generate_diagonal_sums_fixture():
@@ -78,6 +81,45 @@ def test_parse_reports_non_integer():
     with pytest.raises(BFileParseError) as info:
         parse_bfile("0 1\n1 1\n2 2\n3 2\nx y\n", "A114214")
     assert info.value.line_no == 5
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["0 1_0", "+0 +1", "0 +1", "0 \u0661", "\u0660 1", "0 \uff11",
+     "0 --1", "0 -", "0 0x1", "0 1.0"],
+)
+def test_parse_rejects_fields_outside_ascii_decimal(line):
+    with pytest.raises(BFileParseError) as info:
+        parse_bfile(f"# header\n{line}\n", "A114214")
+    assert info.value.line_no == 2
+    assert "non-integer field" in info.value.message
+
+
+def _consecutive_records(first_and_values):
+    first, values = first_and_values
+    return "".join(f"{first + i} {v}\n" for i, v in enumerate(values))
+
+
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789 -+_#\t\n\r\u0661x"),
+    st.tuples(
+        st.integers(-3, 3),
+        st.lists(st.one_of(
+            st.integers().map(str),
+            st.from_regex("[-+]?[0-9_\u0661]+", fullmatch=True),
+        )),
+    ).map(_consecutive_records),
+))
+def test_parse_either_round_trips_or_raises_parse_error(text):
+    try:
+        bf = parse_bfile(text, "A114214")
+    except BFileParseError:
+        return
+    assert parse_bfile(serialize_bfile(bf), "A114214") == bf
+    data = [line.split() for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")]
+    assert all(re.fullmatch("-?[0-9]+", f) for fields in data for f in fields)
 
 
 def test_parse_reports_gap_in_indices():

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from modpascal.bfile import ROUTES
 from modpascal.cli import main, run
 
 
@@ -38,20 +39,23 @@ def test_seq_diagonal_default(capsys):
     assert _lines(capsys) == ["0 1", "1 1", "2 2", "3 2", "4 3", "5 3", "6 3"]
 
 
+def _pairs(capsys):
+    return [tuple(map(int, line.split())) for line in _lines(capsys)]
+
+
 def test_seq_methods_agree(capsys):
-    streams = []
-    for method in ("fast", "brute", "recurrence"):
-        assert main(["seq", "d", "0..40", "--method", method]) == 0
-        streams.append(capsys.readouterr().out)
-    assert streams[0] == streams[1] == streams[2]
-    for method in ("closed", "brute"):
-        assert main(["seq", "r", "0..40", "--method", method]) == 0
-        streams.append(capsys.readouterr().out)
-    assert streams[3] == streams[4]
-    for method in ("fast", "carlitz"):
-        assert main(["seq", "stern", "0..40", "--method", method]) == 0
-        streams.append(capsys.readouterr().out)
-    assert streams[5] == streams[6]
+    # Every route streams its sequence's default values, except that
+    # t-row's parity route streams them mod 2 (the proposition).
+    for which, routes in ROUTES.items():
+        assert main(["seq", which, "0..40"]) == 0
+        default = _pairs(capsys)
+        assert len(default) == 41
+        for method in routes:
+            assert main(["seq", which, "0..40", "--method", method]) == 0
+            expected = default
+            if method == "parity":
+                expected = [(n, value % 2) for n, value in default]
+            assert _pairs(capsys) == expected, (which, method)
 
 
 def test_seq_fast_method_streams_agree_at_width(capsys):
@@ -174,6 +178,13 @@ def test_bfile_compare_empty_file(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_bfile_compare_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"0 1\n1 \xff\n")
+    assert main(["bfile-compare", "A114214", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bfile_compare_missing_file(tmp_path, capsys):
     assert main(["bfile-compare", "A114214", str(tmp_path / "gone.txt")]) == 3
     assert capsys.readouterr().err.startswith("error:")
@@ -211,38 +222,6 @@ def test_verify_usage_errors():
     assert info.value.code == 2
 
 
-def test_bench_fast_targets(capsys):
-    assert main(["bench", "d-fast", "64", "--repeat", "2"]) == 0
-    assert main(["bench", "stern", "64", "--repeat", "2"]) == 0
-    assert main(["bench", "rowsum-closed", "1000000", "--repeat", "2"]) == 0
-    lines = _lines(capsys)
-    assert len(lines) == 3
-    for line in lines:
-        target, size, median_ms = line.split()
-        assert float(median_ms) >= 0.0
-
-
-def test_bench_refuses_infeasible_brute_force(capsys):
-    assert main(["bench", "d-brute", "100000000", "--repeat", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "refused" in out and "budget" in out
-
-
-def test_bench_brute_time_grows(capsys):
-    assert main(["bench", "d-brute", "1024", "32768", "--repeat", "3"]) == 0
-    small, large = [float(line.split()[2]) for line in _lines(capsys)]
-    assert large > small
-
-
-def test_bench_usage_errors():
-    with pytest.raises(SystemExit) as info:
-        main(["bench", "d-fast", "0"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["bench", "d-fast", "64", "--repeat", "0"])
-    assert info.value.code == 2
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -252,7 +231,6 @@ def test_bench_usage_errors():
         ["bfile", "--help"],
         ["bfile-compare", "--help"],
         ["verify", "--help"],
-        ["bench", "--help"],
     ],
 )
 def test_help_exits_cleanly(argv):

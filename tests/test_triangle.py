@@ -6,7 +6,6 @@ from modpascal import (
     TriangleRow,
     binom_parity,
     diagonal_sum_brute,
-    digit_and,
     iter_triangle_terms,
     row_sum_brute,
     row_sum_closed,
@@ -89,21 +88,6 @@ def test_binom_parity_matches_comb():
         binom_parity(-1, 0)
 
 
-def test_digit_and():
-    assert digit_and(12, 10) == 8
-    assert digit_and(7, 5) == 5
-    for n in range(40):
-        for k in range(40):
-            expected = int(
-                "".join(
-                    min(a, b)
-                    for a, b in zip(format(n, "040b"), format(k, "040b"))
-                ),
-                2,
-            )
-            assert digit_and(n, k) == expected
-
-
 def test_row_sum_brute_matches_reference():
     for n in range(49):
         assert row_sum_brute(n) == row_sum(n)
@@ -137,7 +121,7 @@ def test_disjoint_binary_expansions_give_odd_entries():
         for k in range(257):
             if n % 2 == 1 and k % 2 == 1:
                 continue
-            disjoint = 1 if digit_and(n, k) == 0 else 0
+            disjoint = 1 if n & k == 0 else 0
             assert triangle_entry_parity(n + k, k) == disjoint
             assert binom_parity(n + k, k) == disjoint
 
