@@ -140,16 +140,17 @@ def serialize_bfile(bfile: BFile) -> str:
 
 
 def parse_bfile(text: str, sequence_id: str) -> BFile:
-    """Parse b-file text.
+    r"""Parse b-file text: one record per "\n"-terminated line.
 
-    Blank lines, lines starting with '#', and trailing whitespace are
-    tolerated (OEIS files carry such comments); anything else must be
-    two ASCII decimal integers ('-?[0-9]+'), with indices consecutive.
+    Blank lines, lines starting with '#', spaces and tabs around the
+    fields and a final "\r" are tolerated (OEIS files carry such
+    comments); anything else must be two ASCII decimal integers
+    ('-?[0-9]+') between spaces or tabs, with indices consecutive.
     """
     records = []
     expected = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
         parts = line.split()
@@ -158,9 +159,11 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
                 line_no, f"expected 'index value', got {raw!r}"
             )
         try:
-            # int() also takes '+', '_' separators and non-ASCII digits;
-            # a b-file field is ASCII '-?[0-9]+' only.
-            if not line.isascii() or "+" in line or "_" in line:
+            # int() also takes '+', '_' separators and non-ASCII digits, and
+            # split() also breaks on \v, \f and \x1c-\x1f; a b-file field is
+            # ASCII '-?[0-9]+', and only spaces or tabs separate fields.
+            if not line.isascii() or "+" in line or "_" in line or not (
+                    line.isprintable() or line.replace("\t", " ").isprintable()):
                 raise ValueError(line)
             index = int(parts[0])
             value = int(parts[1])

@@ -76,7 +76,8 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bfile_compare(args: argparse.Namespace) -> int:
-    with open(args.path, encoding="ascii") as handle:
+    # newline="": a lone "\r" must reach the parser, not end a record
+    with open(args.path, encoding="ascii", newline="") as handle:
         text = handle.read()
     parsed = bfile_mod.parse_bfile(text, args.seq_id)
     result = bfile_mod.compare_bfile(parsed)

@@ -10,8 +10,10 @@ n -> 2n and n -> 2n+1:
     d(8n+4) = 4 d(2n) -   d(4n)
 
 Two evaluators are built from them.  diagonal_sum_recurrence applies the
-identities directly with a memo table, bottoming out at base values
-d(0), d(2), d(4) taken from the continuant route.  The linear
+identities directly, bottoming out at base values d(0), d(2), d(4)
+taken from the continuant route: it first collects every index that n
+depends on, then evaluates those indices in increasing order, which
+works because each identity reads only smaller indices.  The linear
 representation packs the same four identities into 2x2 integer matrices
 acting on the state vector v(n) = (d(2n), d(4n)):
 
@@ -24,10 +26,6 @@ positive for every n.  Reading out d(n) uses d(n) = d(2*floor(n/2)) --
 immediate for even n and exactly the first identity for odd n -- so
 d(n) is component 0 of v(floor(n/2)), reached with one matrix product
 per bit of n.
-
-The module-level memo table is only ever extended with values that are
-functions of the index, so concurrent reads and duplicate writes from
-several threads are harmless; the matrix evaluators are pure.
 """
 
 from dataclasses import dataclass
@@ -42,66 +40,57 @@ __all__ = [
     "linear_rep_state",
 ]
 
-# Base values for the scalar recurrence, taken from the continuant route.
-_BASE_INDICES = (0, 2, 4)
-_memo: dict[int, int] = {n: diagonal_sum_fast(n) for n in _BASE_INDICES}
+# Base values for the scalar recurrence, taken from the continuant route;
+# never written after import.
+_BASE = {n: diagonal_sum_fast(n) for n in (0, 2, 4)}
 
 
-def _dependencies(m):
-    """Indices whose d-values the identity for index m consumes."""
+def _identity(m):
+    """(coefficient, index) pairs with d(m) = sum of coefficient * d(index)."""
     if m % 2 == 1:
-        return (m - 1,)
+        return ((1, m - 1),)
     if m % 4 == 2:
-        return ((m - 2) // 2, m - 2)
+        return ((3, (m - 2) // 2), (-1, m - 2))
     if m % 8 == 0:
-        return (m // 4, m // 2)
-    return ((m - 4) // 4, (m - 4) // 2)  # m % 8 == 4
-
-
-def _combine(m, memo):
-    if m % 2 == 1:
-        return memo[m - 1]
-    if m % 4 == 2:
-        return 3 * memo[(m - 2) // 2] - memo[m - 2]
-    if m % 8 == 0:
-        return -memo[m // 4] + 2 * memo[m // 2]
-    return 4 * memo[(m - 4) // 4] - memo[(m - 4) // 2]
+        return ((-1, m // 4), (2, m // 2))
+    return ((4, (m - 4) // 4), (-1, (m - 4) // 2))  # m % 8 == 4
 
 
 def diagonal_sum_recurrence(n: int) -> int:
     """d(n) from the four scalar identities plus the three base values.
 
-    Memoized; the recursion is run on an explicit stack so arbitrarily
-    large n cannot hit the interpreter recursion limit.
+    Pure: the table of intermediate values lives for this call only.
+    Dependencies are collected with a work list rather than recursion,
+    so arbitrarily large n cannot hit the interpreter recursion limit.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    memo = _memo
-    stack = [n]
-    while stack:
-        m = stack[-1]
-        if m in memo:
-            stack.pop()
+    needed = set()  # every non-base index n depends on
+    todo = [n]
+    while todo:
+        m = todo.pop()
+        if m in _BASE or m in needed:
             continue
-        deps = _dependencies(m)
-        if any(dep >= m for dep in deps):
-            # every identity must strictly reduce the index down to a base
-            raise RuntimeError(
-                f"recurrence cannot make progress at index {m}; "
-                f"base-case set {sorted(_BASE_INDICES)} does not cover it"
-            )
-        missing = [dep for dep in deps if dep not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        value = _combine(m, memo)
+        needed.add(m)
+        for _, i in _identity(m):
+            if i >= m:
+                # every identity must strictly reduce the index down to a base
+                raise RuntimeError(
+                    f"recurrence cannot make progress at index {m}; "
+                    f"base-case set {sorted(_BASE)} does not cover it"
+                )
+            todo.append(i)
+    # Every identity reads only smaller indices, so increasing order
+    # finds each operand already computed.
+    d = dict(_BASE)
+    for m in sorted(needed):
+        value = sum(c * d[i] for c, i in _identity(m))
         if value < 0:
             raise RuntimeError(
                 f"recurrence produced negative value {value} at index {m}"
             )
-        memo[m] = value
-        stack.pop()
-    return memo[n]
+        d[m] = value
+    return d[n]
 
 
 @dataclass(frozen=True)
@@ -126,16 +115,16 @@ def _apply(mat, vec):
     )
 
 
-def derive_linear_rep(validate_to: int = 256) -> LinearRep:
+def derive_linear_rep() -> LinearRep:
     """Build the matrix representation and check it against the
-    continuant route on 0..validate_to before handing it out."""
+    continuant route on 0..256 before handing it out."""
     rep = LinearRep(
         v0=(1, 1),
         m0=((0, 1), (-1, 2)),
         m1=((3, -1), (4, -1)),
         readout=0,
     )
-    for n in range(validate_to + 1):
+    for n in range(257):
         got = linear_rep_eval(rep, n)
         want = diagonal_sum_fast(n)
         if got != want:

@@ -45,10 +45,8 @@ def _require_nonneg(name, value):
 
 
 def _require_pair(n, k):
-    _require_nonneg("n", n)
-    _require_nonneg("k", k)
-    if k > n:
-        raise ValueError(f"k must be <= n, got k={k}, n={n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
 
 
 @dataclass(frozen=True)
@@ -170,10 +168,8 @@ def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     if mode not in ("exact", "parity"):
         raise ValueError(f"mode must be 'exact' or 'parity', got {mode!r}")
     row_fn = triangle_row if mode == "exact" else triangle_row_parity
-    # locate the row containing `start`: largest n with n(n+1)/2 <= start
+    # largest n with n(n+1)/2 <= start; isqrt is exact, so no correction
     n = (isqrt(8 * start + 1) - 1) // 2
-    while n * (n + 1) // 2 > start:
-        n -= 1
     pos = n * (n + 1) // 2
     idx = start
     while idx < stop:

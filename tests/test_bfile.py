@@ -86,13 +86,25 @@ def test_parse_reports_non_integer():
 @pytest.mark.parametrize(
     "line",
     ["0 1_0", "+0 +1", "0 +1", "0 \u0661", "\u0660 1", "0 \uff11",
-     "0 --1", "0 -", "0 0x1", "0 1.0"],
+     "0 --1", "0 -", "0 0x1", "0 1.0",
+     "0\x0b1", "0 1\x0c", "\x0b0 1", "0\r1", "0 1\xa0"],
 )
 def test_parse_rejects_fields_outside_ascii_decimal(line):
     with pytest.raises(BFileParseError) as info:
         parse_bfile(f"# header\n{line}\n", "A114214")
     assert info.value.line_no == 2
     assert "non-integer field" in info.value.message
+
+
+def test_parse_splits_records_on_newline_only():
+    with pytest.raises(BFileParseError) as info:
+        parse_bfile("0 1\x1c1 1\x0b2 2\n", "A114214")
+    assert info.value.line_no == 1
+
+
+def test_parse_tolerates_crlf_and_tabs():
+    bf = parse_bfile("# header\r\n0\t1\r\n\t1 \t1\t\r\n", "A114214")
+    assert bf.records == ((0, 1), (1, 1))
 
 
 def _consecutive_records(first_and_values):
@@ -102,7 +114,7 @@ def _consecutive_records(first_and_values):
 
 @given(st.one_of(
     st.text(),
-    st.text(alphabet="0123456789 -+_#\t\n\r\u0661x"),
+    st.text(alphabet="0123456789 -+_#\t\n\r\x0b\x0c\x1c\u0661x"),
     st.tuples(
         st.integers(-3, 3),
         st.lists(st.one_of(
@@ -117,9 +129,10 @@ def test_parse_either_round_trips_or_raises_parse_error(text):
     except BFileParseError:
         return
     assert parse_bfile(serialize_bfile(bf), "A114214") == bf
-    data = [line.split() for line in text.splitlines()
+    data = [line for line in text.split("\n")
             if line.strip() and not line.strip().startswith("#")]
-    assert all(re.fullmatch("-?[0-9]+", f) for fields in data for f in fields)
+    assert all(re.fullmatch("[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?", line)
+               for line in data)
 
 
 def test_parse_reports_gap_in_indices():

@@ -185,6 +185,16 @@ def test_bfile_compare_undecodable_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bfile_compare_splits_records_on_newline_only(tmp_path, capsys):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"0 1\r\n1 1\r\n2 2\r\n")
+    assert main(["bfile-compare", "A114214", str(path)]) == 0
+    assert "all 3 records agree" in capsys.readouterr().out
+    path.write_bytes(b"0 1\r1 1\n")
+    assert main(["bfile-compare", "A114214", str(path)]) == 3
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_bfile_compare_missing_file(tmp_path, capsys):
     assert main(["bfile-compare", "A114214", str(tmp_path / "gone.txt")]) == 3
     assert capsys.readouterr().err.startswith("error:")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modpascal import regular
 from modpascal import (
@@ -12,6 +14,7 @@ from modpascal import (
     linear_rep_eval,
     linear_rep_state,
 )
+from oracles import binary_run_lengths, cf_numerator
 
 
 def test_recurrence_matches_continuant_route():
@@ -45,9 +48,26 @@ def test_recurrence_rejects_negative():
 def test_recurrence_reports_uncovered_base(monkeypatch):
     # With the base values gone the identity for 0 depends on 0 itself,
     # so the evaluator must refuse instead of looping.
-    monkeypatch.setattr(regular, "_memo", {})
+    monkeypatch.setattr(regular, "_BASE", {})
     with pytest.raises(RuntimeError, match="base-case set"):
         diagonal_sum_recurrence(0)
+
+
+def test_recurrence_leaves_no_module_state_behind():
+    def sizes():
+        return {name: len(value) for name, value in vars(regular).items()
+                if isinstance(value, (dict, list, set))}
+
+    before = sizes()
+    diagonal_sum_recurrence((1 << 4000) - 12345)
+    assert sizes() == before
+
+
+@given(st.integers(0, 2**200))
+def test_scalar_and_matrix_routes_match_continued_fraction(n):
+    want = cf_numerator(binary_run_lengths(n))
+    assert diagonal_sum_recurrence(n) == want
+    assert linear_rep_eval(derive_linear_rep(), n) == want
 
 
 def test_brute_agreement_spot_checks_above_routine_range():

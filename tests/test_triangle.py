@@ -152,6 +152,13 @@ def test_iter_triangle_terms_row_major():
     assert list(iter_triangle_terms(9, 9)) == []
 
 
+def test_iter_triangle_terms_starts_in_the_right_row():
+    # the row lookup does not depend on the mode; parity rows are cheap
+    flat = [t for n in range(101) for t in triangle_row_parity(n).entries]
+    for s in range(5001):
+        assert list(iter_triangle_terms(s, s + 3, "parity")) == flat[s:s + 3]
+
+
 def test_iter_triangle_terms_rejects_bad_arguments():
     with pytest.raises(ValueError):
         list(iter_triangle_terms(-1, 3))
