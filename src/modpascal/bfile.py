@@ -18,6 +18,7 @@ local sequence, so a constant offset shift is reconciled rather than
 reported as a mismatch.
 """
 
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -135,8 +136,40 @@ def generate_bfile(sequence_id: str, max_index: int) -> BFile:
     return BFile(sequence_id, 0, records)
 
 
+def _int_from_decimal(digits: str, limit: int) -> int:
+    """int(digits) for an ASCII '-?[0-9]+' string of any length: past
+    `limit`, the interpreter's int/str digit limit, the halves are read
+    separately until each piece is within it."""
+    if digits.startswith("-"):
+        return -_int_from_decimal(digits[1:], limit)
+    if len(digits) <= limit:
+        return int(digits)
+    k = len(digits) // 2
+    return (_int_from_decimal(digits[:-k], limit) * 10**k
+            + _int_from_decimal(digits[-k:], limit))
+
+
+def _decimal(value: int) -> str:
+    """str(value) at any size, the inverse of _int_from_decimal: str()
+    refuses ints past the int/str digit limit, so those are split by a
+    power of ten near half their digits until each piece is within it."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + _decimal(-value)
+    k = value.bit_length() * 3 // 20  # about half its digits
+    high, low = divmod(value, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def serialize_bfile(bfile: BFile) -> str:
-    return "".join(f"{index} {value}\n" for index, value in bfile.records)
+    try:
+        return "".join(f"{index} {value}\n" for index, value in bfile.records)
+    except ValueError:  # a field past the int/str digit limit
+        return "".join(f"{_decimal(index)} {_decimal(value)}\n"
+                       for index, value in bfile.records)
 
 
 def parse_bfile(text: str, sequence_id: str) -> BFile:
@@ -146,6 +179,8 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
     fields and a final "\r" are tolerated (OEIS files carry such
     comments); anything else must be two ASCII decimal integers
     ('-?[0-9]+') between spaces or tabs, with indices consecutive.
+    Fields of any length are read, also past the interpreter's int/str
+    digit limit.
     """
     records = []
     expected = None
@@ -158,22 +193,28 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
             raise BFileParseError(
                 line_no, f"expected 'index value', got {raw!r}"
             )
+        # int() also takes '+', '_' separators and non-ASCII digits, and
+        # split() also breaks on \v, \f and \x1c-\x1f; a b-file field is
+        # ASCII '-?[0-9]+', and only spaces or tabs separate fields.
+        if not line.isascii() or "+" in line or "_" in line or not (
+                line.isprintable() or line.replace("\t", " ").isprintable()):
+            raise BFileParseError(line_no, f"non-integer field in {raw!r}")
         try:
-            # int() also takes '+', '_' separators and non-ASCII digits, and
-            # split() also breaks on \v, \f and \x1c-\x1f; a b-file field is
-            # ASCII '-?[0-9]+', and only spaces or tabs separate fields.
-            if not line.isascii() or "+" in line or "_" in line or not (
-                    line.isprintable() or line.replace("\t", " ").isprintable()):
-                raise ValueError(line)
             index = int(parts[0])
             value = int(parts[1])
         except ValueError:
-            raise BFileParseError(
-                line_no, f"non-integer field in {raw!r}"
-            ) from None
+            # Either a field is not decimal, or int() refused a decimal
+            # field past the int/str digit limit; read those in pieces.
+            if not all(part.removeprefix("-").isdigit() for part in parts):
+                raise BFileParseError(
+                    line_no, f"non-integer field in {raw!r}"
+                ) from None
+            limit = sys.get_int_max_str_digits()
+            index, value = (_int_from_decimal(part, limit) for part in parts)
         if expected is not None and index != expected:
             raise BFileParseError(
-                line_no, f"index {index} not consecutive (expected {expected})"
+                line_no, f"index {_decimal(index)} not consecutive "
+                f"(expected {_decimal(expected)})"
             )
         expected = index + 1
         records.append((index, value))

@@ -84,7 +84,7 @@ def _cmd_bfile_compare(args: argparse.Namespace) -> int:
     if result.passed:
         print(f"{args.seq_id}: all {result.checked} records agree")
         return 0
-    index, file_value, computed = result.mismatch
+    index, file_value, computed = map(bfile_mod._decimal, result.mismatch)
     print(
         f"{args.seq_id}: mismatch at index {index}: "
         f"file has {file_value}, computed {computed}"

@@ -24,13 +24,26 @@ with v(0) = (1, 1).  Coefficients are signed (the identities subtract),
 so everything stays in plain signed Python ints; the readout is still
 positive for every n.  Reading out d(n) uses d(n) = d(2*floor(n/2)) --
 immediate for even n and exactly the first identity for odd n -- so
-d(n) is component 0 of v(floor(n/2)), reached with one matrix product
-per bit of n.
+d(n) is component 0 of v(floor(n/2)).
+
+Up to _LEAF bits the state is carried through one matrix-vector product
+per bit.  A longer n is cut into leaves of _LEAF bits; each leaf
+multiplies the (transposed) m0/m1 of its bits together in small ints,
+and continuant._row_product multiplies v0 by the leaves as a balanced
+tree.  That is O(log n) big-int operations at a subquadratic bit cost
+(see the continuant module).
 """
 
 from dataclasses import dataclass
 
-from .continuant import diagonal_sum_fast
+from .continuant import (
+    _LEAF,
+    _ONE,
+    _mul,
+    _not_int,
+    _row_product,
+    diagonal_sum_fast,
+)
 
 __all__ = [
     "LinearRep",
@@ -63,6 +76,8 @@ def diagonal_sum_recurrence(n: int) -> int:
     Dependencies are collected with a work list rather than recursion,
     so arbitrarily large n cannot hit the interpreter recursion limit.
     """
+    if type(n) is not int:  # also rejects bool
+        raise _not_int("n", n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     needed = set()  # every non-base index n depends on
@@ -135,19 +150,48 @@ def derive_linear_rep() -> LinearRep:
     return rep
 
 
-def linear_rep_state(rep: LinearRep, n: int) -> tuple[int, int]:
-    """State vector (d(2n), d(4n)), one matrix product per bit of n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+def _transposed(mat):
+    (a, b), (c, d) = mat
+    return a, c, b, d
+
+
+def _leaf(t0, t1, bits):
+    """Product of the transposed bit matrices t0/t1 over a block of bits."""
+    leaf = _ONE
+    for ch in bits:
+        leaf = _mul(leaf, t1 if ch == "1" else t0)
+    return leaf
+
+
+def _state(rep: LinearRep, n: int) -> tuple[int, int]:
     w = rep.v0
+    if n.bit_length() > _LEAF:
+        # Transposed, the state is a row: v(n) = v0 @ M_1^T @ M_2^T @ ...
+        # where M_i is m0 or m1 for the i-th bit of n, most significant first.
+        t0, t1 = _transposed(rep.m0), _transposed(rep.m1)
+        bits = bin(n)[2:]
+        return _row_product(w, (_leaf(t0, t1, bits[i:i + _LEAF])
+                                for i in range(0, len(bits), _LEAF)))
     if n:
         for ch in bin(n)[2:]:
             w = _apply(rep.m1 if ch == "1" else rep.m0, w)
     return w
 
 
-def linear_rep_eval(rep: LinearRep, n: int) -> int:
-    """d(n) read out of the state at floor(n/2)."""
+def linear_rep_state(rep: LinearRep, n: int) -> tuple[int, int]:
+    """State vector (d(2n), d(4n)): v0 times one matrix per bit of n,
+    multiplied as a product tree past _LEAF bits."""
+    if type(n) is not int:  # also rejects bool
+        raise _not_int("n", n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return linear_rep_state(rep, n >> 1)[rep.readout]
+    return _state(rep, n)
+
+
+def linear_rep_eval(rep: LinearRep, n: int) -> int:
+    """d(n) read out of the state at floor(n/2)."""
+    if type(n) is not int:  # also rejects bool
+        raise _not_int("n", n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return _state(rep, n >> 1)[rep.readout]

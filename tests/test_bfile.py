@@ -87,7 +87,12 @@ def test_parse_reports_non_integer():
     "line",
     ["0 1_0", "+0 +1", "0 +1", "0 \u0661", "\u0660 1", "0 \uff11",
      "0 --1", "0 -", "0 0x1", "0 1.0",
-     "0\x0b1", "0 1\x0c", "\x0b0 1", "0\r1", "0 1\xa0"],
+     "0\x0b1", "0 1\x0c", "\x0b0 1", "0\r1", "0 1\xa0",
+     # past CPython's 4300-digit int/str limit
+     pytest.param("0 " + "1" * 5000 + "a", id="long-trailing-letter"),
+     pytest.param("0 --" + "1" * 5000, id="long-double-minus"),
+     pytest.param("0 +" + "1" * 5000, id="long-plus"),
+     pytest.param("0 " + "\u0661" * 5000, id="long-non-ascii")],
 )
 def test_parse_rejects_fields_outside_ascii_decimal(line):
     with pytest.raises(BFileParseError) as info:
@@ -133,6 +138,23 @@ def test_parse_either_round_trips_or_raises_parse_error(text):
             if line.strip() and not line.strip().startswith("#")]
     assert all(re.fullmatch("[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?", line)
                for line in data)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_values_past_int_str_digit_limit_round_trip(sign):
+    # 5000 digits is past CPython's default int/str limit of 4300.
+    digits = ("9" + "0123456789" * 500)[:5000]
+    value = int(digits[:2500]) * 10**2500 + int(digits[2500:])
+    if sign:
+        value = -value
+    text = f"0 {sign}{digits}\n1 3\n"
+    bf = parse_bfile(text, "A114214")
+    assert bf.records == ((0, value), (1, 3))
+    assert serialize_bfile(bf) == text
+    assert serialize_bfile(BFile("A114214", 0, ((0, value),))) == (
+        f"0 {sign}{digits}\n")
+    with pytest.raises(BFileParseError, match="not consecutive"):
+        parse_bfile(f"0 1\n{digits} 1\n", "A114214")
 
 
 def test_parse_reports_gap_in_indices():

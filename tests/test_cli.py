@@ -164,6 +164,16 @@ def test_bfile_compare_detects_corruption(tmp_path, capsys):
     assert "999" in out and "3" in out
 
 
+def test_bfile_compare_reports_value_past_digit_limit(tmp_path, capsys):
+    # 5000 digits is past CPython's default int/str limit of 4300.
+    path = tmp_path / "long.txt"
+    path.write_text("0 1\n1 " + "7" * 5000 + "\n")
+    assert main(["bfile-compare", "A114214", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "A114214: mismatch at index 1: file has " + "7" * 5000
+        + ", computed 1\n")
+
+
 def test_bfile_compare_parse_failure(tmp_path, capsys):
     path = tmp_path / "gap.txt"
     path.write_text("0 1\n3 2\n")

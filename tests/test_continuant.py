@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpascal import (
     continuant,
@@ -9,6 +11,7 @@ from modpascal import (
     run_lengths,
     runs_to_int,
 )
+from modpascal.continuant import _LEAF
 from oracles import binary_run_lengths, cf_numerator, fib
 
 
@@ -107,3 +110,31 @@ def test_diagonal_sum_fast_fixtures():
 def test_diagonal_sum_fast_matches_brute():
     for n in range(513):
         assert diagonal_sum_fast(n) == diagonal_sum_brute(n)
+
+
+# Past _LEAF terms the continuant is a product tree of leaves; these
+# inputs cross several leaf boundaries.
+@settings(deadline=None)
+@given(st.integers(0, 400).flatmap(
+    lambda k: st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+def test_tree_continuant_is_continued_fraction_numerator(terms):
+    want = cf_numerator(terms)
+    assert continuant(terms) == want
+    assert continuant(term for term in terms) == want
+
+
+@pytest.mark.parametrize("at", [_LEAF, _LEAF + 1, 3 * _LEAF + 7, 5 * _LEAF - 1])
+def test_tree_continuant_rejects_nonpositive_term_in_any_leaf(at):
+    terms = [2] * (5 * _LEAF)
+    terms[at] = 0
+    with pytest.raises(ValueError, match="got 0"):
+        continuant(terms)
+    with pytest.raises(ValueError, match="got 0"):
+        continuant(iter(terms))
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "5"])
+def test_non_int_arguments_raise_type_error(bad):
+    for fn in (run_lengths, diagonal_sum_fast):
+        with pytest.raises(TypeError, match="^n must be an int, got "):
+            fn(bad)

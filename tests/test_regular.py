@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpascal import regular
@@ -13,8 +13,10 @@ from modpascal import (
     diagonal_sum_recurrence,
     linear_rep_eval,
     linear_rep_state,
+    stern,
 )
 from oracles import binary_run_lengths, cf_numerator
+from test_stern import BIG_N, alternating
 
 
 def test_recurrence_matches_continuant_route():
@@ -150,3 +152,36 @@ def test_rep_is_frozen():
     with pytest.raises(AttributeError):
         rep.readout = 1
     assert isinstance(rep, LinearRep)
+
+
+@settings(deadline=None)
+@given(BIG_N)
+def test_tree_matrix_route_matches_continued_fraction(n):
+    rep = derive_linear_rep()
+    assert linear_rep_eval(rep, n) == cf_numerator(binary_run_lengths(n))
+    assert linear_rep_state(rep, n) == (
+        diagonal_sum_fast(2 * n), diagonal_sum_fast(4 * n))
+
+
+@pytest.mark.parametrize("shape", ["random", "alternating"])
+def test_three_routes_agree_at_1e5_bits(shape):
+    bits = 10**5
+    n = (random.Random(34).getrandbits(bits) | 1 << (bits - 1)
+         if shape == "random" else alternating(bits))
+    p, q, mod = 1, 0, 2**61 - 1  # the two-term recurrence mod a prime
+    for term in binary_run_lengths(n):
+        p, q = (term * p + q) % mod, p
+    d = diagonal_sum_fast(n)
+    assert d % mod == p
+    assert linear_rep_eval(derive_linear_rep(), n) == d
+    assert stern(n | 1) == d
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "5"])
+def test_non_int_arguments_raise_type_error(bad):
+    rep = derive_linear_rep()
+    for call in (diagonal_sum_recurrence,
+                 lambda n: linear_rep_eval(rep, n),
+                 lambda n: linear_rep_state(rep, n)):
+        with pytest.raises(TypeError, match="^n must be an int, got "):
+            call(bad)

@@ -1,9 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpascal import carlitz_sum, continuant, run_lengths, stern
 from oracles import stern_naive
+
+
+def alternating(k):
+    """The k-bit number 1010...: every run has length 1."""
+    return int("10" * (k // 2) + "1" * (k % 2), 2) if k else 0
+
+
+# Past _LEAF bits stern multiplies leaf matrices as a product tree.
+BIG_N = st.one_of(st.integers(0, 2**3000), st.integers(0, 3000).map(alternating))
 
 # s(0..15), the defining recurrence unrolled by hand.
 STERN_STREAM = [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4]
@@ -73,3 +84,16 @@ def test_odd_stern_is_run_length_continuant():
     for _ in range(200):
         n = rng.getrandbits(200) | 1
         assert stern(n) == continuant(run_lengths(n))
+
+
+@settings(deadline=None)
+@given(BIG_N)
+def test_tree_stern_is_run_length_continuant(n):
+    m = 2 * n + 1
+    assert stern(m) == continuant(run_lengths(m))
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "5"])
+def test_stern_rejects_non_int(bad):
+    with pytest.raises(TypeError, match="^n must be an int, got "):
+        stern(bad)
