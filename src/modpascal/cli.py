@@ -26,17 +26,19 @@ __all__ = ["main", "run"]
 
 
 def _parse_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
-    """Inclusive 'A..B' range; a bare 'A' means A..A."""
+    """Inclusive 'A..B' range of ASCII decimals ('[0-9]+'); a bare 'A'
+    means A..A.  Read by bfile._int_from_decimal, so A and B may be
+    longer than the int/str digit limit."""
     lo, sep, hi = text.partition("..")
-    try:
-        first = int(lo)
-        last = int(hi) if sep else first
-    except ValueError:
+    if not sep:
+        hi = lo
+    if not all(part.isascii() and part.isdigit() for part in (lo, hi)):
         parser.error(f"bad range {text!r}; expected 'A' or 'A..B'")
-    if first < 0:
-        parser.error(f"range start {first} is negative")
+    limit = sys.get_int_max_str_digits()
+    first, last = (bfile_mod._int_from_decimal(part, limit) for part in (lo, hi))
     if last < first:
-        parser.error(f"range end {last} is below start {first}")
+        parser.error(f"range end {bfile_mod._decimal(last)} is below "
+                     f"start {bfile_mod._decimal(first)}")
     return first, last
 
 
@@ -60,7 +62,11 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     first, last = _parse_range(args.parser, args.range)
     terms = routes[method](first, last + 1)
     for n, value in zip(range(first, last + 1), terms):
-        print(f"{n} {value}")
+        try:
+            line = f"{n} {value}"
+        except ValueError:  # a number past the int/str digit limit
+            line = f"{bfile_mod._decimal(n)} {bfile_mod._decimal(value)}"
+        print(line)
     return 0
 
 

@@ -21,16 +21,18 @@ triangle diagonal into O(log n) big-int operations.  The empty-sequence
 convention K() = 1 makes this hold at n = 0 as well, where the diagonal
 is the single entry T(0, 0) = 1.
 
-Up to _LEAF terms are folded by the recurrence, one small multiply per
-term.  A longer sequence is cut into leaves of _LEAF terms; each leaf
-runs the same recurrence from both unit rows, which yields its matrix
-product in small ints, and _row_product multiplies the start row (1, 0)
-by the leaves as a balanced tree.  Folding left to right multiplies an
-ever-growing accumulator by a small term each time, a cost quadratic in
-the bit length b of the result; the tree multiplies operands of equal
-size, so CPython's Karatsuba multiply brings it down to O(b^1.585).
-Stern's scan and the matrix representation (modules stern and regular)
-build their own leaves and run on the same _row_product.
+This module also holds the kernel under all three fast routes (the
+continuant here, Stern's scan and the matrix representation).  Each
+route states its recurrence once, as a scan that carries a row (x, y)
+through part of its sequence, and hands it to _scan_product.  Up to
+_LEAF items that is the whole computation.  A longer sequence is cut
+into leaves of _LEAF items; a leaf scanned from the unit rows (1, 0)
+and (0, 1) gives its 2x2 matrix in small ints, and _row_product
+multiplies the start row by the leaves as a balanced tree.  Folding left
+to right multiplies an ever-growing accumulator by a small term each
+time, a cost quadratic in the bit length b of the result; the tree
+multiplies operands of equal size, so CPython's Karatsuba multiply
+brings it down to O(b^1.585).
 """
 
 import re
@@ -41,16 +43,20 @@ __all__ = ["continuant", "diagonal_sum_fast", "run_lengths", "runs_to_int"]
 
 _RUN = re.compile(r"1+|0+")
 
-# Terms, or bits, per leaf of the product tree: inputs up to this long
-# take the plain left-to-right loop.
+# Terms, or bits, per leaf of the product tree: sequences up to this
+# long are scanned in one pass.
 _LEAF = 64
 
 _ONE = (1, 0, 0, 1)  # the identity matrix, as (a, b, c, d) = [[a, b], [c, d]]
 
 
-def _not_int(name, value):
-    """The TypeError for a non-int argument; bool counts as non-int."""
-    return TypeError(f"{name} must be an int, got {type(value).__name__}")
+def _require_index(name, value):
+    """TypeError unless value is an int (bool is not), ValueError if it
+    is negative."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _mul(x, y):
@@ -79,12 +85,26 @@ def _row_product(row, mats):
             return mats[0][:2]
 
 
+def _scan_product(row, seq, scan):
+    """The row (x, y) after all of seq, starting from row.
+
+    scan(part, x, y) is a route's recurrence: the row after part of its
+    sequence (a tuple of terms or a bit string).  Up to _LEAF items, seq
+    is scanned in one pass.  Past that, each leaf of _LEAF items is
+    scanned from both unit rows, which gives the two rows of its matrix,
+    and the leaves are multiplied as a product tree.
+    """
+    if len(seq) <= _LEAF:
+        x, y = row  # a faster call than scan(seq, *row) on small inputs
+        return scan(seq, x, y)
+    leaves = (seq[i:i + _LEAF] for i in range(0, len(seq), _LEAF))
+    return _row_product(
+        row, (scan(part, 1, 0) + scan(part, 0, 1) for part in leaves))
+
+
 def run_lengths(n: int) -> tuple[int, ...]:
     """Run lengths of the binary expansion of n, most significant first."""
-    if type(n) is not int:  # also rejects bool
-        raise _not_int("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _require_index("n", n)
     if n == 0:
         return ()
     return tuple(m.end() - m.start() for m in _RUN.finditer(bin(n)[2:]))
@@ -108,37 +128,24 @@ def runs_to_int(runs: Iterable[int]) -> int:
     return int("".join(bits), 2)
 
 
-def _continuant_leaf(terms):
-    """Product of [[m, 1], [1, 0]] over terms: the two-term recurrence
-    run from the unit rows (1, 0) and (0, 1)."""
-    a, b, c, d = _ONE
+def _continuant_scan(terms, p, q):
+    """The row (p, q) times [[m, 1], [1, 0]] for each term m: from (1, 0),
+    p is K of the terms so far and q is K of one term fewer."""
     for term in terms:
         if term < 1:
             raise ValueError(f"continuant terms must be >= 1, got {term}")
-        a, b = term * a + b, a
-        c, d = term * c + d, c
-    return a, b, c, d
+        p, q = term * p + q, p
+    return p, q
 
 
 def continuant(m: Iterable[int]) -> int:
     """Continuant K(m_0, ..., m_k) of a sequence of positive integers.
 
-    Up to _LEAF terms: the two-term linear recurrence (two rolling
-    big-int accumulators); denominators of the underlying continued
-    fraction are never formed.  Longer: leaves of _LEAF terms multiplied
-    as a balanced product tree.  O(k) big-int operations either way.
+    The two-term linear recurrence, with denominators of the underlying
+    continued fraction never formed; past _LEAF terms it runs per leaf
+    under a product tree.  O(k) big-int operations either way.
     """
-    terms = tuple(m)
-    if len(terms) > _LEAF:
-        leaves = (_continuant_leaf(terms[i:i + _LEAF])
-                  for i in range(0, len(terms), _LEAF))
-        return _row_product((1, 0), leaves)[0]
-    p, q = 1, 0  # K of the terms consumed so far, and of one term fewer
-    for term in terms:
-        if term < 1:
-            raise ValueError(f"continuant terms must be >= 1, got {term}")
-        p, q = term * p + q, p
-    return p
+    return _scan_product((1, 0), tuple(m), _continuant_scan)[0]
 
 
 def diagonal_sum_fast(n: int) -> int:

@@ -26,24 +26,16 @@ positive for every n.  Reading out d(n) uses d(n) = d(2*floor(n/2)) --
 immediate for even n and exactly the first identity for odd n -- so
 d(n) is component 0 of v(floor(n/2)).
 
-Up to _LEAF bits the state is carried through one matrix-vector product
-per bit.  A longer n is cut into leaves of _LEAF bits; each leaf
-multiplies the (transposed) m0/m1 of its bits together in small ints,
-and continuant._row_product multiplies v0 by the leaves as a balanced
-tree.  That is O(log n) big-int operations at a subquadratic bit cost
-(see the continuant module).
+The state is carried by one scan over the bits of n, one matrix-vector
+product per bit, and continuant._scan_product either runs it over all
+the bits or, past one leaf, multiplies v0 by the leaves' matrices as a
+balanced tree.  That is O(log n) big-int operations at a subquadratic
+bit cost (see the continuant module).
 """
 
 from dataclasses import dataclass
 
-from .continuant import (
-    _LEAF,
-    _ONE,
-    _mul,
-    _not_int,
-    _row_product,
-    diagonal_sum_fast,
-)
+from .continuant import _require_index, _scan_product, diagonal_sum_fast
 
 __all__ = [
     "LinearRep",
@@ -76,10 +68,7 @@ def diagonal_sum_recurrence(n: int) -> int:
     Dependencies are collected with a work list rather than recursion,
     so arbitrarily large n cannot hit the interpreter recursion limit.
     """
-    if type(n) is not int:  # also rejects bool
-        raise _not_int("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _require_index("n", n)
     needed = set()  # every non-base index n depends on
     todo = [n]
     while todo:
@@ -123,13 +112,6 @@ class LinearRep:
     readout: int
 
 
-def _apply(mat, vec):
-    return (
-        mat[0][0] * vec[0] + mat[0][1] * vec[1],
-        mat[1][0] * vec[0] + mat[1][1] * vec[1],
-    )
-
-
 def derive_linear_rep() -> LinearRep:
     """Build the matrix representation and check it against the
     continuant route on 0..256 before handing it out."""
@@ -150,48 +132,32 @@ def derive_linear_rep() -> LinearRep:
     return rep
 
 
-def _transposed(mat):
-    (a, b), (c, d) = mat
-    return a, c, b, d
-
-
-def _leaf(t0, t1, bits):
-    """Product of the transposed bit matrices t0/t1 over a block of bits."""
-    leaf = _ONE
-    for ch in bits:
-        leaf = _mul(leaf, t1 if ch == "1" else t0)
-    return leaf
-
-
 def _state(rep: LinearRep, n: int) -> tuple[int, int]:
-    w = rep.v0
-    if n.bit_length() > _LEAF:
-        # Transposed, the state is a row: v(n) = v0 @ M_1^T @ M_2^T @ ...
-        # where M_i is m0 or m1 for the i-th bit of n, most significant first.
-        t0, t1 = _transposed(rep.m0), _transposed(rep.m1)
-        bits = bin(n)[2:]
-        return _row_product(w, (_leaf(t0, t1, bits[i:i + _LEAF])
-                                for i in range(0, len(bits), _LEAF)))
-    if n:
-        for ch in bin(n)[2:]:
-            w = _apply(rep.m1 if ch == "1" else rep.m0, w)
-    return w
+    """v(n): v0 carried through m0 or m1 for each bit of n, most
+    significant first.  bin(0) is "0", and v(0) = m0 v(0) because
+    2 * 0 = 0, so n = 0 needs no case of its own."""
+    (a0, b0), (c0, d0) = rep.m0
+    (a1, b1), (c1, d1) = rep.m1
+
+    def scan(bits, x, y):
+        for ch in bits:
+            if ch == "1":
+                x, y = a1 * x + b1 * y, c1 * x + d1 * y
+            else:
+                x, y = a0 * x + b0 * y, c0 * x + d0 * y
+        return x, y
+
+    return _scan_product(rep.v0, bin(n)[2:], scan)
 
 
 def linear_rep_state(rep: LinearRep, n: int) -> tuple[int, int]:
     """State vector (d(2n), d(4n)): v0 times one matrix per bit of n,
-    multiplied as a product tree past _LEAF bits."""
-    if type(n) is not int:  # also rejects bool
-        raise _not_int("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    multiplied as a product tree past one leaf of bits."""
+    _require_index("n", n)
     return _state(rep, n)
 
 
 def linear_rep_eval(rep: LinearRep, n: int) -> int:
     """d(n) read out of the state at floor(n/2)."""
-    if type(n) is not int:  # also rejects bool
-        raise _not_int("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _require_index("n", n)
     return _state(rep, n >> 1)[rep.readout]

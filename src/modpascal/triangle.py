@@ -25,6 +25,8 @@ middle of a row, so fixed-width types are not an option.
 from dataclasses import dataclass
 from math import isqrt
 
+from .continuant import _require_index
+
 __all__ = [
     "TriangleRow",
     "binom_parity",
@@ -37,11 +39,6 @@ __all__ = [
     "triangle_row",
     "triangle_row_parity",
 ]
-
-
-def _require_nonneg(name, value):
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _require_pair(n, k):
@@ -112,13 +109,13 @@ def triangle_entry_parity(n: int, k: int) -> int:
 
 def triangle_row(n: int) -> TriangleRow:
     """Exact row n, computed entry by entry from the defining sum."""
-    _require_nonneg("n", n)
+    _require_index("n", n)
     return TriangleRow(n, tuple(triangle_entry(n, k) for k in range(n + 1)), "exact")
 
 
 def triangle_row_parity(n: int) -> TriangleRow:
     """Mod-2 row n via the binomial-parity reduction."""
-    _require_nonneg("n", n)
+    _require_index("n", n)
     return TriangleRow(
         n, tuple(triangle_entry_parity(n, k) for k in range(n + 1)), "parity"
     )
@@ -126,7 +123,7 @@ def triangle_row_parity(n: int) -> TriangleRow:
 
 def row_sum_brute(n: int) -> int:
     """r(n) summed entry by entry across the parity row; O(n)."""
-    _require_nonneg("n", n)
+    _require_index("n", n)
     return sum(triangle_entry_parity(n, k) for k in range(n + 1))
 
 
@@ -137,7 +134,7 @@ def row_sum_closed(n: int) -> int:
     where s2 is the binary popcount.  The even branch has no meaning at
     n = 0; there the row is the single entry T(0, 0) = 1.
     """
-    _require_nonneg("n", n)
+    _require_index("n", n)
     if n == 0:
         return 1
     if n % 2 == 1:
@@ -151,7 +148,7 @@ def diagonal_sum_brute(n: int) -> int:
     This is the slow reference route for the diagonal sums; the
     continuant and matrix-recurrence routes must agree with it.
     """
-    _require_nonneg("n", n)
+    _require_index("n", n)
     return sum(triangle_entry_parity(n - k, k) for k in range(n // 2 + 1))
 
 
@@ -162,7 +159,8 @@ def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     Index 0 is T(0, 0); row n occupies indices n(n+1)/2 .. n(n+1)/2 + n.
     Rows are generated one at a time (memory stays O(row length)).
     """
-    _require_nonneg("start", start)
+    _require_index("start", start)
+    _require_index("stop", stop)
     if stop < start:
         raise ValueError(f"stop must be >= start, got start={start}, stop={stop}")
     if mode not in ("exact", "parity"):

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from modpascal.bfile import ROUTES
+from modpascal import diagonal_sum_fast, stern
+from modpascal.bfile import ROUTES, _decimal
 from modpascal.cli import main, run
 
 
@@ -113,12 +114,27 @@ def test_seq_triangle_terms(capsys):
         ["seq", "d", "0..9", "--method", "closed"],
         ["seq", "r", "0..9", "--method", "fast"],
         ["seq", "nope", "0..9"],
+        # int() takes these, but a range is ASCII [0-9]+
+        ["seq", "d", "1_0"],
+        ["seq", "d", "+5"],
+        ["seq", "d", "\u0663"],
     ],
 )
 def test_seq_usage_errors(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+def test_seq_index_past_digit_limit(capsys):
+    # 4400 digits is past CPython's default int/str limit of 4300.
+    text = "7" * 4400
+    n = 7 * (10**4400 - 1) // 9
+    assert main(["seq", "d", text]) == 0
+    assert _lines(capsys) == [f"{text} {_decimal(diagonal_sum_fast(n))}"]
+    assert main(["seq", "stern", f"{text}..{text[:-1]}8"]) == 0
+    assert _lines(capsys) == [f"{text} {_decimal(stern(n))}",
+                              f"{text[:-1]}8 {_decimal(stern(n + 1))}"]
 
 
 @pytest.mark.parametrize("seq_id", ["A119326", "A114213", "A114212", "A114214"])

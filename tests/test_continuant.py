@@ -5,14 +5,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpascal import (
+    carlitz_sum,
     continuant,
+    derive_linear_rep,
     diagonal_sum_brute,
     diagonal_sum_fast,
+    iter_triangle_terms,
+    linear_rep_eval,
+    linear_rep_state,
+    row_sum_brute,
+    row_sum_closed,
     run_lengths,
     runs_to_int,
+    stern,
+    triangle_row,
+    triangle_row_parity,
 )
 from modpascal.continuant import _LEAF
-from oracles import binary_run_lengths, cf_numerator, fib
+from oracles import binary_run_lengths, cf_numerator, fib, stern_naive
+from test_stern import alternating
 
 
 def test_run_lengths_fixtures():
@@ -123,6 +134,33 @@ def test_tree_continuant_is_continued_fraction_numerator(terms):
     assert continuant(term for term in terms) == want
 
 
+# The sizes at which _scan_product switches between one scan and the
+# tree, and where the tree gains a leaf.
+LEAF_SIZES = [0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF, 2 * _LEAF + 1]
+
+
+@pytest.mark.parametrize("shape", ["random", "alternating"])
+@pytest.mark.parametrize("size", LEAF_SIZES)
+def test_routes_at_leaf_boundaries(size, shape):
+    rng = random.Random(size)
+    # size terms for continuant, and an n of size bits for the bit scans
+    if shape == "random":
+        terms = [rng.randint(1, 9) for _ in range(size)]
+        n = rng.getrandbits(size) | (1 << size) >> 1  # top bit set
+    else:  # every run of bits has length 1
+        terms = [1] * size
+        n = alternating(size)
+    assert n.bit_length() == size
+    assert continuant(terms) == cf_numerator(terms)
+    assert stern(n) == stern_naive(n)
+    rep = derive_linear_rep()
+    assert linear_rep_state(rep, n) == (
+        cf_numerator(binary_run_lengths(2 * n)),
+        cf_numerator(binary_run_lengths(4 * n)))
+    for m in (2 * n, 2 * n + 1):  # both read the state at n
+        assert linear_rep_eval(rep, m) == cf_numerator(binary_run_lengths(m))
+
+
 @pytest.mark.parametrize("at", [_LEAF, _LEAF + 1, 3 * _LEAF + 7, 5 * _LEAF - 1])
 def test_tree_continuant_rejects_nonpositive_term_in_any_leaf(at):
     terms = [2] * (5 * _LEAF)
@@ -135,6 +173,11 @@ def test_tree_continuant_rejects_nonpositive_term_in_any_leaf(at):
 
 @pytest.mark.parametrize("bad", [2.5, True, "5"])
 def test_non_int_arguments_raise_type_error(bad):
-    for fn in (run_lengths, diagonal_sum_fast):
-        with pytest.raises(TypeError, match="^n must be an int, got "):
-            fn(bad)
+    calls = [("n", fn) for fn in (
+        run_lengths, diagonal_sum_fast, diagonal_sum_brute, row_sum_brute,
+        row_sum_closed, triangle_row, triangle_row_parity, carlitz_sum)]
+    calls += [("start", lambda v: list(iter_triangle_terms(v, 3))),
+              ("stop", lambda v: list(iter_triangle_terms(0, v)))]
+    for name, call in calls:
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            call(bad)
