@@ -12,18 +12,22 @@ here, all indexed from 0:
 Each id is the stream of one route in ROUTES, the table of evaluation
 routes behind the `seq` command.
 
+Only this module converts ints to decimal text and back, for the CLI
+too: _RECORD is the record grammar, _lines writes "<index> <value>"
+lines, and _decimal and _int_from_decimal convert numbers of any length.
+
 Files downloaded from the OEIS may use a different starting index; the
 comparison maps the i-th record of the file to the i-th term of the
 local sequence, so a constant offset shift is reconciled rather than
 reported as a mismatch.
 """
 
-import sys
-from collections.abc import Callable, Iterator
+import re
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
-from .continuant import diagonal_sum_fast
+from .continuant import _require_int, diagonal_sum_fast
 from .regular import diagonal_sum_recurrence
 from .stern import carlitz_sum, stern
 from .triangle import (
@@ -128,6 +132,7 @@ def _terms(sequence_id: str) -> Callable[[int, int], Iterator[int]]:
 def generate_bfile(sequence_id: str, max_index: int) -> BFile:
     """Build the b-file for sequence_id covering indices 0..max_index."""
     terms = _terms(sequence_id)
+    _require_int("max_index", max_index)
     if max_index < 0:
         raise ValueError(
             f"max index {max_index} is below the sequence offset 0"
@@ -136,17 +141,19 @@ def generate_bfile(sequence_id: str, max_index: int) -> BFile:
     return BFile(sequence_id, 0, records)
 
 
-def _int_from_decimal(digits: str, limit: int) -> int:
-    """int(digits) for an ASCII '-?[0-9]+' string of any length: past
-    `limit`, the interpreter's int/str digit limit, the halves are read
-    separately until each piece is within it."""
-    if digits.startswith("-"):
-        return -_int_from_decimal(digits[1:], limit)
-    if len(digits) <= limit:
+def _int_from_decimal(digits: str) -> int:
+    """int(digits) for an ASCII '-?[0-9]+' string of any length, the
+    inverse of _decimal: int() refuses strings past the int/str digit
+    limit, so those are read in halves until each piece is within it."""
+    try:
         return int(digits)
+    except ValueError:
+        pass
+    if digits.startswith("-"):
+        return -_int_from_decimal(digits[1:])
     k = len(digits) // 2
-    return (_int_from_decimal(digits[:-k], limit) * 10**k
-            + _int_from_decimal(digits[-k:], limit))
+    return (_int_from_decimal(digits[:-k]) * 10**k
+            + _int_from_decimal(digits[-k:]))
 
 
 def _decimal(value: int) -> str:
@@ -164,53 +171,48 @@ def _decimal(value: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
+def _lines(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """One "<index> <value>\n" line per pair, at any size."""
+    for index, value in pairs:
+        try:
+            line = f"{index} {value}\n"
+        except ValueError:  # a number past the int/str digit limit
+            line = f"{_decimal(index)} {_decimal(value)}\n"
+        yield line
+
+
 def serialize_bfile(bfile: BFile) -> str:
-    try:
-        return "".join(f"{index} {value}\n" for index, value in bfile.records)
-    except ValueError:  # a field past the int/str digit limit
-        return "".join(f"{_decimal(index)} {_decimal(value)}\n"
-                       for index, value in bfile.records)
+    return "".join(_lines(bfile.records))
+
+
+_RECORD = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*\r?")
 
 
 def parse_bfile(text: str, sequence_id: str) -> BFile:
     r"""Parse b-file text: one record per "\n"-terminated line.
 
-    Blank lines, lines starting with '#', spaces and tabs around the
-    fields and a final "\r" are tolerated (OEIS files carry such
-    comments); anything else must be two ASCII decimal integers
-    ('-?[0-9]+') between spaces or tabs, with indices consecutive.
-    Fields of any length are read, also past the interpreter's int/str
-    digit limit.
+    A record matches _RECORD, with indices consecutive.  Any other line
+    must be blank or a comment starting with '#' (OEIS files carry such
+    comments) once spaces, tabs and a final "\r" are stripped.  Fields
+    of any length are read, also past the interpreter's int/str digit
+    limit.
     """
     records = []
     expected = None
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.removesuffix("\r").strip(" \t")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise BFileParseError(
-                line_no, f"expected 'index value', got {raw!r}"
-            )
-        # int() also takes '+', '_' separators and non-ASCII digits, and
-        # split() also breaks on \v, \f and \x1c-\x1f; a b-file field is
-        # ASCII '-?[0-9]+', and only spaces or tabs separate fields.
-        if not line.isascii() or "+" in line or "_" in line or not (
-                line.isprintable() or line.replace("\t", " ").isprintable()):
-            raise BFileParseError(line_no, f"non-integer field in {raw!r}")
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        match = _RECORD.fullmatch(line)
+        if match is None:
+            stripped = line.removesuffix("\r").strip(" \t")
+            if not stripped or stripped.startswith("#"):
+                continue
+            raise BFileParseError(line_no, (
+                f"expected 'index value', got {line!r}"
+                if len(line.split()) != 2 else
+                f"non-integer field in {line!r}"))
         try:
-            index = int(parts[0])
-            value = int(parts[1])
-        except ValueError:
-            # Either a field is not decimal, or int() refused a decimal
-            # field past the int/str digit limit; read those in pieces.
-            if not all(part.removeprefix("-").isdigit() for part in parts):
-                raise BFileParseError(
-                    line_no, f"non-integer field in {raw!r}"
-                ) from None
-            limit = sys.get_int_max_str_digits()
-            index, value = (_int_from_decimal(part, limit) for part in parts)
+            index, value = int(match[1]), int(match[2])
+        except ValueError:  # a field past the int/str digit limit
+            index, value = map(_int_from_decimal, match.groups())
         if expected is not None and index != expected:
             raise BFileParseError(
                 line_no, f"index {_decimal(index)} not consecutive "

@@ -25,20 +25,21 @@ from .triangle import triangle_row, triangle_row_parity
 __all__ = ["main", "run"]
 
 
-def _parse_range(parser: argparse.ArgumentParser, text: str) -> tuple[int, int]:
-    """Inclusive 'A..B' range of ASCII decimals ('[0-9]+'); a bare 'A'
-    means A..A.  Read by bfile._int_from_decimal, so A and B may be
-    longer than the int/str digit limit."""
+def _number(text: str) -> int:
+    """A CLI number: ASCII decimal digits ('[0-9]+') of any length, also
+    past the int/str digit limit."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not ASCII digits: {text!r}")
+    return bfile_mod._int_from_decimal(text)
+
+
+def _range(text: str) -> tuple[int, int]:
+    """Inclusive 'A..B' range of _numbers; a bare 'A' means A..A."""
     lo, sep, hi = text.partition("..")
-    if not sep:
-        hi = lo
-    if not all(part.isascii() and part.isdigit() for part in (lo, hi)):
-        parser.error(f"bad range {text!r}; expected 'A' or 'A..B'")
-    limit = sys.get_int_max_str_digits()
-    first, last = (bfile_mod._int_from_decimal(part, limit) for part in (lo, hi))
+    first = _number(lo)
+    last = _number(hi) if sep else first
     if last < first:
-        parser.error(f"range end {bfile_mod._decimal(last)} is below "
-                     f"start {bfile_mod._decimal(first)}")
+        raise argparse.ArgumentTypeError(f"end below start in {text!r}")
     return first, last
 
 
@@ -59,22 +60,14 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             f"method {method!r} is not valid for {args.which!r}; "
             f"choose from {', '.join(routes)}"
         )
-    first, last = _parse_range(args.parser, args.range)
+    first, last = args.range
     terms = routes[method](first, last + 1)
-    for n, value in zip(range(first, last + 1), terms):
-        try:
-            line = f"{n} {value}"
-        except ValueError:  # a number past the int/str digit limit
-            line = f"{bfile_mod._decimal(n)} {bfile_mod._decimal(value)}"
-        print(line)
+    sys.stdout.writelines(bfile_mod._lines(zip(range(first, last + 1), terms)))
     return 0
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
-    try:
-        generated = bfile_mod.generate_bfile(args.seq_id, args.max_index)
-    except ValueError as exc:
-        args.parser.error(str(exc))
+    generated = bfile_mod.generate_bfile(args.seq_id, args.max_index)
     with open(args.out_path, "w", newline="\n") as handle:
         handle.write(bfile_mod.serialize_bfile(generated))
     print(f"wrote {len(generated.records)} records to {args.out_path}")
@@ -118,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tri = commands.add_parser(
         "triangle", help="print the first N rows of the triangle"
     )
-    tri.add_argument("rows", type=int, help="number of rows (>= 1)")
+    tri.add_argument("rows", type=_number, help="number of rows (>= 1)")
     tri.add_argument(
         "--mode", choices=("exact", "parity"), default="exact",
         help="exact entries or entries mod 2 (default: exact)",
@@ -133,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="d: diagonal sums; r: row sums; stern: Stern's diatomic "
         "sequence; t-row: triangle entries in row-major order",
     )
-    seq.add_argument("range", help="inclusive range 'A..B', or a single 'A'")
+    seq.add_argument("range", type=_range,
+                     help="inclusive range 'A..B', or a single 'A'")
     seq.add_argument(
         "--method",
         help="evaluation route ("
@@ -149,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bfile", help="write an OEIS b-file for a sequence id"
     )
     bf.add_argument("seq_id", choices=tuple(bfile_mod.SEQUENCES))
-    bf.add_argument("max_index", type=int, help="last index to include")
+    bf.add_argument("max_index", type=_number, help="last index to include")
     bf.add_argument("out_path", help="output file path")
     bf.set_defaults(handler=_cmd_bfile, parser=bf)
 
@@ -164,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = commands.add_parser("verify", help="run an identity check suite")
     ver.add_argument("suite", choices=verify.SUITE_NAMES)
     ver.add_argument(
-        "--max-n", type=int, default=256,
+        "--max-n", type=_number, default=256,
         help="largest parameter checked per identity (default: 256; the "
         "suites comparing exact triangle entries grow quadratically "
         "in this, so raise it per suite)",

@@ -50,11 +50,15 @@ _LEAF = 64
 _ONE = (1, 0, 0, 1)  # the identity matrix, as (a, b, c, d) = [[a, b], [c, d]]
 
 
-def _require_index(name, value):
-    """TypeError unless value is an int (bool is not), ValueError if it
-    is negative."""
+def _require_int(name, value):
+    """TypeError unless value is an int (bool is not)."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _require_index(name, value):
+    """_require_int, then ValueError if value is negative."""
+    _require_int(name, value)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import regular, triangle
-from .continuant import diagonal_sum_fast
+from .continuant import _require_int, diagonal_sum_fast
 from .stern import carlitz_sum, stern
 
 __all__ = [
@@ -239,6 +239,7 @@ SUITE_NAMES = ("all",) + tuple(_SUITES)
 
 def run_suite(suite: str, max_n: int) -> VerifyReport:
     """Run one named suite (or 'all') up to max_n and return its report."""
+    _require_int("max_n", max_n)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if suite == "all":

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from modpascal import diagonal_sum_fast, stern
-from modpascal.bfile import ROUTES, _decimal
+from modpascal.bfile import ROUTES, _decimal, parse_bfile, serialize_bfile
 from modpascal.cli import main, run
 
 
@@ -126,6 +126,25 @@ def test_seq_usage_errors(argv):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # int() takes these, but a CLI number is ASCII [0-9]+
+        ["triangle", "1_0"],
+        ["triangle", "+2"],
+        ["triangle", "\u0663"],
+        ["bfile", "A114214", "1_0", "out"],
+        ["verify", "thm2", "--max-n", "\u0661\u0660"],
+        ["bfile", "A114214", "-1", "out"],
+    ],
+)
+def test_number_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
 def test_seq_index_past_digit_limit(capsys):
     # 4400 digits is past CPython's default int/str limit of 4300.
     text = "7" * 4400
@@ -135,6 +154,34 @@ def test_seq_index_past_digit_limit(capsys):
     assert main(["seq", "stern", f"{text}..{text[:-1]}8"]) == 0
     assert _lines(capsys) == [f"{text} {_decimal(stern(n))}",
                               f"{text[:-1]}8 {_decimal(stern(n + 1))}"]
+
+
+def test_seq_stream_is_a_bfile(capsys):
+    # seq and the b-files write their lines through one writer.
+    long = "7" * 4400
+    runs = [(["seq", which, "7..40", "--method", method], 7)
+            for which, routes in ROUTES.items() for method in routes]
+    runs.append((["seq", "d", long], 7 * (10**4400 - 1) // 9))
+    for argv, offset in runs:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        parsed = parse_bfile(out, argv[1])
+        assert parsed.offset == offset, argv
+        assert serialize_bfile(parsed) == out, argv
+
+
+def test_cli_without_int_max_str_digits(tmp_path, capsys, monkeypatch):
+    # CPython 3.10.0-3.10.6 has neither this function nor the limit.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert main(["seq", "d", "0..3"]) == 0
+    assert _lines(capsys) == ["0 1", "1 1", "2 2", "3 2"]
+    assert main(["seq", "d", "7" * 4400]) == 0
+    assert _lines(capsys)[0].startswith("7" * 4400 + " ")
+    out = tmp_path / "b.txt"
+    assert main(["bfile", "A114214", "20", str(out)]) == 0
+    assert main(["bfile-compare", "A114214", str(out)]) == 0
+    assert _lines(capsys) == [f"wrote 21 records to {out}",
+                              "A114214: all 21 records agree"]
 
 
 @pytest.mark.parametrize("seq_id", ["A119326", "A114213", "A114212", "A114214"])

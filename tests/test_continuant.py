@@ -10,12 +10,14 @@ from modpascal import (
     derive_linear_rep,
     diagonal_sum_brute,
     diagonal_sum_fast,
+    generate_bfile,
     iter_triangle_terms,
     linear_rep_eval,
     linear_rep_state,
     row_sum_brute,
     row_sum_closed,
     run_lengths,
+    run_suite,
     runs_to_int,
     stern,
     triangle_row,
@@ -177,7 +179,9 @@ def test_non_int_arguments_raise_type_error(bad):
         run_lengths, diagonal_sum_fast, diagonal_sum_brute, row_sum_brute,
         row_sum_closed, triangle_row, triangle_row_parity, carlitz_sum)]
     calls += [("start", lambda v: list(iter_triangle_terms(v, 3))),
-              ("stop", lambda v: list(iter_triangle_terms(0, v)))]
+              ("stop", lambda v: list(iter_triangle_terms(0, v))),
+              ("max_index", lambda v: generate_bfile("A114214", v)),
+              ("max_n", lambda v: run_suite("thm2", v))]
     for name, call in calls:
         with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
             call(bad)
