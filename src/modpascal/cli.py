@@ -1,26 +1,18 @@
-"""Command-line interface.
+"""Command-line interface: the subcommands triangle, seq, bfile,
+bfile-compare and verify, each described by its help (`modpascal --help`).
 
-Subcommands:
-
-    triangle       print the first N rows of the triangle (exact or parity)
-    seq            stream "<n> <value>" lines for d, r, stern, or the
-                   triangle entries in row-major order
-    bfile          write an OEIS b-file for one of the four sequence ids
-    bfile-compare  recompute a local b-file's records and report the
-                   first disagreement
-    verify         run an identity cross-check suite
-
-Exit codes: 0 success, 1 a verification counterexample or b-file
-mismatch, 2 usage error, 3 I/O or parse error.  All numeric output is
-decimal with unlimited precision.
+Exit codes: 0 success (also when a reader of stdout stops early, as `head`
+does), 1 a verification counterexample or b-file mismatch, 2 usage error,
+3 I/O or parse error.  All numeric output is decimal with unlimited precision.
 """
 
 import argparse
+import os
 import sys
+from itertools import islice
 
 from . import bfile as bfile_mod
 from . import verify
-from .triangle import triangle_row, triangle_row_parity
 
 __all__ = ["main", "run"]
 
@@ -46,9 +38,9 @@ def _range(text: str) -> tuple[int, int]:
 def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.rows < 1:
         args.parser.error(f"rows must be >= 1, got {args.rows}")
-    make_row = triangle_row if args.mode == "exact" else triangle_row_parity
+    terms = bfile_mod.ROUTES["t-row"][args.mode](0, args.rows * (args.rows + 1) // 2)
     for n in range(args.rows):
-        print(" ".join(str(t) for t in make_row(n).entries))
+        print(" ".join(map(bfile_mod._decimal, islice(terms, n + 1))))
     return 0
 
 
@@ -68,8 +60,11 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
     generated = bfile_mod.generate_bfile(args.seq_id, args.max_index)
-    with open(args.out_path, "w", newline="\n") as handle:
-        handle.write(bfile_mod.serialize_bfile(generated))
+    try:
+        with open(args.out_path, "w", newline="\n") as handle:
+            handle.write(bfile_mod.serialize_bfile(generated))
+    except BrokenPipeError as exc:  # not stdout's: the b-file is cut short
+        raise OSError(f"{exc}: {args.out_path!r}") from None
     print(f"wrote {len(generated.records)} records to {args.out_path}")
     return 0
 
@@ -113,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tri.add_argument("rows", type=_number, help="number of rows (>= 1)")
     tri.add_argument(
-        "--mode", choices=("exact", "parity"), default="exact",
+        "--mode", choices=tuple(bfile_mod.ROUTES["t-row"]), default="exact",
         help="exact entries or entries mod 2 (default: exact)",
     )
     tri.set_defaults(handler=_cmd_triangle, parser=tri)
@@ -172,6 +167,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:  # stdout's reader left; devnull takes the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (bfile_mod.BFileParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -24,6 +24,7 @@ middle of a row, so fixed-width types are not an option.
 
 from dataclasses import dataclass
 from math import isqrt
+from types import MappingProxyType
 
 from .continuant import _require_index
 
@@ -55,8 +56,7 @@ class TriangleRow:
     mode: str  # "exact" | "parity"
 
     def __post_init__(self):
-        if self.mode not in ("exact", "parity"):
-            raise ValueError(f"mode must be 'exact' or 'parity', got {self.mode!r}")
+        _entry_fn(self.mode)
         if len(self.entries) != self.n + 1:
             raise ValueError(
                 f"row {self.n} must have {self.n + 1} entries, got {len(self.entries)}"
@@ -66,20 +66,19 @@ class TriangleRow:
 def triangle_entry(n: int, k: int) -> int:
     """Exact T(n, k) by the defining sum over even j.
 
-    The two binomials are carried along the sum with the multiplicative
-    one-step recurrence C(a, j) = C(a, j-1) * (a - j + 1) / j (the
-    division is always exact), so no factorials are ever formed.  Cost
-    is O(min(k, n - k)) big-int multiplications.
+    One product p = C(k, j) * C(n - k, j) is carried along the sum; each
+    division is exact, as p_(j-1) * (k-j+1) * (n-k-j+1) = j^2 * p_j.  Cost
+    is O(min(k, n - k)) small-int steps, so a stream of entries
+    (iter_triangle_terms) computes only those it yields, at O(1) memory
+    per term.
     """
     _require_pair(n, k)
-    a, b = k, n - k
-    c1 = c2 = 1  # C(a, j) and C(b, j), starting at j = 0
-    total = 1
-    for j in range(1, min(a, b) + 1):
-        c1 = c1 * (a - j + 1) // j
-        c2 = c2 * (b - j + 1) // j
+    m = n - k
+    p = total = 1  # p = C(k, j) * C(m, j), starting at j = 0
+    for j in range(1, min(k, m) + 1):
+        p = p * ((k - j + 1) * (m - j + 1)) // (j * j)
         if j % 2 == 0:
-            total += c1 * c2
+            total += p
     return total
 
 
@@ -105,6 +104,16 @@ def triangle_entry_parity(n: int, k: int) -> int:
     if (n + k) % 2 == 0:
         return binom_parity(n, k)
     return binom_parity(n - 1, k)
+
+
+# Each mode of the triangle and its entry function, named only here.
+_ENTRIES = MappingProxyType({"exact": triangle_entry, "parity": triangle_entry_parity})
+
+
+def _entry_fn(mode: str):
+    if mode not in _ENTRIES:
+        raise ValueError(f"mode must be 'exact' or 'parity', got {mode!r}")
+    return _ENTRIES[mode]
 
 
 def triangle_row(n: int) -> TriangleRow:
@@ -157,25 +166,19 @@ def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     range(start, stop).
 
     Index 0 is T(0, 0); row n occupies indices n(n+1)/2 .. n(n+1)/2 + n.
-    Rows are generated one at a time (memory stays O(row length)).
+    Each term is one entry call and no row is built: the stream computes
+    only the entries it yields, at O(1) memory per term.
     """
     _require_index("start", start)
     _require_index("stop", stop)
     if stop < start:
         raise ValueError(f"stop must be >= start, got start={start}, stop={stop}")
-    if mode not in ("exact", "parity"):
-        raise ValueError(f"mode must be 'exact' or 'parity', got {mode!r}")
-    row_fn = triangle_row if mode == "exact" else triangle_row_parity
+    entry = _entry_fn(mode)
     # largest n with n(n+1)/2 <= start; isqrt is exact, so no correction
     n = (isqrt(8 * start + 1) - 1) // 2
-    pos = n * (n + 1) // 2
-    idx = start
-    while idx < stop:
-        entries = row_fn(n).entries
-        for k in range(idx - pos, n + 1):
-            yield entries[k]
-            idx += 1
-            if idx >= stop:
-                return
-        pos += n + 1
-        n += 1
+    k = start - n * (n + 1) // 2
+    for _ in range(start, stop):
+        yield entry(n, k)
+        k += 1
+        if k > n:
+            n, k = n + 1, 0

@@ -1,7 +1,12 @@
+import os
+import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import modpascal
 from modpascal import diagonal_sum_fast, stern
 from modpascal.bfile import ROUTES, _decimal, parse_bfile, serialize_bfile
 from modpascal.cli import main, run
@@ -27,6 +32,16 @@ def test_triangle_parity_rows(capsys):
 def test_triangle_single_row(capsys):
     assert main(["triangle", "1"]) == 0
     assert _lines(capsys) == ["1"]
+
+
+def test_triangle_value_past_digit_limit(capsys, monkeypatch):
+    # triangle prints the t-row route; 5000 digits is past CPython's
+    # default int/str limit of 4300.
+    long = 7 * (10**5000 - 1) // 9
+    monkeypatch.setitem(ROUTES["t-row"], "exact",
+                        lambda start, stop: iter([1, long, 1][start:stop]))
+    assert main(["triangle", "2"]) == 0
+    assert capsys.readouterr().out == "1\n" + "7" * 5000 + " 1\n"
 
 
 def test_triangle_rejects_nonpositive_rows():
@@ -206,6 +221,41 @@ def test_bfile_unknown_id(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["bfile", "A000001", "5", str(tmp_path / "x.txt")])
     assert info.value.code == 2
+
+
+def test_broken_pipe_is_quiet():
+    # The reader takes two lines and closes the pipe, as `| head -2` does.
+    env = dict(os.environ, PYTHONPATH=str(Path(modpascal.__file__).parents[1]))
+    argv = [sys.executable, "-c", "from modpascal.cli import run; run()",
+            "seq", "d", "0..200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert [proc.stdout.readline() for _ in range(2)] == [b"0 1\n", b"1 1\n"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_bfile_into_broken_pipe_is_an_error(tmp_path, capsys):
+    # Only stdout's reader may leave quietly: a b-file cut short is exit 3.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def read_a_little():
+        with open(fifo, "rb") as pipe:
+            pipe.read(10)
+
+    reader = threading.Thread(target=read_a_little)
+    reader.start()
+    try:
+        assert main(["bfile", "A114214", "100000", str(fifo)]) == 3
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert capsys.readouterr().err == f"error: [Errno 32] Broken pipe: {str(fifo)!r}\n"
 
 
 def test_bfile_unwritable_path(tmp_path, capsys):

@@ -1,6 +1,10 @@
-from math import comb
+import tracemalloc
+from functools import lru_cache
+from math import comb, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpascal import (
     TriangleRow,
@@ -43,6 +47,14 @@ def test_entry_matches_defining_sum():
     for n in range(49):
         for k in range(n + 1):
             assert triangle_entry(n, k) == t_entry(n, k)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_entry_matches_defining_sum_to_300(nk):
+    # the carried product's division is exact well past the grid above
+    assert triangle_entry(*nk) == t_entry(*nk)
 
 
 def test_entry_row_symmetry():
@@ -166,3 +178,37 @@ def test_iter_triangle_terms_rejects_bad_arguments():
         list(iter_triangle_terms(5, 4))
     with pytest.raises(ValueError):
         list(iter_triangle_terms(0, 3, "binary"))
+
+
+def test_one_term_builds_no_row():
+    # Index 10**11 lies in row 447,213: one term must cost one entry,
+    # not a row of 447,214 of them.
+    a = 10**11
+    n = (isqrt(8 * a + 1) - 1) // 2
+    k = a - n * (n + 1) // 2
+    assert 0 <= k <= n
+    tracemalloc.start()
+    try:
+        terms = list(iter_triangle_terms(a, a + 1, "parity"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms == [triangle_entry_parity(n, k)]
+    assert peak < 2**20
+
+
+@lru_cache(maxsize=None)
+def _flat_rows(mode):
+    row = triangle_row if mode == "exact" else triangle_row_parity
+    return tuple(t for n in range(151) for t in row(n).entries)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["exact", "parity"]), st.data())
+def test_iter_triangle_terms_matches_rows_in_windows(mode, data):
+    # windows inside rows 0..150, up to a few rows long, so most cross
+    # the end of a row (k = n) into the next
+    flat = _flat_rows(mode)
+    start = data.draw(st.integers(0, len(flat)), label="start")
+    stop = data.draw(st.integers(start, min(len(flat), start + 400)), label="stop")
+    assert tuple(iter_triangle_terms(start, stop, mode)) == flat[start:stop]
