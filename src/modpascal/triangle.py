@@ -9,6 +9,12 @@ with C(a, b) = 0 whenever b > a.  Reducing mod 2 gives the 0/1 triangle
 A114213, whose row sums r(n) form A114212 and whose diagonal sums d(n)
 form A114214.
 
+Exact entries have two routes.  The streams (iter_triangle_terms and
+triangle_row) run an order-2 recurrence in k along each row, O(n)
+big-int operations per row; triangle_entry evaluates the defining sum
+and is the reference that `verify proposition` and the tests compare
+against.
+
 The parity of T(n, k) never requires the defining sum: it collapses to
 the parity of a single ordinary binomial coefficient (C(n, k) when n + k
 is even, C(n - 1, k) otherwise), and binomial parity itself is a bitwise
@@ -68,9 +74,8 @@ def triangle_entry(n: int, k: int) -> int:
 
     One product p = C(k, j) * C(n - k, j) is carried along the sum; each
     division is exact, as p_(j-1) * (k-j+1) * (n-k-j+1) = j^2 * p_j.  Cost
-    is O(min(k, n - k)) small-int steps, so a stream of entries
-    (iter_triangle_terms) computes only those it yields, at O(1) memory
-    per term.
+    is O(min(k, n - k)) small-int steps.  This is the reference route:
+    the exact streams run the recurrence of _exact_half_row instead.
     """
     _require_pair(n, k)
     m = n - k
@@ -116,10 +121,75 @@ def _entry_fn(mode: str):
     return _ENTRIES[mode]
 
 
+def _exact_half_row(n, last):
+    """Yield T(n, 0), ..., T(n, last) for last <= n // 2 in O(last)
+    big-int operations.
+
+    By Vandermonde, T(n, k) = (C(n, k) + E(k)) / 2 with
+
+        E(k) = sum of (-1)^j C(k, j) C(n - k, j) over all j
+             = [x^k] (1 + x)^k (1 - x)^(n - k),
+
+    and E satisfies, for 1 <= k <= n, the order-2 recurrence in k
+
+        c0(k) E(k) + c1(k) E(k-1) + c2(k) E(k-2) = 0,
+        c0 = k (k-n-1) (2k-n-3),
+        c1 = -(2k-n-2) (6k^2 - 6kn - 12k + n^2 + 5n + 4),
+        c2 = (k-1) (k-n-2) (2k-n-1).
+
+    c2 vanishes at k = 1, where it gives E(1) = 2 - n from E(0) = 1.
+    For 1 <= k <= n/2, c0 has no zero (the one at 2k = n + 3 lies past
+    the middle of the row), so each step's division is exact.  The
+    binomial is carried alongside as C(n, k) = C(n, k-1) (n-k+1) / k.
+
+    Proof by creative telescoping (Zeilberger's algorithm; Petkovsek,
+    Wilf and Zeilberger, A=B, 1996, ch. 6).  Let F(k, j) = (-1)^j C(k, j)
+    C(n-k, j) and f(j) = c0 F(k, j) + c1 F(k-1, j) + c2 F(k-2, j).  Gosper's
+    algorithm on f finds the certificate
+
+        R(j) = -j^2 / (2j^2 - jn - 2j - k^2 + kn + 2k),
+
+    with f(j) = G(j+1) - G(j) for G(j) = R(j) f(j).  The denominator of R
+    is a factor of f / F(k, j), and G simplifies to a form with no poles:
+
+        G(j) = (-1)^j (2k-n-1) (2k-n-2) (2k-n-3) C(k-1, j-1) C(n-k+1, j-1).
+
+    G(0) = 0, and G(j) = 0 = f(j) for j > k, so summing f over j
+    telescopes to 0, which is the recurrence.
+    tests/test_triangle.py checks both identities in exact arithmetic.
+    """
+    c = e = 1  # C(n, k) and E(k) at k = 0
+    e_prev = 0  # E(-1), whose coefficient c2(1) is 0
+    yield 1
+    for k in range(1, last + 1):
+        c = c * (n - k + 1) // k
+        m = 2 * k - n
+        e, e_prev = ((m - 2) * (6 * k * (k - n - 2) + n * n + 5 * n + 4) * e
+                     - (k - 1) * (k - n - 2) * (m - 1) * e_prev) // (
+                         k * (k - n - 1) * (m - 3)), e
+        yield (c + e) // 2
+
+
+def _exact_terms(n, k, count):
+    """Yield `count` exact entries read by rows, from T(n, k) on.
+
+    Each row touched is computed from its start up to the largest
+    min(k, n - k) that the window asks of it, and mirrored with
+    T(n, k) = T(n, n - k).  So a term at either end of a row costs O(1)
+    operations, one term costs O(min(k, n - k)), and a whole row O(n).
+    """
+    while count > 0:
+        last = min(n, k + count - 1)
+        half = tuple(_exact_half_row(n, min(n // 2, last, n - k)))
+        yield from (half[min(i, n - i)] for i in range(k, last + 1))
+        count -= last + 1 - k
+        n, k = n + 1, 0
+
+
 def triangle_row(n: int) -> TriangleRow:
-    """Exact row n, computed entry by entry from the defining sum."""
+    """Exact row n from the exact stream: O(n) big-int operations."""
     _require_index("n", n)
-    return TriangleRow(n, tuple(triangle_entry(n, k) for k in range(n + 1)), "exact")
+    return TriangleRow(n, tuple(_exact_terms(n, 0, n + 1)), "exact")
 
 
 def triangle_row_parity(n: int) -> TriangleRow:
@@ -166,8 +236,11 @@ def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     range(start, stop).
 
     Index 0 is T(0, 0); row n occupies indices n(n+1)/2 .. n(n+1)/2 + n.
-    Each term is one entry call and no row is built: the stream computes
-    only the entries it yields, at O(1) memory per term.
+    Exact terms come from the order-2 recurrence in k (_exact_terms):
+    each row the window touches is run from k = 0 only as far as the
+    window needs, so a whole row costs O(n) big-int operations and a
+    term at either end of a row O(1).  Parity terms are one entry call
+    each, at O(1) memory per term.
     """
     _require_index("start", start)
     _require_index("stop", stop)
@@ -177,6 +250,9 @@ def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     # largest n with n(n+1)/2 <= start; isqrt is exact, so no correction
     n = (isqrt(8 * start + 1) - 1) // 2
     k = start - n * (n + 1) // 2
+    if mode == "exact":
+        yield from _exact_terms(n, k, stop - start)
+        return
     for _ in range(start, stop):
         yield entry(n, k)
         k += 1

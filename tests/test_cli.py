@@ -185,6 +185,16 @@ def test_seq_stream_is_a_bfile(capsys):
         assert serialize_bfile(parsed) == out, argv
 
 
+def test_seq_t_row_ends_of_a_huge_row(capsys):
+    # The first two and last two entries of row 10^4400 are all 1; each
+    # costs O(1) operations, not a walk along the row.
+    n = 10**4400
+    first = n * (n + 1) // 2
+    for lo, hi in ((first, first + 1), (first + n - 1, first + n)):
+        assert main(["seq", "t-row", f"{_decimal(lo)}..{_decimal(hi)}"]) == 0
+        assert [line.split(" ")[1] for line in _lines(capsys)] == ["1", "1"]
+
+
 def test_cli_without_int_max_str_digits(tmp_path, capsys, monkeypatch):
     # CPython 3.10.0-3.10.6 has neither this function nor the limit.
     monkeypatch.delattr(sys, "get_int_max_str_digits")

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -212,3 +213,99 @@ def test_iter_triangle_terms_matches_rows_in_windows(mode, data):
     start = data.draw(st.integers(0, len(flat)), label="start")
     stop = data.draw(st.integers(start, min(len(flat), start + 400)), label="stop")
     assert tuple(iter_triangle_terms(start, stop, mode)) == flat[start:stop]
+
+
+def _coefficients(n, k):
+    # c0, c1, c2 of the recurrence c0 E(k) + c1 E(k-1) + c2 E(k-2) = 0
+    return (
+        k * (k - n - 1) * (2 * k - n - 3),
+        -(2 * k - n - 2) * (6 * k * k - 6 * k * n - 12 * k + n * n + 5 * n + 4),
+        (k - 1) * (k - n - 2) * (2 * k - n - 1),
+    )
+
+
+def _binomial(a, b):
+    return comb(a, b) if 0 <= b <= a else 0
+
+
+def _summand(n, k, j):
+    # F(k, j) = (-1)^j C(k, j) C(n - k, j), whose sum over j is E(k)
+    return (-1) ** j * _binomial(k, j) * _binomial(n - k, j)
+
+
+def test_recurrence_certificate_telescopes():
+    # The creative-telescoping proof in _exact_half_row's docstring, in
+    # exact arithmetic: with f(j) = sum_i c_i F(k - i, j), the rational
+    # certificate R gives G(j) = R(j) f(j), and G(j+1) - G(j) = f(j).  At
+    # a pole of R, f(j) is 0 and G(j) is the pole-free binomial form.
+    poles = 0
+    for n in range(61):
+        for k in range(2, n // 2 + 1):
+            coeffs = _coefficients(n, k)
+            f = [sum(c * _summand(n, k - i, j) for i, c in enumerate(coeffs))
+                 for j in range(k + 3)]
+            closed = [(-1) ** j * (2 * k - n - 1) * (2 * k - n - 2) * (2 * k - n - 3)
+                      * _binomial(k - 1, j - 1) * _binomial(n - k + 1, j - 1)
+                      for j in range(k + 3)]
+            g = []
+            for j in range(k + 3):
+                den = 2 * j * j - j * n - 2 * j - k * k + k * n + 2 * k
+                if den == 0:
+                    poles += 1
+                    assert f[j] == 0
+                    g.append(closed[j])
+                else:
+                    g.append(Fraction(-j * j, den) * f[j])
+            assert g == closed
+            assert all(g[j + 1] - g[j] == f[j] for j in range(k + 2))
+            # G vanishes at j = 0 and past j = k, so the sum of f is 0
+            assert g[0] == g[k + 1] == 0 and f[k + 1] == 0
+    assert poles > 0
+
+
+def test_recurrence_holds_on_defining_sum():
+    # E(k) = 2 T(n, k) - C(n, k) from the oracle: Vandermonde's
+    # alternating sum, and the recurrence for 1 <= k <= n from E(-1) = 0
+    for n in range(61):
+        e = [2 * t_entry(n, k) - comb(n, k) for k in range(n + 1)]
+        assert e == [sum(_summand(n, k, j) for j in range(k + 1)) for k in range(n + 1)]
+        assert e[0] == 1 and (n == 0 or e[1] == 2 - n)
+        for k in range(1, n + 1):
+            c0, c1, c2 = _coefficients(n, k)
+            e2 = e[k - 2] if k >= 2 else 0
+            assert c0 * e[k] + c1 * e[k - 1] + c2 * e2 == 0, (n, k)
+
+
+def test_exact_rows_match_defining_sum_to_300():
+    for n in range(301):
+        assert list(triangle_row(n).entries) == [t_entry(n, k) for k in range(n + 1)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_exact_windows_match_triangle_entry(data):
+    # windows inside rows 0..600 that start on either side of the middle
+    # of a row and run up to 1500 terms, so they cross row ends
+    n = data.draw(st.integers(0, 600), label="n")
+    k = data.draw(st.one_of(st.integers(0, n // 2), st.integers(n // 2, n)), label="k")
+    start = n * (n + 1) // 2 + k
+    end = 601 * 602 // 2
+    stop = data.draw(st.integers(start, min(end, start + 1500)), label="stop")
+    want = []
+    for _ in range(start, stop):
+        want.append(triangle_entry(n, k))
+        n, k = (n + 1, 0) if k == n else (n, k + 1)
+    assert list(iter_triangle_terms(start, stop)) == want
+
+
+def test_one_exact_term_at_row_end_is_cheap():
+    # The last entry of row 1500 needs T(1500, 0) only, not the row.
+    last = 1500 * 1501 // 2 + 1500
+    tracemalloc.start()
+    try:
+        terms = list(iter_triangle_terms(last, last + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms == [triangle_entry(1500, 1500)]
+    assert peak < 2**20
