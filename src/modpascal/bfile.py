@@ -31,7 +31,7 @@ from .continuant import _require_int, diagonal_sum_fast
 from .regular import diagonal_sum_recurrence
 from .stern import carlitz_sum, stern
 from .triangle import (
-    _ENTRIES,
+    _ROWS,
     diagonal_sum_brute,
     iter_triangle_terms,
     row_sum_brute,
@@ -104,7 +104,7 @@ ROUTES = {
             carlitz_sum(n - 1) if n else 0 for n in range(start, stop)
         ),
     },
-    "t-row": {mode: partial(iter_triangle_terms, mode=mode) for mode in _ENTRIES},
+    "t-row": {mode: partial(iter_triangle_terms, mode=mode) for mode in _ROWS},
 }
 
 # The OEIS ids with b-files: each is the stream of one `seq` route,

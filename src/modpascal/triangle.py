@@ -9,11 +9,12 @@ with C(a, b) = 0 whenever b > a.  Reducing mod 2 gives the 0/1 triangle
 A114213, whose row sums r(n) form A114212 and whose diagonal sums d(n)
 form A114214.
 
-Exact entries have two routes.  The streams (iter_triangle_terms and
-triangle_row) run an order-2 recurrence in k along each row, O(n)
-big-int operations per row; triangle_entry evaluates the defining sum
-and is the reference that `verify proposition` and the tests compare
-against.
+Each mode of the triangle, "exact" or "parity", is one row function in
+the table _ROWS, and every stream (iter_triangle_terms, triangle_row,
+triangle_row_parity, row_sum_brute) reads its entries from that
+function.  Exact rows run an order-2 recurrence in k, O(n) big-int
+operations per row; triangle_entry evaluates the defining sum and is
+the reference that `verify proposition` and the tests compare against.
 
 The parity of T(n, k) never requires the defining sum: it collapses to
 the parity of a single ordinary binomial coefficient (C(n, k) when n + k
@@ -29,6 +30,7 @@ middle of a row, so fixed-width types are not an option.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from types import MappingProxyType
 
@@ -62,7 +64,8 @@ class TriangleRow:
     mode: str  # "exact" | "parity"
 
     def __post_init__(self):
-        _entry_fn(self.mode)
+        _require_index("n", self.n)
+        _row_fn(self.mode)
         if len(self.entries) != self.n + 1:
             raise ValueError(
                 f"row {self.n} must have {self.n + 1} entries, got {len(self.entries)}"
@@ -75,7 +78,7 @@ def triangle_entry(n: int, k: int) -> int:
     One product p = C(k, j) * C(n - k, j) is carried along the sum; each
     division is exact, as p_(j-1) * (k-j+1) * (n-k-j+1) = j^2 * p_j.  Cost
     is O(min(k, n - k)) small-int steps.  This is the reference route:
-    the exact streams run the recurrence of _exact_half_row instead.
+    the exact streams run the recurrence of _exact_row instead.
     """
     _require_pair(n, k)
     m = n - k
@@ -111,19 +114,9 @@ def triangle_entry_parity(n: int, k: int) -> int:
     return binom_parity(n - 1, k)
 
 
-# Each mode of the triangle and its entry function, named only here.
-_ENTRIES = MappingProxyType({"exact": triangle_entry, "parity": triangle_entry_parity})
-
-
-def _entry_fn(mode: str):
-    if mode not in _ENTRIES:
-        raise ValueError(f"mode must be 'exact' or 'parity', got {mode!r}")
-    return _ENTRIES[mode]
-
-
-def _exact_half_row(n, last):
-    """Yield T(n, 0), ..., T(n, last) for last <= n // 2 in O(last)
-    big-int operations.
+def _exact_row(n, k, last):
+    """T(n, k), ..., T(n, last) in O(min(n // 2, last, n - k)) big-int
+    operations.
 
     By Vandermonde, T(n, k) = (C(n, k) + E(k)) / 2 with
 
@@ -141,6 +134,9 @@ def _exact_half_row(n, last):
     For 1 <= k <= n/2, c0 has no zero (the one at 2k = n + 3 lies past
     the middle of the row), so each step's division is exact.  The
     binomial is carried alongside as C(n, k) = C(n, k-1) (n-k+1) / k.
+    So the row is run from k = 0 only up to the largest min(k, n - k)
+    asked for, and mirrored with T(n, k) = T(n, n - k): a term at either
+    end of a row costs O(1) operations and a whole row O(n).
 
     Proof by creative telescoping (Zeilberger's algorithm; Petkovsek,
     Wilf and Zeilberger, A=B, 1996, ch. 6).  Let F(k, j) = (-1)^j C(k, j)
@@ -158,52 +154,51 @@ def _exact_half_row(n, last):
     telescopes to 0, which is the recurrence.
     tests/test_triangle.py checks both identities in exact arithmetic.
     """
-    c = e = 1  # C(n, k) and E(k) at k = 0
+    c = e = 1  # C(n, i) and E(i) at i = 0
     e_prev = 0  # E(-1), whose coefficient c2(1) is 0
-    yield 1
-    for k in range(1, last + 1):
-        c = c * (n - k + 1) // k
-        m = 2 * k - n
-        e, e_prev = ((m - 2) * (6 * k * (k - n - 2) + n * n + 5 * n + 4) * e
-                     - (k - 1) * (k - n - 2) * (m - 1) * e_prev) // (
-                         k * (k - n - 1) * (m - 3)), e
-        yield (c + e) // 2
+    half = [1]  # T(n, 0..i)
+    for i in range(1, min(n // 2, last, n - k) + 1):
+        c = c * (n - i + 1) // i
+        m = 2 * i - n
+        e, e_prev = ((m - 2) * (6 * i * (i - n - 2) + n * n + 5 * n + 4) * e
+                     - (i - 1) * (i - n - 2) * (m - 1) * e_prev) // (
+                         i * (i - n - 1) * (m - 3)), e
+        half.append((c + e) // 2)
+    return (half[min(i, n - i)] for i in range(k, last + 1))
 
 
-def _exact_terms(n, k, count):
-    """Yield `count` exact entries read by rows, from T(n, k) on.
+def _parity_row(n, k, last):
+    """T(n, k), ..., T(n, last) mod 2, one binomial parity each."""
+    return (triangle_entry_parity(n, i) for i in range(k, last + 1))
 
-    Each row touched is computed from its start up to the largest
-    min(k, n - k) that the window asks of it, and mirrored with
-    T(n, k) = T(n, n - k).  So a term at either end of a row costs O(1)
-    operations, one term costs O(min(k, n - k)), and a whole row O(n).
-    """
-    while count > 0:
-        last = min(n, k + count - 1)
-        half = tuple(_exact_half_row(n, min(n // 2, last, n - k)))
-        yield from (half[min(i, n - i)] for i in range(k, last + 1))
-        count -= last + 1 - k
-        n, k = n + 1, 0
+
+# Each mode of the triangle and its row function row(n, k, last), which
+# returns T(n, k..last): the one place that maps a mode to code.
+_ROWS = MappingProxyType({"exact": _exact_row, "parity": _parity_row})
+
+
+def _row_fn(mode: str):
+    if mode not in _ROWS:
+        raise ValueError(f"mode must be 'exact' or 'parity', got {mode!r}")
+    return _ROWS[mode]
 
 
 def triangle_row(n: int) -> TriangleRow:
     """Exact row n from the exact stream: O(n) big-int operations."""
     _require_index("n", n)
-    return TriangleRow(n, tuple(_exact_terms(n, 0, n + 1)), "exact")
+    return TriangleRow(n, tuple(_exact_row(n, 0, n)), "exact")
 
 
 def triangle_row_parity(n: int) -> TriangleRow:
     """Mod-2 row n via the binomial-parity reduction."""
     _require_index("n", n)
-    return TriangleRow(
-        n, tuple(triangle_entry_parity(n, k) for k in range(n + 1)), "parity"
-    )
+    return TriangleRow(n, tuple(_parity_row(n, 0, n)), "parity")
 
 
 def row_sum_brute(n: int) -> int:
     """r(n) summed entry by entry across the parity row; O(n)."""
     _require_index("n", n)
-    return sum(triangle_entry_parity(n, k) for k in range(n + 1))
+    return sum(_parity_row(n, 0, n))
 
 
 def row_sum_closed(n: int) -> int:
@@ -232,29 +227,28 @@ def diagonal_sum_brute(n: int) -> int:
 
 
 def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
-    """Yield triangle entries read by rows, for linear indices in
+    """Iterator over triangle entries read by rows, for linear indices in
     range(start, stop).
 
     Index 0 is T(0, 0); row n occupies indices n(n+1)/2 .. n(n+1)/2 + n.
-    Exact terms come from the order-2 recurrence in k (_exact_terms):
-    each row the window touches is run from k = 0 only as far as the
-    window needs, so a whole row costs O(n) big-int operations and a
-    term at either end of a row O(1).  Parity terms are one entry call
-    each, at O(1) memory per term.
+    Bad arguments raise at the call.  Each row the window touches comes
+    from the mode's row function, asked for the columns in the window
+    only: an exact row costs O(n) big-int operations and a term at
+    either end of a row O(1); parity terms cost O(1) memory each.
     """
     _require_index("start", start)
     _require_index("stop", stop)
     if stop < start:
         raise ValueError(f"stop must be >= start, got start={start}, stop={stop}")
-    entry = _entry_fn(mode)
-    # largest n with n(n+1)/2 <= start; isqrt is exact, so no correction
-    n = (isqrt(8 * start + 1) - 1) // 2
-    k = start - n * (n + 1) // 2
-    if mode == "exact":
-        yield from _exact_terms(n, k, stop - start)
-        return
-    for _ in range(start, stop):
-        yield entry(n, k)
-        k += 1
-        if k > n:
-            n, k = n + 1, 0
+    row = _row_fn(mode)
+    if stop == start:  # no last index, and no row to run
+        return iter(())
+    cells = []  # (n, k) of the first and last index
+    for i in (start, stop - 1):
+        # largest n with n(n+1)/2 <= i; isqrt is exact, so no correction
+        n = (isqrt(8 * i + 1) - 1) // 2
+        cells.append((n, i - n * (n + 1) // 2))
+    (n0, k0), (n1, k1) = cells
+    return chain.from_iterable(
+        row(n, k0 if n == n0 else 0, k1 if n == n1 else n) for n in range(n0, n1 + 1)
+    )

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpascal import (
+    TriangleRow,
     carlitz_sum,
     continuant,
     derive_linear_rep,
@@ -181,7 +182,8 @@ def test_non_int_arguments_raise_type_error(bad):
     calls += [("start", lambda v: list(iter_triangle_terms(v, 3))),
               ("stop", lambda v: list(iter_triangle_terms(0, v))),
               ("max_index", lambda v: generate_bfile("A114214", v)),
-              ("max_n", lambda v: run_suite("thm2", v))]
+              ("max_n", lambda v: run_suite("thm2", v)),
+              ("n", lambda v: TriangleRow(v, (), "exact"))]
     for name, call in calls:
         with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
             call(bad)

@@ -91,6 +91,8 @@ def test_row_validation():
         TriangleRow(2, (1, 1), "exact")
     with pytest.raises(ValueError):
         TriangleRow(1, (1, 1), "lowercase")
+    with pytest.raises(ValueError):
+        TriangleRow(-1, (), "exact")
 
 
 def test_binom_parity_matches_comb():
@@ -179,6 +181,8 @@ def test_iter_triangle_terms_rejects_bad_arguments():
         list(iter_triangle_terms(5, 4))
     with pytest.raises(ValueError):
         list(iter_triangle_terms(0, 3, "binary"))
+    with pytest.raises(ValueError):
+        list(iter_triangle_terms(5, 5, "binary"))
 
 
 def test_one_term_builds_no_row():
@@ -234,7 +238,7 @@ def _summand(n, k, j):
 
 
 def test_recurrence_certificate_telescopes():
-    # The creative-telescoping proof in _exact_half_row's docstring, in
+    # The creative-telescoping proof in _exact_row's docstring, in
     # exact arithmetic: with f(j) = sum_i c_i F(k - i, j), the rational
     # certificate R gives G(j) = R(j) f(j), and G(j+1) - G(j) = f(j).  At
     # a pole of R, f(j) is 0 and G(j) is the pole-free binomial form.
@@ -282,8 +286,8 @@ def test_exact_rows_match_defining_sum_to_300():
 
 
 @settings(deadline=None)
-@given(st.data())
-def test_exact_windows_match_triangle_entry(data):
+@given(st.sampled_from(["exact", "parity"]), st.data())
+def test_exact_windows_match_triangle_entry(mode, data):
     # windows inside rows 0..600 that start on either side of the middle
     # of a row and run up to 1500 terms, so they cross row ends
     n = data.draw(st.integers(0, 600), label="n")
@@ -293,9 +297,10 @@ def test_exact_windows_match_triangle_entry(data):
     stop = data.draw(st.integers(start, min(end, start + 1500)), label="stop")
     want = []
     for _ in range(start, stop):
-        want.append(triangle_entry(n, k))
+        t = triangle_entry(n, k)
+        want.append(t % 2 if mode == "parity" else t)
         n, k = (n + 1, 0) if k == n else (n, k + 1)
-    assert list(iter_triangle_terms(start, stop)) == want
+    assert list(iter_triangle_terms(start, stop, mode)) == want
 
 
 def test_one_exact_term_at_row_end_is_cheap():
