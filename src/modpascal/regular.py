@@ -11,11 +11,12 @@ n -> 2n and n -> 2n+1:
 
 Two evaluators are built from them.  diagonal_sum_recurrence applies the
 identities directly, bottoming out at base values d(0), d(2), d(4)
-taken from the continuant route: it first collects every index that n
-depends on, then evaluates those indices in increasing order, which
-works because each identity reads only smaller indices.  The linear
-representation packs the same four identities into 2x2 integer matrices
-acting on the state vector v(n) = (d(2n), d(4n)):
+taken from the continuant route: it keeps d(n) as one linear
+combination of pending indices and rewrites the largest of them by its
+identity until only base indices are left.  At most three indices are
+pending at once, so its memory grows linearly in the bits of n.  The
+linear representation packs the same four identities into 2x2 integer
+matrices acting on the state vector v(n) = (d(2n), d(4n)):
 
     v(2n)   = M0 v(n),  M0 = [[ 0,  1], [-1,  2]]   (rows: d(4n), d(8n))
     v(2n+1) = M1 v(n),  M1 = [[ 3, -1], [ 4, -1]]   (rows: d(4n+2), d(8n+4))
@@ -64,37 +65,33 @@ def _identity(m):
 def diagonal_sum_recurrence(n: int) -> int:
     """d(n) from the four scalar identities plus the three base values.
 
-    Pure: the table of intermediate values lives for this call only.
-    Dependencies are collected with a work list rather than recursion,
-    so arbitrarily large n cannot hit the interpreter recursion limit.
+    d(n) is held as one linear combination, index -> coefficient, and
+    the largest pending index is replaced by its identity until every
+    index left is a base.  Every identity reads only smaller indices, so
+    once m is the largest pending index nothing left can add to it, and
+    each index is expanded exactly once.  Every index an identity
+    returns is even, so once the largest pending index is a base (0, 2
+    or 4), every index left is a base.  The combination never holds more
+    than three indices, so memory is linear in the bits of n.
     """
     _require_index("n", n)
-    needed = set()  # every non-base index n depends on
-    todo = [n]
-    while todo:
-        m = todo.pop()
-        if m in _BASE or m in needed:
-            continue
-        needed.add(m)
-        for _, i in _identity(m):
+    combo = {n: 1}  # d(n) = sum of c * d(i) over these (i, c)
+    while (m := max(combo)) not in _BASE:
+        c = combo.pop(m)
+        for coef, i in _identity(m):
             if i >= m:
                 # every identity must strictly reduce the index down to a base
                 raise RuntimeError(
                     f"recurrence cannot make progress at index {m}; "
                     f"base-case set {sorted(_BASE)} does not cover it"
                 )
-            todo.append(i)
-    # Every identity reads only smaller indices, so increasing order
-    # finds each operand already computed.
-    d = dict(_BASE)
-    for m in sorted(needed):
-        value = sum(c * d[i] for c, i in _identity(m))
-        if value < 0:
-            raise RuntimeError(
-                f"recurrence produced negative value {value} at index {m}"
-            )
-        d[m] = value
-    return d[n]
+            combo[i] = combo.get(i, 0) + coef * c
+    value = sum(c * _BASE[i] for i, c in combo.items())
+    if value < 0:
+        raise RuntimeError(
+            f"recurrence produced negative value {value} at index {n}"
+        )
+    return value
 
 
 @dataclass(frozen=True)

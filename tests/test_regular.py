@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -49,10 +50,39 @@ def test_recurrence_rejects_negative():
 
 def test_recurrence_reports_uncovered_base(monkeypatch):
     # With the base values gone the identity for 0 depends on 0 itself,
-    # so the evaluator must refuse instead of looping.
+    # so the evaluator must refuse instead of looping, also when it
+    # reaches 0 only after a deep expansion.
     monkeypatch.setattr(regular, "_BASE", {})
-    with pytest.raises(RuntimeError, match="base-case set"):
-        diagonal_sum_recurrence(0)
+    for n in (0, 12345):
+        with pytest.raises(RuntimeError, match="base-case set"):
+            diagonal_sum_recurrence(n)
+
+
+def test_recurrence_reports_negative_value(monkeypatch):
+    # d(6) = 3 d(2) - d(4) = -9 with these base values.
+    monkeypatch.setattr(regular, "_BASE", {0: 1, 2: -2, 4: 3})
+    with pytest.raises(RuntimeError, match="negative value"):
+        diagonal_sum_recurrence(6)
+
+
+@pytest.mark.parametrize("shape", ["random", "alternating", "all-ones"])
+def test_recurrence_memory_is_linear_in_bits(shape):
+    # Every pending index is a prefix of n, so at most three of them at
+    # once is O(bits) memory; holding every dependency index would be
+    # O(bits^2), about 18 MB at this size.
+    bits = 10**4
+    n = {"random": random.Random(35).getrandbits(bits) | 1 << (bits - 1),
+         "alternating": alternating(bits),
+         "all-ones": (1 << bits) - 1}[shape]
+    want = diagonal_sum_fast(n)
+    tracemalloc.start()
+    try:
+        got = diagonal_sum_recurrence(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1 << 20
 
 
 def test_recurrence_leaves_no_module_state_behind():
