@@ -10,7 +10,8 @@ here, all indexed from 0:
     A114214  diagonal sums of the parity triangle
 
 Each id is the stream of one route in ROUTES, the table of evaluation
-routes behind the `seq` command.
+routes behind the `seq` command: an endless stream terms(start) that
+each reader cuts with its own range, so b-files stream line by line.
 
 Only this module converts ints to decimal text and back, for the CLI
 too: _RECORD is the record grammar, _lines writes "<index> <value>"
@@ -26,14 +27,15 @@ import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 
 from .continuant import _require_int, diagonal_sum_fast
 from .regular import diagonal_sum_recurrence
 from .stern import carlitz_sum, stern
 from .triangle import (
     _ROWS,
+    _triangle_terms,
     diagonal_sum_brute,
-    iter_triangle_terms,
     row_sum_brute,
     row_sum_closed,
 )
@@ -78,13 +80,13 @@ class BFile:
                 )
 
 
-def _per_index(fn: Callable[[int], int]) -> Callable[[int, int], Iterator[int]]:
-    return lambda start, stop: map(fn, range(start, stop))
+def _per_index(fn: Callable[[int], int]) -> Callable[[int], Iterator[int]]:
+    return lambda start: map(fn, count(start))
 
 
-# Every evaluation route of every `seq` sequence, as a terms(start, stop)
-# iterator over indices range(start, stop); the first one listed is the
-# default.  The routes of d, r and stern must agree term for term, and
+# Every evaluation route of every `seq` sequence, as an endless stream
+# terms(start) of the terms from index start on; the first one listed is
+# the default.  The routes of d, r and stern must agree term for term, and
 # t-row's parity route gives its exact entries mod 2.
 ROUTES = {
     "d": {
@@ -100,11 +102,11 @@ ROUTES = {
         "fast": _per_index(stern),
         # s(n) read off the binomial-parity diagonal sum, which equals
         # s(n+1); shift by one and patch the n=0 hole.
-        "carlitz": lambda start, stop: (
-            carlitz_sum(n - 1) if n else 0 for n in range(start, stop)
+        "carlitz": lambda start: (
+            carlitz_sum(n - 1) if n else 0 for n in count(start)
         ),
     },
-    "t-row": {mode: partial(iter_triangle_terms, mode=mode) for mode in _ROWS},
+    "t-row": {mode: partial(_triangle_terms, mode=mode) for mode in _ROWS},
 }
 
 # The OEIS ids with b-files: each is the stream of one `seq` route,
@@ -117,7 +119,7 @@ SEQUENCES = {
 }
 
 
-def _terms(sequence_id: str) -> Callable[[int, int], Iterator[int]]:
+def _terms(sequence_id: str) -> Callable[[int], Iterator[int]]:
     if sequence_id not in SEQUENCES:
         raise ValueError(
             f"unknown sequence id {sequence_id!r}; "
@@ -135,7 +137,7 @@ def generate_bfile(sequence_id: str, max_index: int) -> BFile:
         raise ValueError(
             f"max index {max_index} is below the sequence offset 0"
         )
-    records = tuple(zip(range(max_index + 1), terms(0, max_index + 1)))
+    records = tuple(zip(range(max_index + 1), terms(0)))
     return BFile(sequence_id, 0, records)
 
 
@@ -186,8 +188,8 @@ def serialize_bfile(bfile: BFile) -> str:
 _RECORD = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*\r?")
 
 
-def parse_bfile(text: str, sequence_id: str) -> BFile:
-    r"""Parse b-file text: one record per "\n"-terminated line.
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, int]]:
+    r"""The (index, value) records of lines, each with or without its "\n".
 
     A record matches _RECORD, with indices consecutive.  Any other line
     must be blank or a comment starting with '#' (OEIS files carry such
@@ -195,9 +197,9 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
     of any length are read, also past the interpreter's int/str digit
     limit.
     """
-    records = []
     expected = None
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(lines, start=1):
+        line = line.removesuffix("\n")
         match = _RECORD.fullmatch(line)
         if match is None:
             stripped = line.removesuffix("\r").strip(" \t")
@@ -217,10 +219,15 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
                 f"(expected {_decimal(expected)})"
             )
         expected = index + 1
-        records.append((index, value))
-    if not records:
+        yield index, value
+    if expected is None:
         raise BFileParseError(0, "no records")
-    return BFile(sequence_id, records[0][0], tuple(records))
+
+
+def parse_bfile(text: str, sequence_id: str) -> BFile:
+    """Parse b-file text, one record per line as _records reads them."""
+    records = tuple(_records(text.split("\n")))
+    return BFile(sequence_id, records[0][0], records)
 
 
 @dataclass(frozen=True)
@@ -236,17 +243,21 @@ class BFileComparison:
         return self.mismatch is None
 
 
+def _compare(sequence_id: str, records: Iterable) -> BFileComparison:
+    values = _terms(sequence_id)(0)
+    mismatch = None
+    checked = 0
+    for (index, file_value), computed in zip(records, values):
+        checked += 1
+        if file_value != computed and mismatch is None:
+            mismatch = (index, file_value, computed)
+    return BFileComparison(sequence_id, checked, mismatch)
+
+
 def compare_bfile(bfile: BFile) -> BFileComparison:
     """Recompute every record of bfile and report the first disagreement.
 
     The file's own offset says where its records start; the i-th record
     is checked against the i-th locally generated term.
     """
-    values = _terms(bfile.sequence_id)(0, len(bfile.records))
-    mismatch = None
-    checked = 0
-    for (index, file_value), computed in zip(bfile.records, values):
-        checked += 1
-        if file_value != computed and mismatch is None:
-            mismatch = (index, file_value, computed)
-    return BFileComparison(bfile.sequence_id, checked, mismatch)
+    return _compare(bfile.sequence_id, bfile.records)

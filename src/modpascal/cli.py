@@ -38,7 +38,7 @@ def _range(text: str) -> tuple[int, int]:
 def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.rows < 1:
         args.parser.error(f"rows must be >= 1, got {args.rows}")
-    terms = bfile_mod.ROUTES["t-row"][args.mode](0, args.rows * (args.rows + 1) // 2)
+    terms = bfile_mod.ROUTES["t-row"][args.mode](0)
     for n in range(args.rows):
         print(" ".join(map(bfile_mod._decimal, islice(terms, n + 1))))
     return 0
@@ -53,28 +53,26 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             f"choose from {', '.join(routes)}"
         )
     first, last = args.range
-    terms = routes[method](first, last + 1)
+    terms = routes[method](first)
     sys.stdout.writelines(bfile_mod._lines(zip(range(first, last + 1), terms)))
     return 0
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
-    generated = bfile_mod.generate_bfile(args.seq_id, args.max_index)
+    records = zip(range(args.max_index + 1), bfile_mod._terms(args.seq_id)(0))
     try:
         with open(args.out_path, "w", newline="\n") as handle:
-            handle.write(bfile_mod.serialize_bfile(generated))
+            handle.writelines(bfile_mod._lines(records))
     except BrokenPipeError as exc:  # not stdout's: the b-file is cut short
         raise OSError(f"{exc}: {args.out_path!r}") from None
-    print(f"wrote {len(generated.records)} records to {args.out_path}")
+    print(f"wrote {args.max_index + 1} records to {args.out_path}")
     return 0
 
 
 def _cmd_bfile_compare(args: argparse.Namespace) -> int:
-    # newline="": a lone "\r" must reach the parser, not end a record
-    with open(args.path, encoding="ascii", newline="") as handle:
-        text = handle.read()
-    parsed = bfile_mod.parse_bfile(text, args.seq_id)
-    result = bfile_mod.compare_bfile(parsed)
+    # newline="\n": a lone "\r" must reach the parser, not end a record
+    with open(args.path, encoding="ascii", newline="\n") as handle:
+        result = bfile_mod._compare(args.seq_id, bfile_mod._records(handle))
     if result.passed:
         print(f"{args.seq_id}: all {result.checked} records agree")
         return 0

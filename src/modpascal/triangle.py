@@ -10,9 +10,9 @@ A114213, whose row sums r(n) form A114212 and whose diagonal sums d(n)
 form A114214.
 
 Each mode of the triangle, "exact" or "parity", is one row function in
-the table _ROWS, and every stream (iter_triangle_terms, triangle_row,
-triangle_row_parity, row_sum_brute) reads its entries from that
-function.  Exact rows run an order-2 recurrence in k, O(n) big-int
+the table _ROWS, and every stream (_triangle_terms, iter_triangle_terms,
+triangle_row, triangle_row_parity, row_sum_brute) reads its entries from
+that function.  Exact rows run an order-2 recurrence in k, O(n) big-int
 operations per row; triangle_entry evaluates the defining sum and is
 the reference that `verify proposition` and the tests compare against.
 
@@ -30,7 +30,7 @@ middle of a row, so fixed-width types are not an option.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, repeat
 from math import isqrt
 from types import MappingProxyType
 
@@ -114,9 +114,8 @@ def triangle_entry_parity(n: int, k: int) -> int:
     return binom_parity(n - 1, k)
 
 
-def _exact_row(n, k, last):
-    """T(n, k), ..., T(n, last) in O(min(n // 2, last, n - k)) big-int
-    operations.
+def _exact_row(n, k):
+    """T(n, k), ..., T(n, n), each yielded as soon as it is known.
 
     By Vandermonde, T(n, k) = (C(n, k) + E(k)) / 2 with
 
@@ -134,9 +133,9 @@ def _exact_row(n, k, last):
     For 1 <= k <= n/2, c0 has no zero (the one at 2k = n + 3 lies past
     the middle of the row), so each step's division is exact.  The
     binomial is carried alongside as C(n, k) = C(n, k-1) (n-k+1) / k.
-    So the row is run from k = 0 only up to the largest min(k, n - k)
-    asked for, and mirrored with T(n, k) = T(n, n - k): a term at either
-    end of a row costs O(1) operations and a whole row O(n).
+    So the row is run forward from k = 0, past the middle only as far
+    as n - k, and then mirrored with T(n, k) = T(n, n - k): a term at
+    either end of a row costs O(1) operations and a whole row O(n).
 
     Proof by creative telescoping (Zeilberger's algorithm; Petkovsek,
     Wilf and Zeilberger, A=B, 1996, ch. 6).  Let F(k, j) = (-1)^j C(k, j)
@@ -156,24 +155,27 @@ def _exact_row(n, k, last):
     """
     c = e = 1  # C(n, i) and E(i) at i = 0
     e_prev = 0  # E(-1), whose coefficient c2(1) is 0
-    half = [1]  # T(n, 0..i)
-    for i in range(1, min(n // 2, last, n - k) + 1):
-        c = c * (n - i + 1) // i
-        m = 2 * i - n
-        e, e_prev = ((m - 2) * (6 * i * (i - n - 2) + n * n + 5 * n + 4) * e
-                     - (i - 1) * (i - n - 2) * (m - 1) * e_prev) // (
-                         i * (i - n - 1) * (m - 3)), e
+    half = []  # T(n, 0..i)
+    for i in range(min(n // 2, n - k) + 1):
+        if i:
+            c = c * (n - i + 1) // i
+            m = 2 * i - n
+            e, e_prev = ((m - 2) * (6 * i * (i - n - 2) + n * n + 5 * n + 4) * e
+                         - (i - 1) * (i - n - 2) * (m - 1) * e_prev) // (
+                             i * (i - n - 1) * (m - 3)), e
         half.append((c + e) // 2)
-    return (half[min(i, n - i)] for i in range(k, last + 1))
+        if i >= k:
+            yield half[i]
+    yield from (half[n - i] for i in range(max(k, n // 2 + 1), n + 1))
 
 
-def _parity_row(n, k, last):
-    """T(n, k), ..., T(n, last) mod 2, one binomial parity each."""
-    return (triangle_entry_parity(n, i) for i in range(k, last + 1))
+def _parity_row(n, k):
+    """T(n, k), ..., T(n, n) mod 2, one binomial parity each."""
+    return (triangle_entry_parity(n, i) for i in range(k, n + 1))
 
 
-# Each mode of the triangle and its row function row(n, k, last), which
-# returns T(n, k..last): the one place that maps a mode to code.
+# Each mode of the triangle and its row function row(n, k), which
+# streams T(n, k..n): the one place that maps a mode to code.
 _ROWS = MappingProxyType({"exact": _exact_row, "parity": _parity_row})
 
 
@@ -186,19 +188,19 @@ def _row_fn(mode: str):
 def triangle_row(n: int) -> TriangleRow:
     """Exact row n from the exact stream: O(n) big-int operations."""
     _require_index("n", n)
-    return TriangleRow(n, tuple(_exact_row(n, 0, n)), "exact")
+    return TriangleRow(n, tuple(_exact_row(n, 0)), "exact")
 
 
 def triangle_row_parity(n: int) -> TriangleRow:
     """Mod-2 row n via the binomial-parity reduction."""
     _require_index("n", n)
-    return TriangleRow(n, tuple(_parity_row(n, 0, n)), "parity")
+    return TriangleRow(n, tuple(_parity_row(n, 0)), "parity")
 
 
 def row_sum_brute(n: int) -> int:
     """r(n) summed entry by entry across the parity row; O(n)."""
     _require_index("n", n)
-    return sum(_parity_row(n, 0, n))
+    return sum(_parity_row(n, 0))
 
 
 def row_sum_closed(n: int) -> int:
@@ -226,29 +228,28 @@ def diagonal_sum_brute(n: int) -> int:
     return sum(triangle_entry_parity(n - k, k) for k in range(n // 2 + 1))
 
 
+def _triangle_terms(start: int, mode: str):
+    """The endless stream of triangle entries read by rows, from linear
+    index start on: index 0 is T(0, 0), and row n occupies indices
+    n(n+1)/2 .. n(n+1)/2 + n, each row from the mode's row function."""
+    row = _row_fn(mode)
+    # largest n with n(n+1)/2 <= start; isqrt is exact, so no correction
+    n = (isqrt(8 * start + 1) - 1) // 2
+    return chain(row(n, start - n * (n + 1) // 2),
+                 chain.from_iterable(map(row, count(n + 1), repeat(0))))
+
+
 def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     """Iterator over triangle entries read by rows, for linear indices in
     range(start, stop).
 
-    Index 0 is T(0, 0); row n occupies indices n(n+1)/2 .. n(n+1)/2 + n.
-    Bad arguments raise at the call.  Each row the window touches comes
-    from the mode's row function, asked for the columns in the window
-    only: an exact row costs O(n) big-int operations and a term at
-    either end of a row O(1); parity terms cost O(1) memory each.
+    Bad arguments raise at the call.  This is _triangle_terms cut at
+    stop: an exact row costs O(n) big-int operations and a term at either
+    end of a row O(1); parity terms cost O(1) memory each.
     """
     _require_index("start", start)
     _require_index("stop", stop)
     if stop < start:
         raise ValueError(f"stop must be >= start, got start={start}, stop={stop}")
-    row = _row_fn(mode)
-    if stop == start:  # no last index, and no row to run
-        return iter(())
-    cells = []  # (n, k) of the first and last index
-    for i in (start, stop - 1):
-        # largest n with n(n+1)/2 <= i; isqrt is exact, so no correction
-        n = (isqrt(8 * i + 1) - 1) // 2
-        cells.append((n, i - n * (n + 1) // 2))
-    (n0, k0), (n1, k1) = cells
-    return chain.from_iterable(
-        row(n, k0 if n == n0 else 0, k1 if n == n1 else n) for n in range(n0, n1 + 1)
-    )
+    terms = _triangle_terms(start, mode)
+    return (term for _index, term in zip(range(start, stop), terms))

@@ -14,6 +14,28 @@ from modpascal import (
     parse_bfile,
     serialize_bfile,
 )
+from modpascal.bfile import ROUTES
+from oracles import diag_sum, row_sum, stern_naive, t_entry, t_parity
+
+
+def _oracle_terms(which, method, start, stop):
+    if which == "t-row":
+        entry = t_parity if method == "parity" else t_entry
+        cells = [(n, k) for n in range(stop) for k in range(n + 1)]
+        return [entry(n, k) for n, k in cells[start:stop]]
+    fn = {"d": diag_sum, "r": row_sum, "stern": stern_naive}[which]
+    return [fn(i) for i in range(start, stop)]
+
+
+def test_every_route_is_an_open_stream():
+    # terms(start) has no end: cut by a range, it gives the terms from
+    # start on, for starts on either side of each t-row row end.
+    for which, routes in ROUTES.items():
+        for method, terms in routes.items():
+            for start in range(60):
+                got = [t for _i, t in zip(range(start, start + 25), terms(start))]
+                assert got == _oracle_terms(which, method, start, start + 25), (
+                    which, method, start)
 
 
 def test_known_sequence_ids():

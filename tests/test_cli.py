@@ -2,13 +2,20 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import modpascal
 from modpascal import diagonal_sum_fast, stern
-from modpascal.bfile import ROUTES, _decimal, parse_bfile, serialize_bfile
+from modpascal.bfile import (
+    ROUTES,
+    _decimal,
+    generate_bfile,
+    parse_bfile,
+    serialize_bfile,
+)
 from modpascal.cli import main, run
 
 
@@ -39,7 +46,7 @@ def test_triangle_value_past_digit_limit(capsys, monkeypatch):
     # default int/str limit of 4300.
     long = 7 * (10**5000 - 1) // 9
     monkeypatch.setitem(ROUTES["t-row"], "exact",
-                        lambda start, stop: iter([1, long, 1][start:stop]))
+                        lambda start: iter([1, long, 1][start:]))
     assert main(["triangle", "2"]) == 0
     assert capsys.readouterr().out == "1\n" + "7" * 5000 + " 1\n"
 
@@ -250,13 +257,15 @@ def test_broken_pipe_is_quiet():
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_bfile_into_broken_pipe_is_an_error(tmp_path, capsys):
-    # Only stdout's reader may leave quietly: a b-file cut short is exit 3.
+    # Only stdout's reader may leave quietly: a b-file cut short is exit 3,
+    # and what the reader got is the start of the whole b-file.
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
+    got = []
 
     def read_a_little():
         with open(fifo, "rb") as pipe:
-            pipe.read(10)
+            got.append(pipe.read(10))
 
     reader = threading.Thread(target=read_a_little)
     reader.start()
@@ -266,6 +275,8 @@ def test_bfile_into_broken_pipe_is_an_error(tmp_path, capsys):
         reader.join(timeout=60)
     assert not reader.is_alive()
     assert capsys.readouterr().err == f"error: [Errno 32] Broken pipe: {str(fifo)!r}\n"
+    whole = serialize_bfile(generate_bfile("A114214", 100000)).encode("ascii")
+    assert len(got[0]) == 10 and whole.startswith(got[0])
 
 
 def test_bfile_unwritable_path(tmp_path, capsys):
@@ -326,6 +337,53 @@ def test_bfile_compare_splits_records_on_newline_only(tmp_path, capsys):
     path.write_bytes(b"0 1\r1 1\n")
     assert main(["bfile-compare", "A114214", str(path)]) == 3
     assert "line 1" in capsys.readouterr().err
+
+
+def test_bfile_compare_parse_error_after_a_mismatch(tmp_path, capsys):
+    # The whole file is read before anything is printed: a bad line after
+    # a mismatch is still a parse error, with nothing on stdout.
+    path = tmp_path / "late.txt"
+    path.write_text("0 1\n1 5\n2 2\n3 x\n")
+    assert main(["bfile-compare", "A114214", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 4: non-integer field in '3 x'\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_bfile_compare_reads_a_pipe(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    text = serialize_bfile(generate_bfile("A114214", 5000)).encode("ascii")
+
+    def write_all():
+        with open(fifo, "wb") as pipe:
+            pipe.write(text)
+
+    writer = threading.Thread(target=write_all, daemon=True)
+    writer.start()
+    try:
+        assert main(["bfile-compare", "A114214", str(fifo)]) == 0
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert capsys.readouterr().out == "A114214: all 5001 records agree\n"
+
+
+def test_bfile_and_compare_run_in_constant_memory(tmp_path, capsys):
+    # Both stream one line at a time: no tuple of records, no whole text.
+    path = tmp_path / "b114212.txt"
+    tracemalloc.start()
+    try:
+        codes = [main(["bfile", "A114212", "50000", str(path)]),
+                 main(["bfile-compare", "A114212", str(path)])]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes == [0, 0]
+    assert capsys.readouterr().out == (
+        f"wrote 50001 records to {path}\nA114212: all 50001 records agree\n")
+    assert peak < 2**20
 
 
 def test_bfile_compare_missing_file(tmp_path, capsys):

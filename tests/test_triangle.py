@@ -174,6 +174,13 @@ def test_iter_triangle_terms_starts_in_the_right_row():
         assert list(iter_triangle_terms(s, s + 3, "parity")) == flat[s:s + 3]
 
 
+def test_iter_triangle_terms_window_past_sys_maxsize():
+    # The window is a bound on an endless stream, so its stop may be any
+    # int: the first term comes at once, with no work done for the rest.
+    assert next(iter(iter_triangle_terms(0, 10**30))) == 1
+    assert next(iter(iter_triangle_terms(0, 10**30, "parity"))) == 1
+
+
 def test_iter_triangle_terms_rejects_bad_arguments():
     with pytest.raises(ValueError):
         list(iter_triangle_terms(-1, 3))
