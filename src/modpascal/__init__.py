@@ -43,7 +43,7 @@ from .triangle import (
     triangle_row,
     triangle_row_parity,
 )
-from .verify import VerifyReport, run_suite, verify_regular_identities
+from .verify import VerifyReport, run_suite
 
 __version__ = "0.1.0"
 
@@ -79,5 +79,4 @@ __all__ = [
     "triangle_entry_parity",
     "triangle_row",
     "triangle_row_parity",
-    "verify_regular_identities",
 ]

@@ -22,10 +22,10 @@ from modpascal import (
     row_sum_brute,
     row_sum_closed,
     run_lengths,
+    run_suite,
     stern,
     triangle_row,
     triangle_row_parity,
-    verify_regular_identities,
 )
 from modpascal.cli import main as cli_main
 from oracles import EXACT_ROWS, PARITY_ROWS, fib
@@ -144,7 +144,7 @@ def test_criterion_06_carlitz_sum_is_shifted_stern():
 
 
 def test_criterion_07_regular_identities():
-    report = verify_regular_identities(10**4)
+    report = run_suite("remark", 10**4)
     _criterion(
         7,
         report.passed and len(report.results) == 4,

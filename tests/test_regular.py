@@ -14,6 +14,7 @@ from modpascal import (
     diagonal_sum_recurrence,
     linear_rep_eval,
     linear_rep_state,
+    run_suite,
     stern,
 )
 from oracles import binary_run_lengths, cf_numerator
@@ -110,9 +111,7 @@ def test_brute_agreement_spot_checks_above_routine_range():
 
 
 def test_identity_audit_passes_at_wide_range():
-    from modpascal import verify_regular_identities
-
-    report = verify_regular_identities(2**16)
+    report = run_suite("remark", 2**16)
     assert report.passed
     assert len(report.results) == 4
 
@@ -122,7 +121,6 @@ def test_derived_rep_constants():
     assert rep.v0 == (1, 1)
     assert rep.m0 == ((0, 1), (-1, 2))
     assert rep.m1 == ((3, -1), (4, -1))
-    assert rep.readout == 0
 
 
 def test_derive_validation_catches_disagreement(monkeypatch):
@@ -180,7 +178,7 @@ def test_eval_rejects_negative():
 def test_rep_is_frozen():
     rep = derive_linear_rep()
     with pytest.raises(AttributeError):
-        rep.readout = 1
+        rep.v0 = (0, 0)
     assert isinstance(rep, LinearRep)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from modpascal import run_suite, verify_regular_identities
+from modpascal import regular, run_suite
+from modpascal.cli import main
 from modpascal.verify import (
     Counterexample,
     IdentityResult,
@@ -23,6 +24,8 @@ def test_all_suite_concatenates_everything():
     report = run_suite("all", 24)
     assert report.passed
     assert len(report.results) == 16
+    alone = [r for s in SUITE_NAMES[1:] for r in run_suite(s, 24).results]
+    assert report.results == tuple(alone)
 
 
 def test_suite_validation():
@@ -33,13 +36,26 @@ def test_suite_validation():
 
 
 def test_regular_identity_audit_report_shape():
-    report = verify_regular_identities(100)
+    report = run_suite("remark", 100)
     assert report.suite == "remark"
     assert report.passed
     assert len(report.results) == 4
     assert all(r.checked == 101 for r in report.results)
     with pytest.raises(ValueError):
-        verify_regular_identities(0)
+        run_suite("remark", 0)
+
+
+def test_disagreeing_matrix_route_is_a_fail_line(monkeypatch, capsys):
+    monkeypatch.setattr(regular, "_state", lambda rep, n: (0, 0))
+    fail = ("  FAIL continuant route = matrix representation: "
+            "counterexample at 0: lhs=1 rhs=0 (9 checks ran)")
+    report = run_suite("thm1", 8)
+    assert not report.passed
+    assert [line for line in report.lines() if "FAIL " in line] == [fail]
+    assert main(["verify", "thm1", "--max-n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert fail in out.splitlines()
+    assert err == ""
 
 
 def test_passing_report_rendering():
