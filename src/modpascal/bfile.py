@@ -12,6 +12,10 @@ here, all indexed from 0:
 Each id is the stream of one route in ROUTES, the table of evaluation
 routes behind the `seq` command: an endless stream terms(start) that
 each reader cuts with its own range, so b-files stream line by line.
+Every route checks start at the call.  The fast routes of d and stern
+are sweeps, O(1) big-int operations per term by Newman's successor rule
+(see the stern module); the per-index kernels beside them, continuant
+and scan, check them term for term.
 
 Only this module converts ints to decimal text and back, for the CLI
 too: _RECORD is the record grammar, _lines writes "<index> <value>"
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 
-from .continuant import _require_int, diagonal_sum_fast
+from .continuant import _require_index, _require_int, diagonal_sum_fast
 from .regular import diagonal_sum_recurrence
-from .stern import carlitz_sum, stern
+from .stern import _d_terms, _stern_terms, carlitz_sum, stern
 from .triangle import (
     _ROWS,
     _triangle_terms,
@@ -81,7 +85,10 @@ class BFile:
 
 
 def _per_index(fn: Callable[[int], int]) -> Callable[[int], Iterator[int]]:
-    return lambda start: map(fn, count(start))
+    def terms(start: int) -> Iterator[int]:
+        _require_index("start", start)
+        return map(fn, count(start))
+    return terms
 
 
 # Every evaluation route of every `seq` sequence, as an endless stream
@@ -90,7 +97,8 @@ def _per_index(fn: Callable[[int], int]) -> Callable[[int], Iterator[int]]:
 # t-row's parity route gives its exact entries mod 2.
 ROUTES = {
     "d": {
-        "fast": _per_index(diagonal_sum_fast),
+        "fast": _d_terms,
+        "continuant": _per_index(diagonal_sum_fast),
         "brute": _per_index(diagonal_sum_brute),
         "recurrence": _per_index(diagonal_sum_recurrence),
     },
@@ -99,12 +107,11 @@ ROUTES = {
         "brute": _per_index(row_sum_brute),
     },
     "stern": {
-        "fast": _per_index(stern),
+        "fast": _stern_terms,
+        "scan": _per_index(stern),
         # s(n) read off the binomial-parity diagonal sum, which equals
         # s(n+1); shift by one and patch the n=0 hole.
-        "carlitz": lambda start: (
-            carlitz_sum(n - 1) if n else 0 for n in count(start)
-        ),
+        "carlitz": _per_index(lambda n: carlitz_sum(n - 1) if n else 0),
     },
     "t-row": {mode: partial(_triangle_terms, mode=mode) for mode in _ROWS},
 }

@@ -16,7 +16,14 @@ over all the bits or, past one leaf, multiplies the leaves' matrices as
 a balanced tree, which keeps the bit cost subquadratic (see the
 continuant module).  The scan never goes through continuant(), so the
 two stay independent routes to the same values.
+
+A range costs O(1) big-int operations per term: _stern_terms seeds
+itself with two scans, then steps by Newman's successor rule s(m+2) =
+s(m) + s(m+1) - 2 (s(m) mod s(m+1)) (Calkin & Wilf, 2000), and _d_terms
+sums adjacent terms of that sweep: the fast streams of bfile.ROUTES.
 """
+
+from itertools import islice, pairwise
 
 from .continuant import _require_index, _scan_product
 from .triangle import binom_parity
@@ -53,3 +60,27 @@ def carlitz_sum(n: int) -> int:
     _require_index("n", n)
     bp = binom_parity
     return sum(bp(n - k, k) for k in range(n // 2 + 1))
+
+
+def _newman(a, b):
+    """s(m), s(m+1), ... from (a, b) = (s(m), s(m+1)), by Newman's rule;
+    s(m+1) >= 1 for every m >= 0, so the remainder is defined."""
+    while True:
+        yield a
+        a, b = b, a + b - 2 * (a % b)
+
+
+def _stern_terms(start: int):
+    """The endless stream s(start), s(start+1), ...; start is checked at
+    the call, not at the first term."""
+    _require_index("start", start)
+    return _newman(stern(start), stern(start + 1))
+
+
+def _d_terms(start: int):
+    """The endless stream d(start), d(start+1), ...: since d(2j) =
+    d(2j+1) = s(2j+1) = s(j) + s(j+1), each sum of adjacent terms of the
+    Stern sweep from j = start // 2, twice, less the first for odd start."""
+    _require_index("start", start)
+    pairs = pairwise(_stern_terms(start // 2))
+    return islice((d for a, b in pairs for d in (a + b,) * 2), start % 2, None)

@@ -232,6 +232,7 @@ def _triangle_terms(start: int, mode: str):
     """The endless stream of triangle entries read by rows, from linear
     index start on: index 0 is T(0, 0), and row n occupies indices
     n(n+1)/2 .. n(n+1)/2 + n, each row from the mode's row function."""
+    _require_index("start", start)
     row = _row_fn(mode)
     # largest n with n(n+1)/2 <= start; isqrt is exact, so no correction
     n = (isqrt(8 * start + 1) - 1) // 2

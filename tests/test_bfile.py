@@ -1,7 +1,8 @@
 import re
+from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modpascal import (
@@ -36,6 +37,43 @@ def test_every_route_is_an_open_stream():
                 got = [t for _i, t in zip(range(start, start + 25), terms(start))]
                 assert got == _oracle_terms(which, method, start, start + 25), (
                     which, method, start)
+
+
+def test_every_route_checks_start_at_the_call():
+    # A bad start raises when terms(start) is called, before any next:
+    # itertools.count would take True as 1.
+    for which, routes in ROUTES.items():
+        for method, terms in routes.items():
+            for bad in (True, 2.0):
+                with pytest.raises(TypeError, match="^start must be an int, got "):
+                    terms(bad)
+            with pytest.raises(ValueError, match="^start must be >= 0, got -1$"):
+                terms(-1)
+
+
+# Each sweep against the per-index kernel of its sequence.
+SWEEPS = (("d", "continuant"), ("stern", "scan"))
+
+
+def test_sweeps_match_per_index_kernels_from_zero():
+    for which, kernel in SWEEPS:
+        routes = ROUTES[which]
+        terms = 2**14 + 1
+        assert (list(islice(routes["fast"](0), terms))
+                == list(islice(routes[kernel](0), terms))), which
+
+
+# 64 per-index terms at 4096 bits take about 0.1 s, so fewer examples
+# than Hypothesis's default 100.
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**4095))
+def test_sweeps_match_per_index_kernels_at_huge_starts(parity, half):
+    start = 2 * half + parity
+    for which, kernel in SWEEPS:
+        routes = ROUTES[which]
+        assert (list(islice(routes["fast"](start), 64))
+                == list(islice(routes[kernel](start), 64))), (which, start)
 
 
 def test_known_sequence_ids():
