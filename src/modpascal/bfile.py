@@ -28,8 +28,8 @@ reported as a mismatch.
 """
 
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import partial
 from itertools import count
 
@@ -69,19 +69,26 @@ class BFileParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class BFile:
-    sequence_id: str
-    offset: int
-    records: tuple[tuple[int, int], ...]
+class BFile(namedtuple("BFile", "sequence_id offset records")):
+    """A parsed b-file: records are (index, value) pairs whose indices
+    run up by one from offset, checked when it is built, also by _make
+    and _replace."""
 
-    def __post_init__(self):
-        for pos, (index, _value) in enumerate(self.records):
-            if index != self.offset + pos:
+    __slots__ = ()
+
+    def __new__(cls, sequence_id: str, offset: int,
+                records: tuple[tuple[int, int], ...]):
+        for pos, (index, _value) in enumerate(records):
+            if index != offset + pos:
                 raise ValueError(
                     f"record {pos} has index {index}, "
-                    f"expected {self.offset + pos}"
+                    f"expected {offset + pos}"
                 )
+        return super().__new__(cls, sequence_id, offset, records)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _per_index(fn: Callable[[int], int]) -> Callable[[int], Iterator[int]]:
@@ -237,13 +244,13 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
     return BFile(sequence_id, records[0][0], records)
 
 
-@dataclass(frozen=True)
-class BFileComparison:
-    sequence_id: str
-    checked: int
-    # (file index, file value, recomputed value) of the first
-    # disagreement, or None when every record matches.
-    mismatch: tuple[int, int, int] | None
+class BFileComparison(
+        namedtuple("BFileComparison", "sequence_id checked mismatch")):
+    """checked records of a b-file against sequence_id; mismatch is
+    (file index, file value, recomputed value) of the first
+    disagreement, or None when every record matches."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

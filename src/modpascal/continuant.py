@@ -56,6 +56,14 @@ def _require_int(name, value):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _require_ints(name, values):
+    """_require_int for each item of the sequence values, as one test of
+    the set of their types; the TypeError names the first bad item."""
+    if not set(map(type, values)) <= {int}:
+        for pos, value in enumerate(values):
+            _require_int(f"{name} {pos}", value)
+
+
 def _require_index(name, value):
     """_require_int, then ValueError if value is negative."""
     _require_int(name, value)
@@ -120,6 +128,8 @@ def runs_to_int(runs: Iterable[int]) -> int:
     Inverse of run_lengths: blocks alternate 1s, 0s, 1s, ... starting
     with 1s; the empty sequence gives 0.
     """
+    runs = tuple(runs)
+    _require_ints("run length", runs)
     bits = []
     symbol = "1"
     for length in runs:
@@ -149,10 +159,18 @@ def continuant(m: Iterable[int]) -> int:
     continued fraction never formed; past _LEAF terms it runs per leaf
     under a product tree.  O(k) big-int operations either way.
     """
-    return _scan_product((1, 0), tuple(m), _continuant_scan)[0]
+    terms = tuple(m)
+    _require_ints("continuant term", terms)
+    return _continuant(terms)
+
+
+def _continuant(terms: tuple[int, ...]) -> int:
+    """continuant of a tuple of ints, with no type check."""
+    return _scan_product((1, 0), terms, _continuant_scan)[0]
 
 
 def diagonal_sum_fast(n: int) -> int:
     """d(n) as the continuant of the run lengths of n; O(log n) big-int
-    operations, subquadratic in the bit length of n."""
-    return continuant(run_lengths(n))
+    operations, subquadratic in the bit length of n.  The run lengths
+    are ints by construction, so they skip continuant's type check."""
+    return _continuant(run_lengths(n))

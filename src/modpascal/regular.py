@@ -34,7 +34,7 @@ balanced tree.  That is O(log n) big-int operations at a subquadratic
 bit cost (see the continuant module).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .continuant import _require_index, _scan_product, diagonal_sum_fast
 
@@ -94,17 +94,15 @@ def diagonal_sum_recurrence(n: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class LinearRep:
+class LinearRep(namedtuple("LinearRep", "v0 m0 m1")):
     """2x2 integer linear representation of the diagonal sums.
 
-    State vector at n is (d(2n), d(4n)); m0/m1 append a 0/1 bit to n;
-    d(n) is component 0 of the state at floor(n/2).
+    State vector at n is (d(2n), d(4n)), the pair v0 at n = 0; m0/m1,
+    pairs of rows, append a 0/1 bit to n; d(n) is component 0 of the
+    state at floor(n/2).
     """
 
-    v0: tuple[int, int]
-    m0: tuple[tuple[int, int], tuple[int, int]]
-    m1: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ()
 
 
 # verify's thm1 suite reads this directly, so a wrong representation shows

@@ -29,7 +29,7 @@ which are arbitrary precision; T(n, k) grows roughly like 3^n along the
 middle of a row, so fixed-width types are not an option.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, count, repeat
 from math import isqrt
 from types import MappingProxyType
@@ -55,21 +55,27 @@ def _require_pair(n, k):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
 
 
-@dataclass(frozen=True)
-class TriangleRow:
-    """One row of the triangle: entries[k] = T(n, k), exact or mod 2."""
+class TriangleRow(namedtuple("TriangleRow", "n entries mode")):
+    """One row of the triangle: entries[k] = T(n, k), exact or mod 2.
 
-    n: int
-    entries: tuple[int, ...]
-    mode: str  # "exact" | "parity"
+    mode is "exact" or "parity".  An immutable named tuple, checked when
+    it is built, also by _make and _replace.
+    """
 
-    def __post_init__(self):
-        _require_index("n", self.n)
-        _row_fn(self.mode)
-        if len(self.entries) != self.n + 1:
+    __slots__ = ()
+
+    def __new__(cls, n: int, entries: tuple[int, ...], mode: str):
+        _require_index("n", n)
+        _row_fn(mode)
+        if len(entries) != n + 1:
             raise ValueError(
-                f"row {self.n} must have {self.n + 1} entries, got {len(self.entries)}"
+                f"row {n} must have {n + 1} entries, got {len(entries)}"
             )
+        return super().__new__(cls, n, entries, mode)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def triangle_entry(n: int, k: int) -> int:

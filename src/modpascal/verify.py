@@ -10,7 +10,7 @@ representation included, is reported as a counterexample in the
 report, never raised; the CLI maps a failing report to its exit status.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 from types import MappingProxyType
 
@@ -28,29 +28,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    index: object  # int, or a tuple like (n, k)
-    lhs: int
-    rhs: int
+class Counterexample(namedtuple("Counterexample", "index lhs rhs")):
+    """The two sides of an identity that disagree at index, an int or a
+    tuple like (n, k)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    checked: int
-    counterexample: Counterexample | None = None
+class IdentityResult(namedtuple(
+        "IdentityResult", "name checked counterexample", defaults=(None,))):
+    """checked indices of one identity, and its first Counterexample or
+    None."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    max_n: int
-    results: tuple[IdentityResult, ...]
+class VerifyReport(namedtuple("VerifyReport", "suite max_n results")):
+    """The IdentityResults of one suite, or of all, scanned to max_n."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

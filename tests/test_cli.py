@@ -255,6 +255,17 @@ def test_broken_pipe_is_quiet():
     assert code == 0
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S: no site hooks that could load either module first.  Each costs
+    # every CLI process milliseconds of start-up.
+    env = dict(os.environ, PYTHONPATH=str(Path(modpascal.__file__).parents[1]))
+    code = ("import sys, modpascal.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_bfile_into_broken_pipe_is_an_error(tmp_path, capsys):
     # Only stdout's reader may leave quietly: a b-file cut short is exit 3,

@@ -1,4 +1,5 @@
 import random
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,33 @@ def test_runs_to_int_inverts_run_lengths():
 def test_runs_to_int_rejects_nonpositive_runs():
     with pytest.raises(ValueError):
         runs_to_int((2, 0, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: continuant((2.5,)), "continuant term 0 must be an int, got float"),
+    (lambda: continuant([2.0] * 70),
+     "continuant term 0 must be an int, got float"),
+    (lambda: continuant([2] * 69 + [2.0]),
+     "continuant term 69 must be an int, got float"),
+    (lambda: continuant((True, 2)), "continuant term 0 must be an int, got bool"),
+    (lambda: runs_to_int([True, 2]), "run length 0 must be an int, got bool"),
+    (lambda: runs_to_int(iter([1, 2.0])),
+     "run length 1 must be an int, got float"),
+])
+def test_non_int_terms_raise_type_error(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
+def test_diagonal_sum_fast_skips_the_term_type_check(monkeypatch):
+    # Run lengths are ints by construction; the check is for callers'
+    # sequences only.
+    def refuse(name, values):
+        raise AssertionError("diagonal_sum_fast checked its run lengths")
+    monkeypatch.setattr(import_module("modpascal.continuant"),
+                        "_require_ints", refuse)
+    for n in [*range(64), int("110" * 50, 2)]:  # 100 runs: past _LEAF
+        assert diagonal_sum_fast(n) == cf_numerator(binary_run_lengths(n))
 
 
 def test_continuant_fixtures():
