@@ -4,7 +4,9 @@ The run lengths of a binary string are the lengths of its maximal blocks
 of equal symbols, e.g. 111000011111 -> (3, 4, 5).  For an integer n >= 1
 the run lengths of its binary expansion are read most-significant-first,
 so they alternate 1-run, 0-run, 1-run, ... starting with a 1-run; n = 0
-maps to the empty sequence.
+maps to the empty sequence.  run_lengths reads them off the transitions
+of n: each 1 bit of n ^ (n >> 1) starts a run, so splitting its binary
+text at the 1s gives one piece per run, one shorter than the run.
 
 The continuant K(m_0, ..., m_k) of a sequence of positive integers is
 the numerator of the continued fraction [m_0; m_1, ..., m_k].  It obeys
@@ -35,13 +37,16 @@ multiplies operands of equal size, so CPython's Karatsuba multiply
 brings it down to O(b^1.585).
 """
 
-import re
 from collections.abc import Iterable
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 
 __all__ = ["continuant", "diagonal_sum_fast", "run_lengths", "runs_to_int"]
 
-_RUN = re.compile(r"1+|0+")
+# Characters of n ^ (n >> 1)'s text that run_lengths splits at a time:
+# the pieces of two chunks at most are alive at once.
+_CHUNK = 1024
+
+_plus_one = (1).__add__
 
 # Terms, or bits, per leaf of the product tree: sequences up to this
 # long are scanned in one pass.
@@ -114,12 +119,37 @@ def _scan_product(row, seq, scan):
         row, (scan(part, 1, 0) + scan(part, 0, 1) for part in leaves))
 
 
+def _chunk_runs(text):
+    """run_lengths of the n with text = bin(n ^ (n >> 1)), as iterables
+    to chain, from one split of each _CHUNK characters.  A run that
+    crosses a chunk's edge is carried, as its length so far, into the
+    next chunk's first piece."""
+    run = 1  # text[2] is the 1 that starts the first run
+    for start in range(3, len(text), _CHUNK):
+        pieces = text[start:start + _CHUNK].split("1")
+        if len(pieces) > 1:
+            yield run + len(pieces[0]),
+            yield map(_plus_one, map(len, islice(pieces, 1, len(pieces) - 1)))
+            run = 1
+        run += len(pieces[-1])
+    yield run,
+
+
 def run_lengths(n: int) -> tuple[int, ...]:
-    """Run lengths of the binary expansion of n, most significant first."""
+    """Run lengths of the binary expansion of n, most significant first.
+
+    Each 1 of n ^ (n >> 1) starts a run, so the runs are the pieces of
+    its binary text split at "1", each plus 1, with no Python step per
+    run.  Past _CHUNK characters the text is split chunk by chunk, so
+    the memory beside the result is that of a chunk's pieces.
+    """
     _require_index("n", n)
     if n == 0:
         return ()
-    return tuple(m.end() - m.start() for m in _RUN.finditer(bin(n)[2:]))
+    text = bin(n ^ (n >> 1))
+    if len(text) <= 3 + _CHUNK:
+        return tuple(map(_plus_one, map(len, text[3:].split("1"))))
+    return tuple(chain.from_iterable(_chunk_runs(text)))
 
 
 def runs_to_int(runs: Iterable[int]) -> int:

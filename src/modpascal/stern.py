@@ -26,7 +26,7 @@ sums adjacent terms of that sweep: the fast streams of bfile.ROUTES.
 from itertools import islice, pairwise
 
 from .continuant import _require_index, _scan_product
-from .triangle import binom_parity
+from .triangle import _odd_binomials
 
 __all__ = ["carlitz_sum", "stern"]
 
@@ -58,8 +58,8 @@ def stern(n: int) -> int:
 def carlitz_sum(n: int) -> int:
     """Sum of C(n - k, k) mod 2 for k <= n/2; equals s(n+1).  O(n)."""
     _require_index("n", n)
-    bp = binom_parity
-    return sum(bp(n - k, k) for k in range(n // 2 + 1))
+    ks = range(n // 2 + 1)
+    return sum(_odd_binomials(range(n, n - len(ks), -1), ks))
 
 
 def _newman(a, b):

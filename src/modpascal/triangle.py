@@ -30,8 +30,9 @@ middle of a row, so fixed-width types are not an option.
 """
 
 from collections import namedtuple
-from itertools import chain, count, repeat
+from itertools import chain, count, cycle, repeat
 from math import isqrt
+from operator import and_, eq
 from types import MappingProxyType
 
 from .continuant import _require_index
@@ -108,6 +109,13 @@ def binom_parity(n: int, k: int) -> int:
     return 1 if n & k == k else 0
 
 
+def _odd_binomials(tops, ks):
+    """Whether C(top, k) is odd, as a bool, for tops and the range ks
+    taken in step: binom_parity's subset test as maps, with no Python
+    step per pair.  ks is iterated twice, so it must be a range."""
+    return map(eq, map(and_, tops, ks), ks)
+
+
 def triangle_entry_parity(n: int, k: int) -> int:
     """T(n, k) mod 2 without evaluating the defining sum.
 
@@ -176,8 +184,10 @@ def _exact_row(n, k):
 
 
 def _parity_row(n, k):
-    """T(n, k), ..., T(n, n) mod 2, one binomial parity each."""
-    return (triangle_entry_parity(n, i) for i in range(k, n + 1))
+    """T(n, k), ..., T(n, n) mod 2: T(n, i) is C(n - (n + i) % 2, i) mod 2,
+    so the tops alternate n and n - 1 from the phase of n + k."""
+    tops = (n, n - 1) if (n + k) % 2 == 0 else (n - 1, n)
+    return map(int, _odd_binomials(cycle(tops), range(k, n + 1)))
 
 
 # Each mode of the triangle and its row function row(n, k), which
@@ -231,7 +241,10 @@ def diagonal_sum_brute(n: int) -> int:
     continuant and matrix-recurrence routes must agree with it.
     """
     _require_index("n", n)
-    return sum(triangle_entry_parity(n - k, k) for k in range(n // 2 + 1))
+    # (n - k) + k = n, so T(n - k, k) is C(top - k, k) mod 2 for every k
+    top = n - n % 2
+    ks = range(n // 2 + 1)
+    return sum(_odd_binomials(range(top, top - len(ks), -1), ks))
 
 
 def _triangle_terms(start: int, mode: str):

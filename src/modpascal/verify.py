@@ -11,6 +11,7 @@ report, never raised; the CLI maps a failing report to its exit status.
 """
 
 from collections import namedtuple
+from itertools import repeat
 from math import comb
 from types import MappingProxyType
 
@@ -149,7 +150,7 @@ _SUITES = MappingProxyType({
     ),
     "glaisher": (
         ("odd entries in Pascal row n = 2^popcount(n)", _upto,
-         lambda n: sum(triangle.binom_parity(n, k) for k in range(n + 1)),
+         lambda n: sum(triangle._odd_binomials(repeat(n), range(n + 1))),
          lambda n: 1 << n.bit_count()),
     ),
 })

@@ -413,6 +413,20 @@ def test_verify_all_small(capsys):
     assert capsys.readouterr().out.count("PASS") == 16
 
 
+@pytest.mark.parametrize("module", ["modpascal", "modpascal.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(modpascal.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", module, "verify", "all",
+                           "--max-n", "64"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sum(line.startswith("  PASS ") for line in done.stdout.splitlines()) == 16
+    done = subprocess.run([sys.executable, "-m", module, "verify", "nonsense"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "invalid choice" in done.stderr
+
+
 def test_verify_exit_is_nonzero_on_counterexample(capsys, monkeypatch):
     from modpascal import verify as verify_mod
     from modpascal.verify import Counterexample, IdentityResult, VerifyReport

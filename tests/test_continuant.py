@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from importlib import import_module
 
 import pytest
@@ -25,7 +27,7 @@ from modpascal import (
     triangle_row,
     triangle_row_parity,
 )
-from modpascal.continuant import _LEAF
+from modpascal.continuant import _CHUNK, _LEAF
 from oracles import binary_run_lengths, cf_numerator, fib, stern_naive
 from test_stern import alternating
 
@@ -45,6 +47,51 @@ def test_run_lengths_matches_groupby():
     for _ in range(200):
         n = rng.getrandbits(300)
         assert run_lengths(n) == binary_run_lengths(n)
+
+
+# run_lengths splits the text after the leading bit _CHUNK characters at
+# a time: n of up to _CHUNK + 1 bits is one chunk.
+@pytest.mark.parametrize("bits", [_CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2,
+                                  2 * _CHUNK + 1, 2 * _CHUNK + 2])
+def test_run_lengths_at_chunk_edges(bits):
+    rng = random.Random(bits)
+    ns = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(20)]
+    ns += [alternating(bits), (1 << bits) - 1, 1 << (bits - 1)]
+    for n in ns:
+        assert n.bit_length() == bits
+        assert run_lengths(n) == binary_run_lengths(n)
+
+
+@pytest.mark.parametrize("n", [(1 << 3 * _CHUNK) - 1, 1 << 3 * _CHUNK])
+def test_run_spanning_three_chunks(n):
+    assert run_lengths(n) == binary_run_lengths(n)
+
+
+def test_run_lengths_of_long_inputs():
+    rng = random.Random(13)
+    for n in (rng.getrandbits(10**5) | 1 << (10**5 - 1), alternating(10**5)):
+        assert run_lengths(n) == binary_run_lengths(n)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**40000))
+def test_runs_to_int_inverts_run_lengths_of_any_size(n):
+    assert runs_to_int(run_lengths(n)) == n
+
+
+@pytest.mark.parametrize("shape", ["random", "alternating"])
+def test_run_lengths_memory_is_its_result(shape):
+    # The runs are split a chunk at a time: splitting the whole text at
+    # once holds every piece beside the result, 2 to 4 times its size.
+    bits = 10**6
+    n = random.Random(14).getrandbits(bits) if shape == "random" else alternating(bits)
+    tracemalloc.start()
+    try:
+        runs = run_lengths(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sys.getsizeof(runs) + 2**20
 
 
 def test_run_lengths_rejects_negative():

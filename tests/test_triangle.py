@@ -19,6 +19,7 @@ from modpascal import (
     triangle_row,
     triangle_row_parity,
 )
+from modpascal.triangle import _parity_row
 from oracles import EXACT_ROWS, PARITY_ROWS, diag_sum, row_sum, t_entry
 
 # r(0..8) and d(0..16), keyed down from the first nine triangle rows.
@@ -103,8 +104,17 @@ def test_binom_parity_matches_comb():
         binom_parity(-1, 0)
 
 
+def test_parity_row_matches_entries():
+    # Every start k, so both phases of n + k begin a row.
+    for n in range(301):
+        row = [triangle_entry_parity(n, k) for k in range(n + 1)]
+        assert {type(t) for t in _parity_row(n, 0)} == {int}
+        for k in range(n + 1):
+            assert list(_parity_row(n, k)) == row[k:]
+
+
 def test_row_sum_brute_matches_reference():
-    for n in range(49):
+    for n in range(301):
         assert row_sum_brute(n) == row_sum(n)
 
 
@@ -147,7 +157,7 @@ def test_consecutive_diagonal_sums_agree_brute_force():
 
 
 def test_diagonal_sum_brute_matches_reference():
-    for n in range(49):
+    for n in range(301):
         assert diagonal_sum_brute(n) == diag_sum(n)
 
 
