@@ -17,9 +17,12 @@ are sweeps, O(1) big-int operations per term by Newman's successor rule
 (see the stern module); the per-index kernels beside them, continuant
 and scan, check them term for term.
 
-Only this module converts ints to decimal text and back, for the CLI
-too: _RECORD is the record grammar, _lines writes "<index> <value>"
-lines, and _decimal and _int_from_decimal convert numbers of any length.
+The b-file layer is a stream of (index, value) records, which the CLI
+runs too: records gives a b-file's records, record_lines writes them,
+read_records reads them back under the grammar _RECORD and
+compare_records checks them.  Only to_decimal and from_decimal convert
+ints to decimal text and back, at any length.  The whole-file functions
+(generate_bfile, parse_bfile, ...) are views over this stream.
 
 Files downloaded from the OEIS may use a different starting index; the
 comparison maps the i-th record of the file to the i-th term of the
@@ -27,11 +30,13 @@ local sequence, so a constant offset shift is reconciled rather than
 reported as a mismatch.
 """
 
+import io
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import count
+from types import MappingProxyType
 
 from .continuant import _require_index, _require_int, diagonal_sum_fast
 from .regular import diagonal_sum_recurrence
@@ -51,9 +56,15 @@ __all__ = [
     "ROUTES",
     "SEQUENCES",
     "compare_bfile",
+    "compare_records",
+    "from_decimal",
     "generate_bfile",
     "parse_bfile",
+    "read_records",
+    "record_lines",
+    "records",
     "serialize_bfile",
+    "to_decimal",
 ]
 
 
@@ -102,35 +113,36 @@ def _per_index(fn: Callable[[int], int]) -> Callable[[int], Iterator[int]]:
 # terms(start) of the terms from index start on; the first one listed is
 # the default.  The routes of d, r and stern must agree term for term, and
 # t-row's parity route gives its exact entries mod 2.
-ROUTES = {
-    "d": {
+ROUTES = MappingProxyType({
+    "d": MappingProxyType({
         "fast": _d_terms,
         "continuant": _per_index(diagonal_sum_fast),
         "brute": _per_index(diagonal_sum_brute),
         "recurrence": _per_index(diagonal_sum_recurrence),
-    },
-    "r": {
+    }),
+    "r": MappingProxyType({
         "closed": _per_index(row_sum_closed),
         "brute": _per_index(row_sum_brute),
-    },
-    "stern": {
+    }),
+    "stern": MappingProxyType({
         "fast": _stern_terms,
         "scan": _per_index(stern),
         # s(n) read off the binomial-parity diagonal sum, which equals
         # s(n+1); shift by one and patch the n=0 hole.
         "carlitz": _per_index(lambda n: carlitz_sum(n - 1) if n else 0),
-    },
-    "t-row": {mode: partial(_triangle_terms, mode=mode) for mode in _ROWS},
-}
+    }),
+    "t-row": MappingProxyType(
+        {mode: partial(_triangle_terms, mode=mode) for mode in _ROWS}),
+})
 
 # The OEIS ids with b-files: each is the stream of one `seq` route,
 # indexed from 0.
-SEQUENCES = {
+SEQUENCES = MappingProxyType({
     "A119326": ("t-row", "exact"),
     "A114213": ("t-row", "parity"),
     "A114212": ("r", "closed"),
     "A114214": ("d", "fast"),
-}
+})
 
 
 def _terms(sequence_id: str) -> Callable[[int], Iterator[int]]:
@@ -143,35 +155,39 @@ def _terms(sequence_id: str) -> Callable[[int], Iterator[int]]:
     return ROUTES[which][route]
 
 
-def generate_bfile(sequence_id: str, max_index: int) -> BFile:
-    """Build the b-file for sequence_id covering indices 0..max_index."""
+def records(sequence_id: str, max_index: int) -> Iterator[tuple[int, int]]:
+    """The lazy (i, term i) records of sequence_id for i in 0..max_index;
+    both arguments are checked at the call."""
     terms = _terms(sequence_id)
     _require_int("max_index", max_index)
     if max_index < 0:
         raise ValueError(
             f"max index {max_index} is below the sequence offset 0"
         )
-    records = tuple(zip(range(max_index + 1), terms(0)))
-    return BFile(sequence_id, 0, records)
+    return zip(range(max_index + 1), terms(0))
 
 
-def _int_from_decimal(digits: str) -> int:
+def generate_bfile(sequence_id: str, max_index: int) -> BFile:
+    """Build the b-file for sequence_id covering indices 0..max_index."""
+    return BFile(sequence_id, 0, tuple(records(sequence_id, max_index)))
+
+
+def from_decimal(digits: str) -> int:
     """int(digits) for an ASCII '-?[0-9]+' string of any length, the
-    inverse of _decimal: int() refuses strings past the int/str digit
+    inverse of to_decimal: int() refuses strings past the int/str digit
     limit, so those are read in halves until each piece is within it."""
     try:
         return int(digits)
     except ValueError:
         pass
     if digits.startswith("-"):
-        return -_int_from_decimal(digits[1:])
+        return -from_decimal(digits[1:])
     k = len(digits) // 2
-    return (_int_from_decimal(digits[:-k]) * 10**k
-            + _int_from_decimal(digits[-k:]))
+    return from_decimal(digits[:-k]) * 10**k + from_decimal(digits[-k:])
 
 
-def _decimal(value: int) -> str:
-    """str(value) at any size, the inverse of _int_from_decimal: str()
+def to_decimal(value: int) -> str:
+    """str(value) at any size, the inverse of from_decimal: str()
     refuses ints past the int/str digit limit, so those are split by a
     power of ten near half their digits until each piece is within it."""
     try:
@@ -179,31 +195,31 @@ def _decimal(value: int) -> str:
     except ValueError:
         pass
     if value < 0:
-        return "-" + _decimal(-value)
+        return "-" + to_decimal(-value)
     k = value.bit_length() * 3 // 20  # about half its digits
     high, low = divmod(value, 10**k)
-    return _decimal(high) + _decimal(low).zfill(k)
+    return to_decimal(high) + to_decimal(low).zfill(k)
 
 
-def _lines(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
+def record_lines(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
     """One "<index> <value>\n" line per pair, at any size."""
     for index, value in pairs:
         try:
             line = f"{index} {value}\n"
         except ValueError:  # a number past the int/str digit limit
-            line = f"{_decimal(index)} {_decimal(value)}\n"
+            line = f"{to_decimal(index)} {to_decimal(value)}\n"
         yield line
 
 
 def serialize_bfile(bfile: BFile) -> str:
-    return "".join(_lines(bfile.records))
+    return "".join(record_lines(bfile.records))
 
 
 _RECORD = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*\r?")
 
 
-def _records(lines: Iterable[str]) -> Iterator[tuple[int, int]]:
-    r"""The (index, value) records of lines, each with or without its "\n".
+def read_records(lines: Iterable[str]) -> Iterator[tuple[int, int]]:
+    r"""The (index, value) records of a text stream split at "\n" only.
 
     A record matches _RECORD, with indices consecutive.  Any other line
     must be blank or a comment starting with '#' (OEIS files carry such
@@ -226,11 +242,11 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, int]]:
         try:
             index, value = int(match[1]), int(match[2])
         except ValueError:  # a field past the int/str digit limit
-            index, value = map(_int_from_decimal, match.groups())
+            index, value = map(from_decimal, match.groups())
         if expected is not None and index != expected:
             raise BFileParseError(
-                line_no, f"index {_decimal(index)} not consecutive "
-                f"(expected {_decimal(expected)})"
+                line_no, f"index {to_decimal(index)} not consecutive "
+                f"(expected {to_decimal(expected)})"
             )
         expected = index + 1
         yield index, value
@@ -239,9 +255,9 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, int]]:
 
 
 def parse_bfile(text: str, sequence_id: str) -> BFile:
-    """Parse b-file text, one record per line as _records reads them."""
-    records = tuple(_records(text.split("\n")))
-    return BFile(sequence_id, records[0][0], records)
+    """Parse b-file text, one record per line as read_records reads them."""
+    pairs = tuple(read_records(io.StringIO(text)))
+    return BFile(sequence_id, pairs[0][0], pairs)
 
 
 class BFileComparison(
@@ -257,7 +273,8 @@ class BFileComparison(
         return self.mismatch is None
 
 
-def _compare(sequence_id: str, records: Iterable) -> BFileComparison:
+def compare_records(sequence_id: str, records: Iterable) -> BFileComparison:
+    """Check the i-th (index, value) record against term i of sequence_id."""
     values = _terms(sequence_id)(0)
     mismatch = None
     checked = 0
@@ -274,4 +291,4 @@ def compare_bfile(bfile: BFile) -> BFileComparison:
     The file's own offset says where its records start; the i-th record
     is checked against the i-th locally generated term.
     """
-    return _compare(bfile.sequence_id, bfile.records)
+    return compare_records(bfile.sequence_id, bfile.records)

@@ -3,7 +3,8 @@ bfile-compare and verify, each described by its help (`modpascal --help`).
 
 Exit codes: 0 success (also when a reader of stdout stops early, as `head`
 does), 1 a verification counterexample or b-file mismatch, 2 usage error,
-3 I/O or parse error.  All numeric output is decimal with unlimited precision.
+3 I/O or parse error (a closed stdout too), 130 interrupted (Ctrl-C), with
+nothing on stderr.  All numeric output is decimal with unlimited precision.
 """
 
 import argparse
@@ -22,7 +23,7 @@ def _number(text: str) -> int:
     past the int/str digit limit."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"not ASCII digits: {text!r}")
-    return bfile_mod._int_from_decimal(text)
+    return bfile_mod.from_decimal(text)
 
 
 def _range(text: str) -> tuple[int, int]:
@@ -40,7 +41,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         args.parser.error(f"rows must be >= 1, got {args.rows}")
     terms = bfile_mod.ROUTES["t-row"][args.mode](0)
     for n in range(args.rows):
-        print(" ".join(map(bfile_mod._decimal, islice(terms, n + 1))))
+        print(" ".join(map(bfile_mod.to_decimal, islice(terms, n + 1))))
     return 0
 
 
@@ -53,16 +54,16 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             f"choose from {', '.join(routes)}"
         )
     first, last = args.range
-    terms = routes[method](first)
-    sys.stdout.writelines(bfile_mod._lines(zip(range(first, last + 1), terms)))
+    records = zip(range(first, last + 1), routes[method](first))
+    sys.stdout.writelines(bfile_mod.record_lines(records))
     return 0
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
-    records = zip(range(args.max_index + 1), bfile_mod._terms(args.seq_id)(0))
+    records = bfile_mod.records(args.seq_id, args.max_index)
     try:
         with open(args.out_path, "w", newline="\n") as handle:
-            handle.writelines(bfile_mod._lines(records))
+            handle.writelines(bfile_mod.record_lines(records))
     except BrokenPipeError as exc:  # not stdout's: the b-file is cut short
         raise OSError(f"{exc}: {args.out_path!r}") from None
     print(f"wrote {args.max_index + 1} records to {args.out_path}")
@@ -72,11 +73,12 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
 def _cmd_bfile_compare(args: argparse.Namespace) -> int:
     # newline="\n": a lone "\r" must reach the parser, not end a record
     with open(args.path, encoding="ascii", newline="\n") as handle:
-        result = bfile_mod._compare(args.seq_id, bfile_mod._records(handle))
+        result = bfile_mod.compare_records(
+            args.seq_id, bfile_mod.read_records(handle))
     if result.passed:
         print(f"{args.seq_id}: all {result.checked} records agree")
         return 0
-    index, file_value, computed = map(bfile_mod._decimal, result.mismatch)
+    index, file_value, computed = map(bfile_mod.to_decimal, result.mismatch)
     print(
         f"{args.seq_id}: mismatch at index {index}: "
         f"file has {file_value}, computed {computed}"
@@ -163,8 +165,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if sys.stdout is None:  # started with fd 1 closed
+        print("error: stdout is closed", file=sys.stderr)
+        return 3
     try:
         return args.handler(args)
+    except KeyboardInterrupt:
+        return 130
     except BrokenPipeError:  # stdout's reader left; devnull takes the rest
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0

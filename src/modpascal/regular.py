@@ -35,6 +35,7 @@ bit cost (see the continuant module).
 """
 
 from collections import namedtuple
+from types import MappingProxyType
 
 from .continuant import _require_index, _scan_product, diagonal_sum_fast
 
@@ -46,9 +47,8 @@ __all__ = [
     "linear_rep_state",
 ]
 
-# Base values for the scalar recurrence, taken from the continuant route;
-# never written after import.
-_BASE = {n: diagonal_sum_fast(n) for n in (0, 2, 4)}
+# Base values for the scalar recurrence, taken from the continuant route.
+_BASE = MappingProxyType({n: diagonal_sum_fast(n) for n in (0, 2, 4)})
 
 
 def _identity(m):

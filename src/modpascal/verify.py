@@ -16,6 +16,7 @@ from math import comb
 from types import MappingProxyType
 
 from . import regular, triangle
+from .bfile import to_decimal
 from .continuant import _require_int
 from .continuant import diagonal_sum_fast as _d
 from .stern import carlitz_sum, stern
@@ -58,15 +59,19 @@ class VerifyReport(namedtuple("VerifyReport", "suite max_n results")):
         return all(r.passed for r in self.results)
 
     def lines(self) -> list[str]:
-        out = [f"suite {self.suite} (max_n={self.max_n})"]
+        """The report as text; numbers of any length print in full."""
+        out = [f"suite {self.suite} (max_n={to_decimal(self.max_n)})"]
         for r in self.results:
             if r.passed:
                 out.append(f"  PASS {r.name}: {r.checked} checks")
             else:
-                ce = r.counterexample
+                index, lhs, rhs = r.counterexample
+                index = (f"({', '.join(map(to_decimal, index))})"
+                         if isinstance(index, tuple) else to_decimal(index))
                 out.append(
-                    f"  FAIL {r.name}: counterexample at {ce.index}: "
-                    f"lhs={ce.lhs} rhs={ce.rhs} ({r.checked} checks ran)"
+                    f"  FAIL {r.name}: counterexample at {index}: "
+                    f"lhs={to_decimal(lhs)} rhs={to_decimal(rhs)} "
+                    f"({r.checked} checks ran)"
                 )
         status = "pass" if self.passed else "FAIL"
         out.append(f"  => {status}")

@@ -1,4 +1,6 @@
+import io
 import re
+import sys
 from itertools import islice
 
 import pytest
@@ -13,9 +15,18 @@ from modpascal import (
     diagonal_sum_fast,
     generate_bfile,
     parse_bfile,
+    regular,
     serialize_bfile,
 )
-from modpascal.bfile import ROUTES
+from modpascal.bfile import (
+    ROUTES,
+    compare_records,
+    from_decimal,
+    read_records,
+    record_lines,
+    records,
+    to_decimal,
+)
 from oracles import diag_sum, row_sum, stern_naive, t_entry, t_parity
 
 
@@ -99,6 +110,57 @@ def test_generate_parity_triangle_prefix():
 def test_generate_exact_triangle_prefix():
     values = [value for _index, value in generate_bfile("A119326", 14).records]
     assert values == [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1]
+
+
+@pytest.mark.parametrize("sequence_id, max_index, error, message", [
+    ("A000045", 10, ValueError, "unknown sequence id 'A000045'; "
+     "known: A114212, A114213, A114214, A119326"),
+    ("A114214", True, TypeError, "max_index must be an int, got bool"),
+    ("A114214", 2.0, TypeError, "max_index must be an int, got float"),
+    ("A114214", -1, ValueError, "max index -1 is below the sequence offset 0"),
+])
+def test_records_checks_at_the_call(sequence_id, max_index, error, message):
+    # records raises when called, before any next, as generate_bfile does.
+    for make in (records, generate_bfile):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make(sequence_id, max_index)
+
+
+@pytest.mark.parametrize("sequence_id", sorted(SEQUENCES))
+def test_stream_layer_is_the_whole_file_layer(sequence_id):
+    text = serialize_bfile(generate_bfile(sequence_id, 300))
+    assert "".join(record_lines(records(sequence_id, 300))) == text
+    *head, last = text.splitlines(keepends=True)
+    corrupted = "".join(head) + last.replace(" ", " 1", 1)
+    shifted = "# from 1\n" + "".join(
+        f"{i + 1} {v}\n" for i, v in read_records(io.StringIO(text)))
+    for case in (text, corrupted, shifted):
+        assert (compare_records(sequence_id, read_records(io.StringIO(case)))
+                == compare_bfile(parse_bfile(case, sequence_id)))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int/str digit limit")
+def test_decimal_round_trip_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for digits in (limit - 1, limit, limit + 1):
+        for text, value in (("9" * digits, 10**digits - 1),
+                            ("1" + "0" * (digits - 1), 10**(digits - 1)),
+                            ("-" + "7" * digits, -7 * (10**digits - 1) // 9)):
+            assert from_decimal(text) == value, digits
+            assert to_decimal(value) == text, digits
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param(ROUTES, id="ROUTES"),
+    *(pytest.param(routes, id=f"ROUTES[{which}]")
+      for which, routes in ROUTES.items()),
+    pytest.param(SEQUENCES, id="SEQUENCES"),
+    pytest.param(regular._BASE, id="regular._BASE"),
+])
+def test_module_tables_are_read_only(table):
+    with pytest.raises(TypeError):
+        table["d"] = None
 
 
 def test_generate_rejects_unknown_id():

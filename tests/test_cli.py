@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -11,10 +12,10 @@ import modpascal
 from modpascal import diagonal_sum_fast, stern
 from modpascal.bfile import (
     ROUTES,
-    _decimal,
     generate_bfile,
     parse_bfile,
     serialize_bfile,
+    to_decimal,
 )
 from modpascal.cli import main, run
 
@@ -45,8 +46,9 @@ def test_triangle_value_past_digit_limit(capsys, monkeypatch):
     # triangle prints the t-row route; 5000 digits is past CPython's
     # default int/str limit of 4300.
     long = 7 * (10**5000 - 1) // 9
-    monkeypatch.setitem(ROUTES["t-row"], "exact",
-                        lambda start: iter([1, long, 1][start:]))
+    t_row = dict(ROUTES["t-row"],
+                 exact=lambda start: iter([1, long, 1][start:]))
+    monkeypatch.setattr(modpascal.bfile, "ROUTES", {**ROUTES, "t-row": t_row})
     assert main(["triangle", "2"]) == 0
     assert capsys.readouterr().out == "1\n" + "7" * 5000 + " 1\n"
 
@@ -172,10 +174,10 @@ def test_seq_index_past_digit_limit(capsys):
     text = "7" * 4400
     n = 7 * (10**4400 - 1) // 9
     assert main(["seq", "d", text]) == 0
-    assert _lines(capsys) == [f"{text} {_decimal(diagonal_sum_fast(n))}"]
+    assert _lines(capsys) == [f"{text} {to_decimal(diagonal_sum_fast(n))}"]
     assert main(["seq", "stern", f"{text}..{text[:-1]}8"]) == 0
-    assert _lines(capsys) == [f"{text} {_decimal(stern(n))}",
-                              f"{text[:-1]}8 {_decimal(stern(n + 1))}"]
+    assert _lines(capsys) == [f"{text} {to_decimal(stern(n))}",
+                              f"{text[:-1]}8 {to_decimal(stern(n + 1))}"]
 
 
 def test_seq_stream_is_a_bfile(capsys):
@@ -198,7 +200,7 @@ def test_seq_t_row_ends_of_a_huge_row(capsys):
     n = 10**4400
     first = n * (n + 1) // 2
     for lo, hi in ((first, first + 1), (first + n - 1, first + n)):
-        assert main(["seq", "t-row", f"{_decimal(lo)}..{_decimal(hi)}"]) == 0
+        assert main(["seq", "t-row", f"{to_decimal(lo)}..{to_decimal(hi)}"]) == 0
         assert [line.split(" ")[1] for line in _lines(capsys)] == ["1", "1"]
 
 
@@ -253,6 +255,40 @@ def test_broken_pipe_is_quiet():
         code = proc.wait(timeout=60)
     assert err == b""
     assert code == 0
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_interrupt_is_quiet():
+    # Ctrl-C sends SIGINT: the CLI stops with exit 130 and no traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(modpascal.__file__).parents[1]))
+    argv = [sys.executable, "-m", "modpascal", "seq", "d", "0..100000000",
+            "--method", "brute"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"0 1\n"
+        proc.send_signal(signal.SIGINT)
+        _out, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert (proc.returncode, err) == (130, b"")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
+@pytest.mark.parametrize("argv", [
+    ["triangle", "3"],
+    ["seq", "d", "0..3"],
+    ["bfile", "A114214", "3", "out.txt"],
+    ["bfile-compare", "A114214", "b.txt"],
+    ["verify", "thm2", "--max-n", "4"],
+])
+def test_closed_stdout_is_an_error(argv, tmp_path):
+    # The child closes fd 1 and execs the CLI, as `modpascal ... >&-` does.
+    (tmp_path / "b.txt").write_text("0 1\n1 1\n2 2\n3 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(modpascal.__file__).parents[1]))
+    code = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+    done = subprocess.run(
+        [sys.executable, "-c", code, sys.executable, "-m", "modpascal", *argv],
+        cwd=tmp_path, env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (3, "error: stdout is closed\n")
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -78,6 +78,24 @@ def test_failing_report_rendering():
     assert lines[-1] == "  => FAIL"
 
 
+def test_failing_report_renders_numbers_past_the_digit_limit():
+    # 5001 digits is past CPython's default int/str limit of 4300.
+    big, text = 10**5000, "1" + "0" * 5000
+    report = VerifyReport(
+        "demo", 8, (IdentityResult("x", 1, Counterexample(5, big, 0)),))
+    assert report.lines()[1] == (
+        f"  FAIL x: counterexample at 5: lhs={text} rhs=0 (1 checks ran)")
+    report = VerifyReport("demo", big, (
+        IdentityResult("x", 1, Counterexample((big, 3), -big, 1)),
+        IdentityResult("y", 2, Counterexample((3, 2), 1, 0))))
+    assert report.lines()[:3] == [
+        f"suite demo (max_n={text})",
+        f"  FAIL x: counterexample at ({text}, 3): lhs=-{text} rhs=1 "
+        "(1 checks ran)",
+        "  FAIL y: counterexample at (3, 2): lhs=1 rhs=0 (2 checks ran)",
+    ]
+
+
 def test_scan_keeps_first_counterexample_and_keeps_counting():
     result = _scan("squares = cubes", range(5), lambda n: n * n,
                    lambda n: n**3)
