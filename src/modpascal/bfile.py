@@ -19,9 +19,13 @@ and scan, check them term for term.
 
 The b-file layer is a stream of (index, value) records, which the CLI
 runs too: records gives a b-file's records, record_lines writes them,
-read_records reads them back under the grammar _RECORD and
-compare_records checks them.  Only to_decimal and from_decimal convert
-ints to decimal text and back, at any length.  The whole-file functions
+read_records reads them back and compare_records checks them.
+read_records reads a text stream with .read() in blocks of whole lines:
+a block of canonical "<index> <value>\n" records takes a fast path of
+one regex match and one split, and any other block goes line by line
+under the grammar _RECORD.  Only to_decimal (from the continuant module,
+where the argument checks use it too) and from_decimal convert ints to
+decimal text and back, at any length.  The whole-file functions
 (generate_bfile, parse_bfile, ...) are views over this stream.
 
 Files downloaded from the OEIS may use a different starting index; the
@@ -37,8 +41,14 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import count
 from types import MappingProxyType
+from typing import TextIO
 
-from .continuant import _require_index, _require_int, diagonal_sum_fast
+from .continuant import (
+    _require_index,
+    _require_int,
+    diagonal_sum_fast,
+    to_decimal,
+)
 from .regular import diagonal_sum_recurrence
 from .stern import _d_terms, _stern_terms, carlitz_sum, stern
 from .triangle import (
@@ -92,8 +102,8 @@ class BFile(namedtuple("BFile", "sequence_id offset records")):
         for pos, (index, _value) in enumerate(records):
             if index != offset + pos:
                 raise ValueError(
-                    f"record {pos} has index {index}, "
-                    f"expected {offset + pos}"
+                    f"record {pos} has index {to_decimal(index)}, "
+                    f"expected {to_decimal(offset + pos)}"
                 )
         return super().__new__(cls, sequence_id, offset, records)
 
@@ -162,7 +172,7 @@ def records(sequence_id: str, max_index: int) -> Iterator[tuple[int, int]]:
     _require_int("max_index", max_index)
     if max_index < 0:
         raise ValueError(
-            f"max index {max_index} is below the sequence offset 0"
+            f"max index {to_decimal(max_index)} is below the sequence offset 0"
         )
     return zip(range(max_index + 1), terms(0))
 
@@ -186,21 +196,6 @@ def from_decimal(digits: str) -> int:
     return from_decimal(digits[:-k]) * 10**k + from_decimal(digits[-k:])
 
 
-def to_decimal(value: int) -> str:
-    """str(value) at any size, the inverse of from_decimal: str()
-    refuses ints past the int/str digit limit, so those are split by a
-    power of ten near half their digits until each piece is within it."""
-    try:
-        return str(value)
-    except ValueError:
-        pass
-    if value < 0:
-        return "-" + to_decimal(-value)
-    k = value.bit_length() * 3 // 20  # about half its digits
-    high, low = divmod(value, 10**k)
-    return to_decimal(high) + to_decimal(low).zfill(k)
-
-
 def record_lines(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
     """One "<index> <value>\n" line per pair, at any size."""
     for index, value in pairs:
@@ -217,39 +212,105 @@ def serialize_bfile(bfile: BFile) -> str:
 
 _RECORD = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*\r?")
 
+# Characters read_records reads at a time.  The greedy star of
+# _CANONICAL keeps a backtracking stack in proportion to the block it
+# matches, and larger blocks read no faster.  8 KiB is also the chunk
+# size of io.TextIOWrapper, so each read decodes the same bytes that
+# line-by-line iteration would: a file that is both malformed and
+# undecodable reports the same first error either way.
+_BLOCK = 8192
 
-def read_records(lines: Iterable[str]) -> Iterator[tuple[int, int]]:
-    r"""The (index, value) records of a text stream split at "\n" only.
+# Lines of "<index> <value>" in ASCII digits and nothing else: a strict
+# subset of what _RECORD accepts.
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+
+
+def _blocks(stream: TextIO) -> Iterator[str]:
+    r"""The text of stream.read() in blocks of whole lines: each read of
+    _BLOCK characters is cut after its last "\n" and the rest carried to
+    the next, so a line longer than a read is gathered whole.  The text
+    after the last "\n", if any, is the last block."""
+    parts = []
+    while chunk := stream.read(_BLOCK):
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            parts.append(chunk)
+            continue
+        parts.append(chunk[:cut])
+        yield "".join(parts)
+        parts = [chunk[cut:]]
+    if tail := "".join(parts):
+        yield tail
+
+
+def _canonical_records(block: str, expected: int | None):
+    """The (indices, values) lists of a block whose lines all match
+    _CANONICAL, with indices consecutive from expected (from the first,
+    if expected is None) and every field within the int/str digit limit;
+    None for any other block."""
+    if not _CANONICAL.fullmatch(block):
+        return None
+    fields = block.split()
+    try:
+        indices = list(map(int, fields[::2]))
+        values = list(map(int, fields[1::2]))
+    except ValueError:  # a field past the int/str digit limit
+        return None
+    first = indices[0] if expected is None else expected
+    if indices != list(range(first, first + len(indices))):
+        return None
+    return indices, values
+
+
+def read_records(stream: TextIO) -> Iterator[tuple[int, int]]:
+    r"""The (index, value) records of a text stream, whose text is split
+    into lines at "\n" only, whatever the stream's newline mode.
 
     A record matches _RECORD, with indices consecutive.  Any other line
     must be blank or a comment starting with '#' (OEIS files carry such
     comments) once spaces, tabs and a final "\r" are stripped.  Fields
     of any length are read, also past the interpreter's int/str digit
     limit.
+
+    The stream is read with .read() in blocks of whole lines.  A block
+    of canonical "<index> <value>\n" records with consecutive indices
+    is checked by one regex match and read by one split, at C speed;
+    any other block goes line by line, and only that path accepts
+    comments, CRLF, tabs, signs and long fields, or raises
+    BFileParseError.
     """
     expected = None
-    for line_no, line in enumerate(lines, start=1):
-        line = line.removesuffix("\n")
-        match = _RECORD.fullmatch(line)
-        if match is None:
-            stripped = line.removesuffix("\r").strip(" \t")
-            if not stripped or stripped.startswith("#"):
-                continue
-            raise BFileParseError(line_no, (
-                f"expected 'index value', got {line!r}"
-                if len(line.split()) != 2 else
-                f"non-integer field in {line!r}"))
-        try:
-            index, value = int(match[1]), int(match[2])
-        except ValueError:  # a field past the int/str digit limit
-            index, value = map(from_decimal, match.groups())
-        if expected is not None and index != expected:
-            raise BFileParseError(
-                line_no, f"index {to_decimal(index)} not consecutive "
-                f"(expected {to_decimal(expected)})"
-            )
-        expected = index + 1
-        yield index, value
+    line_no = 0
+    for block in _blocks(stream):
+        canonical = _canonical_records(block, expected)
+        if canonical is not None:
+            indices, values = canonical
+            line_no += len(indices)
+            expected = indices[-1] + 1
+            yield from zip(indices, values)
+            continue
+        for line in block.removesuffix("\n").split("\n"):
+            line_no += 1
+            match = _RECORD.fullmatch(line)
+            if match is None:
+                stripped = line.removesuffix("\r").strip(" \t")
+                if not stripped or stripped.startswith("#"):
+                    continue
+                raise BFileParseError(line_no, (
+                    f"expected 'index value', got {line!r}"
+                    if len(line.split()) != 2 else
+                    f"non-integer field in {line!r}"))
+            try:
+                index, value = int(match[1]), int(match[2])
+            except ValueError:  # a field past the int/str digit limit
+                index, value = map(from_decimal, match.groups())
+            if expected is not None and index != expected:
+                raise BFileParseError(
+                    line_no, f"index {to_decimal(index)} not consecutive "
+                    f"(expected {to_decimal(expected)})"
+                )
+            expected = index + 1
+            yield index, value
     if expected is None:
         raise BFileParseError(0, "no records")
 

@@ -40,7 +40,13 @@ brings it down to O(b^1.585).
 from collections.abc import Iterable
 from itertools import chain, islice, zip_longest
 
-__all__ = ["continuant", "diagonal_sum_fast", "run_lengths", "runs_to_int"]
+__all__ = [
+    "continuant",
+    "diagonal_sum_fast",
+    "run_lengths",
+    "runs_to_int",
+    "to_decimal",
+]
 
 # Characters of n ^ (n >> 1)'s text that run_lengths splits at a time:
 # the pieces of two chunks at most are alive at once.
@@ -73,7 +79,23 @@ def _require_index(name, value):
     """_require_int, then ValueError if value is negative."""
     _require_int(name, value)
     if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+        raise ValueError(f"{name} must be >= 0, got {to_decimal(value)}")
+
+
+def to_decimal(value: int) -> str:
+    """str(value) at any size: str() refuses ints past the int/str digit
+    limit, so those are split by a power of ten near half their digits
+    until each piece is within it.  Messages that quote a number format
+    it with this, so a huge bad argument gets the library's own error."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + to_decimal(-value)
+    k = value.bit_length() * 3 // 20  # about half its digits
+    high, low = divmod(value, 10**k)
+    return to_decimal(high) + to_decimal(low).zfill(k)
 
 
 def _mul(x, y):
@@ -164,7 +186,8 @@ def runs_to_int(runs: Iterable[int]) -> int:
     symbol = "1"
     for length in runs:
         if length < 1:
-            raise ValueError(f"run lengths must be >= 1, got {length}")
+            raise ValueError(
+                f"run lengths must be >= 1, got {to_decimal(length)}")
         bits.append(symbol * length)
         symbol = "0" if symbol == "1" else "1"
     if not bits:
@@ -177,7 +200,8 @@ def _continuant_scan(terms, p, q):
     p is K of the terms so far and q is K of one term fewer."""
     for term in terms:
         if term < 1:
-            raise ValueError(f"continuant terms must be >= 1, got {term}")
+            raise ValueError(
+                f"continuant terms must be >= 1, got {to_decimal(term)}")
         p, q = term * p + q, p
     return p, q
 

@@ -35,7 +35,7 @@ from math import isqrt
 from operator import and_, eq
 from types import MappingProxyType
 
-from .continuant import _require_index
+from .continuant import _require_index, to_decimal
 
 __all__ = [
     "TriangleRow",
@@ -53,7 +53,8 @@ __all__ = [
 
 def _require_pair(n, k):
     if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+        raise ValueError(
+            f"need 0 <= k <= n, got n={to_decimal(n)}, k={to_decimal(k)}")
 
 
 class TriangleRow(namedtuple("TriangleRow", "n entries mode")):
@@ -70,7 +71,8 @@ class TriangleRow(namedtuple("TriangleRow", "n entries mode")):
         _row_fn(mode)
         if len(entries) != n + 1:
             raise ValueError(
-                f"row {n} must have {n + 1} entries, got {len(entries)}"
+                f"row {to_decimal(n)} must have {to_decimal(n + 1)} entries, "
+                f"got {len(entries)}"
             )
         return super().__new__(cls, n, entries, mode)
 
@@ -105,7 +107,8 @@ def binom_parity(n: int, k: int) -> int:
     C(n, k) = 0.
     """
     if n < 0 or k < 0:
-        raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
+        raise ValueError(
+            f"n and k must be >= 0, got n={to_decimal(n)}, k={to_decimal(k)}")
     return 1 if n & k == k else 0
 
 
@@ -270,6 +273,7 @@ def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     _require_index("start", start)
     _require_index("stop", stop)
     if stop < start:
-        raise ValueError(f"stop must be >= start, got start={start}, stop={stop}")
+        raise ValueError(f"stop must be >= start, got start={to_decimal(start)}, "
+                         f"stop={to_decimal(stop)}")
     terms = _triangle_terms(start, mode)
     return (term for _index, term in zip(range(start, stop), terms))

@@ -16,8 +16,7 @@ from math import comb
 from types import MappingProxyType
 
 from . import regular, triangle
-from .bfile import to_decimal
-from .continuant import _require_int
+from .continuant import _require_int, to_decimal
 from .continuant import diagonal_sum_fast as _d
 from .stern import carlitz_sum, stern
 
@@ -167,7 +166,7 @@ def run_suite(suite: str, max_n: int) -> VerifyReport:
     """Run one named suite (or 'all') up to max_n and return its report."""
     _require_int("max_n", max_n)
     if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+        raise ValueError(f"max_n must be >= 1, got {to_decimal(max_n)}")
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     return VerifyReport(suite, max_n, tuple(

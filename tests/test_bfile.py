@@ -1,6 +1,8 @@
 import io
 import re
 import sys
+import tracemalloc
+from collections import deque
 from itertools import islice
 
 import pytest
@@ -18,6 +20,7 @@ from modpascal import (
     regular,
     serialize_bfile,
 )
+from modpascal import bfile
 from modpascal.bfile import (
     ROUTES,
     compare_records,
@@ -124,6 +127,17 @@ def test_records_checks_at_the_call(sequence_id, max_index, error, message):
     for make in (records, generate_bfile):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make(sequence_id, max_index)
+
+
+def test_huge_bad_arguments_get_the_library_messages():
+    # str() refuses 10**5000, past CPython's int/str digit limit.
+    big = "1" + "0" * 5000
+    with pytest.raises(ValueError,
+                       match=f"^record 0 has index 0, expected {big}$"):
+        BFile("A114214", 10**5000, ((0, 1),))
+    with pytest.raises(ValueError,
+                       match=f"^max index -{big} is below the sequence offset 0$"):
+        records("A114214", -10**5000)
 
 
 @pytest.mark.parametrize("sequence_id", sorted(SEQUENCES))
@@ -239,6 +253,17 @@ def _consecutive_records(first_and_values):
     return "".join(f"{first + i} {v}\n" for i, v in enumerate(values))
 
 
+def _parse_at(block, text):
+    """parse_bfile(text) with read_records reading block characters at a
+    time: the BFile, or the BFileParseError's (line_no, message)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bfile, "_BLOCK", block)
+        try:
+            return parse_bfile(text, "A114214")
+        except BFileParseError as exc:
+            return exc.line_no, exc.message
+
+
 @given(st.one_of(
     st.text(),
     st.text(alphabet="0123456789 -+_#\t\n\r\x0b\x0c\x1c\u0661x"),
@@ -251,15 +276,94 @@ def _consecutive_records(first_and_values):
     ).map(_consecutive_records),
 ))
 def test_parse_either_round_trips_or_raises_parse_error(text):
-    try:
-        bf = parse_bfile(text, "A114214")
-    except BFileParseError:
+    # The same records or error at every block size, blocks of one
+    # character included.
+    outcomes = {_parse_at(block, text) for block in (1, 7, bfile._BLOCK)}
+    assert len(outcomes) == 1
+    bf, = outcomes
+    if not isinstance(bf, BFile):
         return
     assert parse_bfile(serialize_bfile(bf), "A114214") == bf
     data = [line for line in text.split("\n")
             if line.strip() and not line.strip().startswith("#")]
     assert all(re.fullmatch("[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*\r?", line)
                for line in data)
+
+
+# 300 A114214 records take 1,936 characters: eight blocks of 256.
+SMALL_BLOCK = 256
+LINES = serialize_bfile(generate_bfile("A114214", 299)).splitlines(keepends=True)
+RECORDS = tuple((i, diagonal_sum_fast(i)) for i in range(300))
+
+
+def test_records_split_over_block_edges(monkeypatch):
+    # Every cut of the first lines, from one character a block up.
+    text = "".join(LINES)
+    for block in range(1, 40):
+        monkeypatch.setattr(bfile, "_BLOCK", block)
+        assert tuple(read_records(io.StringIO(text))) == RECORDS, block
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda line: "# a comment\n" + line, id="comment"),
+    pytest.param(lambda line: line.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(lambda line: line.replace(" ", "\t"), id="tab"),
+])
+def test_per_line_forms_in_a_middle_block(monkeypatch, edit):
+    monkeypatch.setattr(bfile, "_BLOCK", SMALL_BLOCK)
+    lines = list(LINES)
+    lines[149] = edit(lines[149])
+    assert tuple(read_records(io.StringIO("".join(lines)))) == RECORDS
+
+
+def test_long_field_in_a_middle_block(monkeypatch):
+    # 5000 digits is past CPython's int/str limit, so int() refuses it.
+    monkeypatch.setattr(bfile, "_BLOCK", SMALL_BLOCK)
+    digits = "9" * 5000
+    lines = list(LINES)
+    lines[149] = f"149 {digits}\n"
+    got = tuple(read_records(io.StringIO("".join(lines))))
+    assert got == RECORDS[:149] + ((149, 10**5000 - 1),) + RECORDS[150:]
+
+
+@pytest.mark.parametrize("line_no, line, message", [
+    (150, "150 3\n", "index 150 not consecutive (expected 149)"),
+    (150, "149 x\n", "non-integer field in '149 x'"),
+    (299, "298 3 3\n", "expected 'index value', got '298 3 3'"),
+])
+def test_parse_error_past_the_first_block(monkeypatch, line_no, line, message):
+    lines = list(LINES)
+    lines[line_no - 1] = line
+    text = "".join(lines)
+    # At one character a block, the bad line is a block of its own.
+    for block in (1, SMALL_BLOCK, bfile._BLOCK):
+        monkeypatch.setattr(bfile, "_BLOCK", block)
+        with pytest.raises(BFileParseError) as info:
+            deque(read_records(io.StringIO(text)), maxlen=0)
+        assert (info.value.line_no, info.value.message) == (line_no, message)
+
+
+def test_no_final_newline(monkeypatch):
+    text = "".join(LINES).removesuffix("\n")
+    monkeypatch.setattr(bfile, "_BLOCK", SMALL_BLOCK)
+    assert tuple(read_records(io.StringIO(text))) == RECORDS
+    with pytest.raises(BFileParseError) as info:
+        deque(read_records(io.StringIO(text + "\n300 x")), maxlen=0)
+    assert info.value.line_no == 301
+
+
+def test_read_records_memory_is_one_block():
+    # Each block is checked by one greedy regex match, whose backtracking
+    # stack grows with the block: with the block's split lists, the peak
+    # is about 0.3 MB at 8 KiB and 2 MB at 64 KiB.
+    stream = io.StringIO(serialize_bfile(generate_bfile("A114212", 200000)))
+    tracemalloc.start()
+    try:
+        deque(read_records(stream), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("sign", ["", "-"])

@@ -376,6 +376,15 @@ def test_bfile_compare_undecodable_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bfile_compare_parse_error_before_a_later_undecodable_byte(tmp_path, capsys):
+    # Text is decoded 8 KiB at a time: a parse error in the first 8 KiB
+    # is reported before the undecodable byte at 12,008.
+    path = tmp_path / "late-byte.txt"
+    path.write_bytes(b"0 1\n1 x\n" + b"2 2\n" * 3000 + b"\xff\n")
+    assert main(["bfile-compare", "A114214", str(path)]) == 3
+    assert capsys.readouterr().err == "error: line 2: non-integer field in '1 x'\n"
+
+
 def test_bfile_compare_splits_records_on_newline_only(tmp_path, capsys):
     path = tmp_path / "crlf.txt"
     path.write_bytes(b"0 1\r\n1 1\r\n2 2\r\n")

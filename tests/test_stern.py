@@ -24,6 +24,12 @@ def test_stern_stream_fixture():
     assert [stern(n) for n in range(16)] == STERN_STREAM
 
 
+def test_stern_rejects_a_huge_negative_index_in_its_own_words():
+    # str() refuses -10**5000, past CPython's int/str digit limit.
+    with pytest.raises(ValueError, match=f"^n must be >= 0, got -1{'0' * 5000}$"):
+        stern(-10**5000)
+
+
 def test_stern_matches_recurrence():
     for n in range(4097):
         assert stern(n) == stern_naive(n)

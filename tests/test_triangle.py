@@ -73,6 +73,14 @@ def test_entry_rejects_bad_pairs(n, k):
         triangle_entry_parity(n, k)
 
 
+def test_entry_rejects_a_huge_pair_in_its_own_words():
+    # str() refuses 10**5000, past CPython's int/str digit limit.
+    n = "1" + "0" * 5000
+    with pytest.raises(ValueError,
+                       match=f"^need 0 <= k <= n, got n={n}, k={n[:-1]}1$"):
+        triangle_entry(10**5000, 10**5000 + 1)
+
+
 def test_parity_entry_is_exact_mod_2():
     for n in range(97):
         for k in range(n + 1):

@@ -35,6 +35,13 @@ def test_suite_validation():
         run_suite("thm1", 0)
 
 
+def test_suite_rejects_a_huge_negative_max_n_in_its_own_words():
+    # str() refuses -10**5000, past CPython's int/str digit limit.
+    with pytest.raises(ValueError,
+                       match=f"^max_n must be >= 1, got -1{'0' * 5000}$"):
+        run_suite("thm1", -10**5000)
+
+
 def test_regular_identity_audit_report_shape():
     report = run_suite("remark", 100)
     assert report.suite == "remark"
