@@ -243,7 +243,9 @@ def _blocks(stream: TextIO) -> Iterator[str]:
         yield tail
 
 
-def _canonical_records(block: str, expected: int | None):
+def _canonical_records(
+        block: str, expected: int | None,
+) -> tuple[list[int], list[int]] | None:
     """The (indices, values) lists of a block whose lines all match
     _CANONICAL, with indices consecutive from expected (from the first,
     if expected is None) and every field within the int/str digit limit;

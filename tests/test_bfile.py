@@ -13,6 +13,7 @@ from modpascal import (
     BFile,
     BFileParseError,
     SEQUENCES,
+    bfile,
     compare_bfile,
     diagonal_sum_fast,
     generate_bfile,
@@ -20,7 +21,6 @@ from modpascal import (
     regular,
     serialize_bfile,
 )
-from modpascal import bfile
 from modpascal.bfile import (
     ROUTES,
     compare_records,
@@ -292,8 +292,8 @@ def test_parse_either_round_trips_or_raises_parse_error(text):
 
 # 300 A114214 records take 1,936 characters: eight blocks of 256.
 SMALL_BLOCK = 256
-LINES = serialize_bfile(generate_bfile("A114214", 299)).splitlines(keepends=True)
-RECORDS = tuple((i, diagonal_sum_fast(i)) for i in range(300))
+RECORDS = generate_bfile("A114214", 299).records
+LINES = list(record_lines(RECORDS))
 
 
 def test_records_split_over_block_edges(monkeypatch):
