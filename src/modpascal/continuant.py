@@ -23,17 +23,18 @@ triangle diagonal into O(log n) big-int operations.  The empty-sequence
 convention K() = 1 makes this hold at n = 0 as well, where the diagonal
 is the single entry T(0, 0) = 1.
 
-This module also holds the kernel under all three fast routes (the
-continuant here, Stern's scan and the matrix representation).  Each
-route states its recurrence once, as a scan that carries a row (x, y)
-through part of its sequence, and hands it to _scan_product.  Up to
-_LEAF items that is the whole computation.  A longer sequence is cut
-into leaves of _LEAF items; a leaf scanned from the unit rows (1, 0)
-and (0, 1) gives its 2x2 matrix in small ints, and _row_product
-multiplies the start row by the leaves as a balanced tree.  Folding left
-to right multiplies an ever-growing accumulator by a small term each
-time, a cost quadratic in the bit length b of the result; the tree
-multiplies operands of equal size, so CPython's Karatsuba multiply
+This module also holds the kernel under all three fast routes (d here,
+Stern's scan and the matrix representation).  Each route states its
+recurrence once, as a scan that carries a row (x, y) through part of
+its sequence.  Up to _LEAF items the scan is the whole computation.
+Past that, the bit routes read n a byte at a time: _byte_table turns a
+route's scan into one 2x2 matrix per byte value, and _bits_product
+multiplies the start row by the matrices of the bytes of n as a
+balanced tree (_row_product).  The term route, continuant(), cuts its
+terms into leaves of _LEAF and takes each leaf's matrix from two scans.
+Folding left to right multiplies an ever-growing accumulator by a small
+term each time, a cost quadratic in the bit length b of the result; the
+tree multiplies operands of equal size, so CPython's Karatsuba multiply
 brings it down to O(b^1.585).
 """
 
@@ -55,7 +56,8 @@ _CHUNK = 1024
 _plus_one = (1).__add__
 
 # Terms, or bits, per leaf of the product tree: sequences up to this
-# long are scanned in one pass.
+# long are scanned in one pass.  For bits it must be 8 times a power of
+# two, so that pairing byte matrices ends at one matrix per leaf.
 _LEAF = 64
 
 _ONE = (1, 0, 0, 1)  # the identity matrix, as (a, b, c, d) = [[a, b], [c, d]]
@@ -124,21 +126,52 @@ def _row_product(row, mats):
             return mats[0][:2]
 
 
-def _scan_product(row, seq, scan):
-    """The row (x, y) after all of seq, starting from row.
+def _byte_table(scan):
+    """The matrices of a bit scan for the 256 bytes, indexed by byte
+    value, bits most significant first.
 
-    scan(part, x, y) is a route's recurrence: the row after part of its
-    sequence (a tuple of terms or a bit string).  Up to _LEAF items, seq
-    is scanned in one pass.  Past that, each leaf of _LEAF items is
-    scanned from both unit rows, which gives the two rows of its matrix,
-    and the leaves are multiplied as a product tree.
+    The two one-bit matrices are the rows scan(bit, 1, 0) and
+    scan(bit, 0, 1); each doubling pairs every entry (the high bits)
+    with every entry (the low bits), so 4 + 16 + 256 products build the
+    table from the scan alone.
     """
-    if len(seq) <= _LEAF:
-        x, y = row  # a faster call than scan(seq, *row) on small inputs
-        return scan(seq, x, y)
-    leaves = (seq[i:i + _LEAF] for i in range(0, len(seq), _LEAF))
-    return _row_product(
-        row, (scan(part, 1, 0) + scan(part, 0, 1) for part in leaves))
+    table = tuple(scan(bit, 1, 0) + scan(bit, 0, 1) for bit in "01")
+    for _ in range(3):
+        table = tuple(_mul(high, low) for high in table for low in table)
+    return table
+
+
+def _bits_product(row, n, scan, table=None):
+    """The row (x, y) after the bits of n, most significant first,
+    starting from row.
+
+    scan(bits, x, y) is a route's recurrence over a bit string, and
+    table its _byte_table (built here if None).  Up to _LEAF bits, bin(n)
+    is scanned in one pass, so n = 0 is the one bit "0".  Past that, the
+    top n.bit_length() % _LEAF bits are scanned, since a start row need
+    not be fixed by the 0-bit matrix, and each byte of n after them is
+    looked up in table, with no Python step per bit.  The byte matrices
+    are paired as they arrive, up to one per leaf of _LEAF bits, so only
+    the leaves' level is ever held as a list, and _row_product
+    multiplies the leaves as a product tree.
+    """
+    size = n.bit_length()
+    if size <= _LEAF:
+        x, y = row  # a faster call than scan(bits, *row) on small inputs
+        return scan(bin(n)[2:], x, y)
+    body = size - size % _LEAF  # the bits of the whole leaves
+    if body < size:
+        row = scan(bin(n >> body)[2:], *row)
+    if table is None:
+        table = _byte_table(scan)
+    # byteorder is passed, as Python 3.10 requires
+    data = (n & ((1 << body) - 1)).to_bytes(body // 8, "big")
+    mats = map(table.__getitem__, data)
+    width = 8  # bits per matrix
+    while width < _LEAF:  # the same iterator twice: adjacent pairs
+        mats = map(_mul, mats, mats)
+        width *= 2
+    return _row_product(row, mats)
 
 
 def _chunk_runs(text):
@@ -210,21 +243,48 @@ def continuant(m: Iterable[int]) -> int:
     """Continuant K(m_0, ..., m_k) of a sequence of positive integers.
 
     The two-term linear recurrence, with denominators of the underlying
-    continued fraction never formed; past _LEAF terms it runs per leaf
-    under a product tree.  O(k) big-int operations either way.
+    continued fraction never formed.  Past _LEAF terms, each leaf of
+    _LEAF terms is scanned from both unit rows, which gives the two rows
+    of its matrix, and the leaves are multiplied as a product tree.
+    O(k) big-int operations either way.
     """
     terms = tuple(m)
     _require_ints("continuant term", terms)
-    return _continuant(terms)
+    if len(terms) <= _LEAF:
+        return _continuant_scan(terms, 1, 0)[0]
+    leaves = (terms[i:i + _LEAF] for i in range(0, len(terms), _LEAF))
+    return _row_product((1, 0), (
+        _continuant_scan(part, 1, 0) + _continuant_scan(part, 0, 1)
+        for part in leaves))[0]
 
 
-def _continuant(terms: tuple[int, ...]) -> int:
-    """continuant of a tuple of ints, with no type check."""
-    return _scan_product((1, 0), terms, _continuant_scan)[0]
+def _d_scan(bits, p, q):
+    """The row (p, q) times F = [[1, 1], [1, 0]] for each 1 bit and
+    L = [[1, 0], [1, 1]] for each 0 bit of bits, the run starts of n
+    (the bits of n ^ (n >> 1))."""
+    for ch in bits:
+        if ch == "1":
+            p, q = p + q, p
+        else:
+            p += q
+    return p, q
+
+
+_D_TABLE = _byte_table(_d_scan)
 
 
 def diagonal_sum_fast(n: int) -> int:
-    """d(n) as the continuant of the run lengths of n; O(log n) big-int
-    operations, subquadratic in the bit length of n.  The run lengths
-    are ints by construction, so they skip continuant's type check."""
-    return _continuant(run_lengths(n))
+    """d(n), the continuant of the run lengths of n, scanned over the
+    bits of t = n ^ (n >> 1), in O(log n) big-int operations and
+    subquadratic in the bit length of n.
+
+    Each 1 bit of t starts a run of n, so a run of length m is the bits
+    1 0^(m-1) of t, with t's top bit at n's.  Since L^k = [[1, 0], [k, 1]],
+    F L^(m-1) = [[1 + (m - 1), 1], [1, 0]] = [[m, 1], [1, 0]], the
+    continuant's matrix for the term m, so the product of F and L over
+    the bits of t is the continuant's product over the runs of n, and
+    from the row (1, 0) its first entry is K of the runs.  t = 0 is the
+    bit "0", and (1, 0) L = (1, 0), whose first entry is K() = 1.
+    """
+    _require_index("n", n)
+    return _bits_product((1, 0), n ^ (n >> 1), _d_scan, _D_TABLE)[0]

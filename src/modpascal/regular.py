@@ -28,16 +28,24 @@ immediate for even n and exactly the first identity for odd n -- so
 d(n) is component 0 of v(floor(n/2)).
 
 The state is carried by one scan over the bits of n, one matrix-vector
-product per bit, and continuant._scan_product either runs it over all
-the bits or, past one leaf, multiplies v0 by the leaves' matrices as a
-balanced tree.  That is O(log n) big-int operations at a subquadratic
-bit cost (see the continuant module).
+product per bit, and continuant._bits_product either runs it over all
+the bits or, past one leaf, multiplies v0 by the matrices of the bytes
+of n as a balanced tree.  That is O(log n) big-int operations at a
+subquadratic bit cost (see the continuant module).  The byte table of
+_REP is built once, at import, and kept with the rep it was built from;
+any other representation builds its own table per call.
 """
 
 from collections import namedtuple
 from types import MappingProxyType
 
-from .continuant import _require_index, _scan_product, diagonal_sum_fast
+from .continuant import (
+    _bits_product,
+    _byte_table,
+    _require_index,
+    diagonal_sum_fast,
+    to_decimal,
+)
 
 __all__ = [
     "LinearRep",
@@ -82,14 +90,16 @@ def diagonal_sum_recurrence(n: int) -> int:
             if i >= m:
                 # every identity must strictly reduce the index down to a base
                 raise RuntimeError(
-                    f"recurrence cannot make progress at index {m}; "
-                    f"base-case set {sorted(_BASE)} does not cover it"
+                    f"recurrence cannot make progress at index "
+                    f"{to_decimal(m)}; base-case set {sorted(_BASE)} "
+                    f"does not cover it"
                 )
             combo[i] = combo.get(i, 0) + coef * c
     value = sum(c * _BASE[i] for i, c in combo.items())
     if value < 0:
         raise RuntimeError(
-            f"recurrence produced negative value {value} at index {n}"
+            f"recurrence produced negative value {to_decimal(value)} "
+            f"at index {to_decimal(n)}"
         )
     return value
 
@@ -119,15 +129,14 @@ def derive_linear_rep() -> LinearRep:
         if got != want:
             raise RuntimeError(
                 f"linear representation disagrees with the continuant route "
-                f"at n={n}: {got} != {want}"
+                f"at n={n}: {to_decimal(got)} != {to_decimal(want)}"
             )
     return _REP
 
 
-def _state(rep: LinearRep, n: int) -> tuple[int, int]:
-    """v(n): v0 carried through m0 or m1 for each bit of n, most
-    significant first.  bin(0) is "0", and v(0) = m0 v(0) because
-    2 * 0 = 0, so n = 0 needs no case of its own."""
+def _rep_scan(rep: LinearRep):
+    """The scan of rep: the state after appending bits to the index,
+    through m0 or m1 for each bit."""
     (a0, b0), (c0, d0) = rep.m0
     (a1, b1), (c1, d1) = rep.m1
 
@@ -139,7 +148,21 @@ def _state(rep: LinearRep, n: int) -> tuple[int, int]:
                 x, y = a0 * x + b0 * y, c0 * x + d0 * y
         return x, y
 
-    return _scan_product(rep.v0, bin(n)[2:], scan)
+    return scan
+
+
+# _REP's byte table, with the rep it was built from: a rep that differs
+# from it, _REP replaced included, builds its own.
+_REP_TABLE = (_REP, _byte_table(_rep_scan(_REP)))
+
+
+def _state(rep: LinearRep, n: int) -> tuple[int, int]:
+    """v(n): v0 carried through m0 or m1 for each bit of n, most
+    significant first.  bin(0) is "0", and v(0) = m0 v(0) because
+    2 * 0 = 0, so n = 0 needs no case of its own."""
+    built_from, table = _REP_TABLE
+    return _bits_product(rep.v0, n, _rep_scan(rep),
+                         table if rep == built_from else None)
 
 
 def linear_rep_state(rep: LinearRep, n: int) -> tuple[int, int]:

@@ -11,11 +11,12 @@ the parity diagonal of Pascal's triangle.  For odd n, s(n) also equals
 the continuant of the binary run lengths of n.
 
 stern states its recurrence once, as _stern_scan over the bits of n
-with one addition per bit, and continuant._scan_product either runs it
-over all the bits or, past one leaf, multiplies the leaves' matrices as
-a balanced tree, which keeps the bit cost subquadratic (see the
-continuant module).  The scan never goes through continuant(), so the
-two stay independent routes to the same values.
+with one addition per bit, and continuant._bits_product either runs it
+over all the bits or, past one leaf, multiplies the matrices of the
+bytes of n, looked up in _STERN_TABLE, as a balanced tree, which keeps
+the bit cost subquadratic (see the continuant module).  The scan never
+goes through continuant(), so the two stay independent routes to the
+same values.
 
 A range costs O(1) big-int operations per term: _stern_terms seeds
 itself with two scans, then steps by Newman's successor rule s(m+2) =
@@ -25,7 +26,7 @@ sums adjacent terms of that sweep: the fast streams of bfile.ROUTES.
 
 from itertools import islice, pairwise
 
-from .continuant import _require_index, _scan_product
+from .continuant import _bits_product, _byte_table, _require_index
 from .triangle import _odd_binomials
 
 __all__ = ["carlitz_sum", "stern"]
@@ -46,13 +47,16 @@ def _stern_scan(bits, a, b):
     return a, b
 
 
+_STERN_TABLE = _byte_table(_stern_scan)
+
+
 def stern(n: int) -> int:
     """s(n) in O(log n) big-int operations, scanning the bits of n
     most-significant-first from (s(0), s(1)) = (0, 1).  No recursion,
     no memo table."""
     _require_index("n", n)
     # bin(0) is "0", and a 0 bit appended to m = 0 leaves (0, 1) as it is
-    return _scan_product((0, 1), bin(n)[2:], _stern_scan)[0]
+    return _bits_product((0, 1), n, _stern_scan, _STERN_TABLE)[0]
 
 
 def carlitz_sum(n: int) -> int:

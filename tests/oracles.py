@@ -76,3 +76,25 @@ def fib(k: int) -> int:
     for _ in range(k):
         a, b = b, a + b
     return a
+
+
+def stern_bits(n: int) -> int:
+    """s(n) from (s(0), s(1)) = (0, 1), one bit of n at a time: appending
+    bit 0 to m gives (s(2m), s(2m+1)), bit 1 gives (s(2m+1), s(2m+2))."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a = a + b
+        else:
+            b = a + b
+    return a
+
+
+def rep_state_bits(rep, n: int) -> tuple[int, int]:
+    """A linear representation's state at n: v0 times m0 or m1 (as
+    matrices acting on a column vector) for each bit of bin(n)."""
+    x, y = rep.v0
+    for bit in bin(n)[2:]:
+        (a, b), (c, d) = rep.m1 if bit == "1" else rep.m0
+        x, y = a * x + b * y, c * x + d * y
+    return x, y

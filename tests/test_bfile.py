@@ -343,6 +343,38 @@ def test_parse_error_past_the_first_block(monkeypatch, line_no, line, message):
         assert (info.value.line_no, info.value.message) == (line_no, message)
 
 
+def _crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+@pytest.mark.parametrize("block", [SMALL_BLOCK, bfile._BLOCK])
+def test_crlf_file_never_reaches_the_per_line_path(monkeypatch, block):
+    # With _RECORD matching nothing the per-line path refuses every
+    # record, so only the block path can read these records.
+    text = "".join(LINES)
+    monkeypatch.setattr(bfile, "_BLOCK", block)
+    assert tuple(read_records(io.StringIO(text))) == RECORDS
+    monkeypatch.setattr(bfile, "_RECORD", re.compile("(?!)"))
+    assert tuple(read_records(io.StringIO(_crlf(text)))) == RECORDS
+
+
+@pytest.mark.parametrize("line_no, line, message", [
+    (150, "150 3\r\n", "index 150 not consecutive (expected 149)"),
+    (150, "149 x\r\n", "non-integer field in '149 x\\r'"),
+    (299, "298 3 3\r\n", "expected 'index value', got '298 3 3\\r'"),
+])
+def test_parse_error_past_the_first_block_of_a_crlf_file(
+        monkeypatch, line_no, line, message):
+    lines = list(map(_crlf, LINES))
+    lines[line_no - 1] = line
+    text = "".join(lines)
+    for block in (1, SMALL_BLOCK, bfile._BLOCK):
+        monkeypatch.setattr(bfile, "_BLOCK", block)
+        with pytest.raises(BFileParseError) as info:
+            deque(read_records(io.StringIO(text)), maxlen=0)
+        assert (info.value.line_no, info.value.message) == (line_no, message)
+
+
 def test_no_final_newline(monkeypatch):
     text = "".join(LINES).removesuffix("\n")
     monkeypatch.setattr(bfile, "_BLOCK", SMALL_BLOCK)

@@ -27,8 +27,17 @@ from modpascal import (
     triangle_row,
     triangle_row_parity,
 )
-from modpascal.continuant import _CHUNK, _LEAF
-from oracles import binary_run_lengths, cf_numerator, fib, stern_naive
+from modpascal import regular
+from modpascal.continuant import _CHUNK, _D_TABLE, _LEAF, _d_scan
+from modpascal.stern import _STERN_TABLE, _stern_scan
+from oracles import (
+    binary_run_lengths,
+    cf_numerator,
+    fib,
+    rep_state_bits,
+    stern_bits,
+    stern_naive,
+)
 from test_stern import alternating
 
 
@@ -212,8 +221,8 @@ def test_tree_continuant_is_continued_fraction_numerator(terms):
     assert continuant(term for term in terms) == want
 
 
-# The sizes at which _scan_product switches between one scan and the
-# tree, and where the tree gains a leaf.
+# The sizes at which a route switches between one scan and the tree,
+# and where the tree gains a leaf.
 LEAF_SIZES = [0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF, 2 * _LEAF + 1]
 
 
@@ -237,6 +246,59 @@ def test_routes_at_leaf_boundaries(size, shape):
         cf_numerator(binary_run_lengths(4 * n)))
     for m in (2 * n, 2 * n + 1):  # both read the state at n
         assert linear_rep_eval(rep, m) == cf_numerator(binary_run_lengths(m))
+
+
+# Past _LEAF bits the bit routes look each byte of n up in a table
+# built from their own scan by doubling its one-bit matrices.
+@pytest.mark.parametrize("table, scan", [
+    pytest.param(_D_TABLE, _d_scan, id="d"),
+    pytest.param(_STERN_TABLE, _stern_scan, id="stern"),
+    pytest.param(regular._REP_TABLE[1], regular._rep_scan(regular._REP),
+                 id="matrix"),
+])
+def test_byte_table_is_the_scan_of_each_byte(table, scan):
+    assert len(table) == 256
+    for byte in range(256):
+        bits = format(byte, "08b")
+        assert table[byte] == scan(bits, 1, 0) + scan(bits, 0, 1), bits
+
+
+def _check_bit_routes(n):
+    """d, stern and the matrix route at n against references that use
+    neither a byte table nor the product tree."""
+    d = continuant(run_lengths(n))
+    assert diagonal_sum_fast(n) == d
+    assert stern(n) == stern_bits(n)
+    rep = derive_linear_rep()
+    assert linear_rep_eval(rep, n) == d
+    assert linear_rep_state(rep, n) == rep_state_bits(rep, n)
+
+
+# Every bit length up to three leaves, which covers each number of bits
+# scanned before the first whole leaf, and lengths far past one leaf.
+BIT_LENGTHS = [*range(1, 201), *range(8000, 8008)]
+
+
+@pytest.mark.parametrize("bits", BIT_LENGTHS)
+def test_bit_routes_at_every_bit_length(bits):
+    rng = random.Random(bits)
+    for n in (rng.getrandbits(bits) | 1 << (bits - 1), alternating(bits),
+              (1 << bits) - 1, 1 << (bits - 1), 1 << (bits - 1) | 1):
+        assert n.bit_length() == bits
+        _check_bit_routes(n)
+        if bits <= 200:
+            assert stern(n) == stern_naive(n)
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.integers(0, 2**5000),
+    st.integers(0, 5000).map(alternating),
+    st.integers(0, 5000).map(lambda k: (1 << k) - 1),
+    st.integers(1, 5000).map(lambda k: (1 << k) + 1),
+))
+def test_bit_routes_match_their_references(n):
+    _check_bit_routes(n)
 
 
 @pytest.mark.parametrize("at", [_LEAF, _LEAF + 1, 3 * _LEAF + 7, 5 * _LEAF - 1])

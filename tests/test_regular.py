@@ -17,7 +17,7 @@ from modpascal import (
     run_suite,
     stern,
 )
-from oracles import binary_run_lengths, cf_numerator
+from oracles import binary_run_lengths, cf_numerator, rep_state_bits
 from test_stern import BIG_N, alternating
 
 
@@ -64,6 +64,16 @@ def test_recurrence_reports_negative_value(monkeypatch):
     monkeypatch.setattr(regular, "_BASE", {0: 1, 2: -2, 4: 3})
     with pytest.raises(RuntimeError, match="negative value"):
         diagonal_sum_recurrence(6)
+
+
+def test_recurrence_reports_huge_numbers_in_its_own_words(monkeypatch):
+    # 10**5000, and the negative value these base values give there, are
+    # past CPython's int/str digit limit, which str() would refuse.
+    monkeypatch.setattr(regular, "_BASE", {0: 1, 2: -2, 4: 3})
+    with pytest.raises(RuntimeError,
+                       match=f"^recurrence produced negative value -[0-9]+ "
+                             f"at index 1{'0' * 5000}$"):
+        diagonal_sum_recurrence(10**5000)
 
 
 @pytest.mark.parametrize("shape", ["random", "alternating", "all-ones"])
@@ -189,6 +199,28 @@ def test_tree_matrix_route_matches_continued_fraction(n):
     assert linear_rep_eval(rep, n) == cf_numerator(binary_run_lengths(n))
     assert linear_rep_state(rep, n) == (
         diagonal_sum_fast(2 * n), diagonal_sum_fast(4 * n))
+
+
+# Neither v0 is fixed by its m0 (m0 v0 != v0), so padding n with zero
+# bits on top would change the state; the second rep's matrices are not
+# _REP's, so _REP's byte table would give wrong states.
+CUSTOM_REPS = [
+    LinearRep(v0=(1, 2), m0=((0, 1), (-1, 2)), m1=((3, -1), (4, -1))),
+    LinearRep(v0=(1, 1), m0=((1, 2), (0, 1)), m1=((1, 0), (3, 1))),
+]
+
+
+@pytest.mark.parametrize("rep", CUSTOM_REPS)
+def test_custom_rep_state_past_one_leaf(rep, monkeypatch):
+    rng = random.Random(36)
+    ns = [rng.getrandbits(bits) | 1 << (bits - 1)
+          for bits in (*range(60, 90), *range(3000, 3008))]
+    for n in ns:
+        assert linear_rep_state(rep, n) == rep_state_bits(rep, n)
+    # A rep put in _REP's place does not read _REP's table either.
+    monkeypatch.setattr(regular, "_REP", rep)
+    for n in ns:
+        assert linear_rep_state(regular._REP, n) == rep_state_bits(rep, n)
 
 
 @pytest.mark.parametrize("shape", ["random", "alternating"])
