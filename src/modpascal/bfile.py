@@ -183,17 +183,28 @@ def generate_bfile(sequence_id: str, max_index: int) -> BFile:
 
 
 def from_decimal(digits: str) -> int:
-    """int(digits) for an ASCII '-?[0-9]+' string of any length, the
-    inverse of to_decimal: int() refuses strings past the int/str digit
-    limit, so those are read in halves until each piece is within it."""
+    """int(digits) for an ASCII '-?[0-9]+' string of any length (leading
+    zeros allowed), the inverse of to_decimal; any other text, also what
+    int() would take (spaces, '_', '+', non-ASCII digits), raises
+    ValueError."""
+    negative = digits.startswith("-")
+    body = digits[1:] if negative else digits
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"not a decimal integer: {digits!r}")
+    value = _from_digits(body)
+    return -value if negative else value
+
+
+def _from_digits(digits):
+    """int(digits) for ASCII digits: int() refuses strings past the
+    int/str digit limit, so those are read in halves until each piece is
+    within it."""
     try:
         return int(digits)
     except ValueError:
         pass
-    if digits.startswith("-"):
-        return -from_decimal(digits[1:])
     k = len(digits) // 2
-    return from_decimal(digits[:-k]) * 10**k + from_decimal(digits[-k:])
+    return _from_digits(digits[:-k]) * 10**k + _from_digits(digits[-k:])
 
 
 def record_lines(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:

@@ -158,8 +158,11 @@ _REP_TABLE = (_REP, _byte_table(_rep_scan(_REP)))
 
 def _state(rep: LinearRep, n: int) -> tuple[int, int]:
     """v(n): v0 carried through m0 or m1 for each bit of n, most
-    significant first.  bin(0) is "0", and v(0) = m0 v(0) because
-    2 * 0 = 0, so n = 0 needs no case of its own."""
+    significant first.  n = 0 has no bits, so v(0) is v0 itself; bin(0)
+    is the one bit "0", which would give m0 v0, and that is v0 only for
+    a v0 fixed by m0, as _REP's is."""
+    if n == 0:
+        return tuple(rep.v0)
     built_from, table = _REP_TABLE
     return _bits_product(rep.v0, n, _rep_scan(rep),
                          table if rep == built_from else None)

@@ -27,7 +27,7 @@ sums adjacent terms of that sweep: the fast streams of bfile.ROUTES.
 from itertools import islice, pairwise
 
 from .continuant import _bits_product, _byte_table, _require_index
-from .triangle import _odd_binomials
+from .triangle import _odd_diagonal
 
 __all__ = ["carlitz_sum", "stern"]
 
@@ -60,10 +60,10 @@ def stern(n: int) -> int:
 
 
 def carlitz_sum(n: int) -> int:
-    """Sum of C(n - k, k) mod 2 for k <= n/2; equals s(n+1).  O(n)."""
+    """Sum of C(n - k, k) mod 2 for k <= n/2; equals s(n+1).  n/2 + 1
+    carry tests (Kummer's theorem), streamed in O(1) memory."""
     _require_index("n", n)
-    ks = range(n // 2 + 1)
-    return sum(_odd_binomials(range(n, n - len(ks), -1), ks))
+    return _odd_diagonal(n)
 
 
 def _newman(a, b):

@@ -32,7 +32,7 @@ middle of a row, so fixed-width types are not an option.
 from collections import namedtuple
 from itertools import chain, count, cycle, repeat
 from math import isqrt
-from operator import and_, eq
+from operator import and_, countOf, eq
 from types import MappingProxyType
 
 from .continuant import _require_index, to_decimal
@@ -81,21 +81,39 @@ class TriangleRow(namedtuple("TriangleRow", "n entries mode")):
         return cls(*iterable)
 
 
+# The fused two-term step of triangle_entry divides by ((j+1)(j+2))^2,
+# which fits one 30-bit digit of a CPython int for even j below this.
+# Past it, CPython's multi-digit long division costs more than two
+# one-term steps with one-digit divisors.
+_FUSED = 180
+
+
 def triangle_entry(n: int, k: int) -> int:
     """Exact T(n, k) by the defining sum over even j.
 
-    One product p = C(k, j) * C(n - k, j) is carried along the sum; each
-    division is exact, as p_(j-1) * (k-j+1) * (n-k-j+1) = j^2 * p_j.  Cost
-    is O(min(k, n - k)) small-int steps.  This is the reference route:
-    the exact streams run the recurrence of _exact_row instead.
+    One product p = C(k, j) * C(n - k, j) is carried along the sum, from
+    one even j to the next:
+
+        p_(j+2) = p_j (k-j)(k-j-1)(n-k-j)(n-k-j-1) / ((j+1)(j+2))^2,
+
+    which is exact, as p_(j-1) (k-j+1) (n-k-j+1) = j^2 p_j.  From j =
+    _FUSED on, the step is taken as those two one-term steps, with the
+    smaller divisors (j+1)^2 and (j+2)^2.  Cost is min(k, n - k) / 2
+    steps of a few big-by-small-int operations.  This is the reference
+    route: the exact streams run the recurrence of _exact_row instead.
     """
     _require_pair(n, k)
     m = n - k
     p = total = 1  # p = C(k, j) * C(m, j), starting at j = 0
-    for j in range(1, min(k, m) + 1):
-        p = p * ((k - j + 1) * (m - j + 1)) // (j * j)
-        if j % 2 == 0:
-            total += p
+    last = min(k, m) - 1  # each step goes from j to j + 2 <= min(k, m)
+    for j in range(0, min(last, _FUSED), 2):
+        p = p * ((k - j) * (k - j - 1) * (m - j) * (m - j - 1)) // (
+            (j + 1) * (j + 2)) ** 2
+        total += p
+    for j in range(_FUSED, last, 2):
+        p = p * ((k - j) * (m - j)) // ((j + 1) * (j + 1))
+        p = p * ((k - j - 1) * (m - j - 1)) // ((j + 2) * (j + 2))
+        total += p
     return total
 
 
@@ -237,17 +255,24 @@ def row_sum_closed(n: int) -> int:
     return (1 << n.bit_count()) + (1 << (n - 2).bit_count())
 
 
+def _odd_diagonal(top):
+    """How many C(top - k, k) are odd for 0 <= k <= top/2, as a count of
+    zeros with no Python step per k.  By Kummer's theorem C(top - k, k)
+    is odd iff adding k and top - 2k carries nowhere, that is iff
+    k & (top - 2k) == 0, and top - 2k runs down top, top - 2, ..."""
+    return countOf(map(and_, range(top // 2 + 1), range(top, -1, -2)), 0)
+
+
 def diagonal_sum_brute(n: int) -> int:
-    """d(n) summed along the diagonal of the parity triangle; O(n).
+    """d(n) summed along the diagonal of the parity triangle: n/2 + 1
+    carry tests, streamed in O(1) memory.
 
     This is the slow reference route for the diagonal sums; the
     continuant and matrix-recurrence routes must agree with it.
     """
     _require_index("n", n)
     # (n - k) + k = n, so T(n - k, k) is C(top - k, k) mod 2 for every k
-    top = n - n % 2
-    ks = range(n // 2 + 1)
-    return sum(_odd_binomials(range(top, top - len(ks), -1), ks))
+    return _odd_diagonal(n - n % 2)
 
 
 def _triangle_terms(start: int, mode: str):

@@ -92,9 +92,11 @@ def stern_bits(n: int) -> int:
 
 def rep_state_bits(rep, n: int) -> tuple[int, int]:
     """A linear representation's state at n: v0 times m0 or m1 (as
-    matrices acting on a column vector) for each bit of bin(n)."""
+    matrices acting on a column vector) for each bit of n, none for
+    n = 0."""
     x, y = rep.v0
-    for bit in bin(n)[2:]:
+    bits = bin(n)[2:] if n else ""  # bin(0) is "0", but 0 has no bits
+    for bit in bits:
         (a, b), (c, d) = rep.m1 if bit == "1" else rep.m0
         x, y = a * x + b * y, c * x + d * y
     return x, y

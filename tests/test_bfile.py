@@ -165,6 +165,25 @@ def test_decimal_round_trip_at_the_digit_limit():
             assert to_decimal(value) == text, digits
 
 
+@pytest.mark.parametrize("text", [
+    "", "-", "--5", "+5", "abc", "1 2", " 7", "7\n", "1_0", "0x1f",
+    "\u0663", "-\u0663", "\u00b2", "1\u0663",
+])
+def test_from_decimal_refuses_all_but_ascii_decimal(text):
+    # '1 2', '1_0' and the Arabic-Indic digit three are all text int()
+    # takes; '' and '-' once recursed without end.
+    with pytest.raises(ValueError, match="^not a decimal integer: "):
+        from_decimal(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("007", 7), ("-007", -7), ("123", 123),
+    ("-45", -45), ("0" * 6000 + "12", 12), ("-" + "0" * 6000 + "3", -3),
+])
+def test_from_decimal_values(text, value):
+    assert from_decimal(text) == value
+
+
 @pytest.mark.parametrize("table", [
     pytest.param(ROUTES, id="ROUTES"),
     *(pytest.param(routes, id=f"ROUTES[{which}]")

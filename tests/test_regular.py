@@ -223,6 +223,13 @@ def test_custom_rep_state_past_one_leaf(rep, monkeypatch):
         assert linear_rep_state(regular._REP, n) == rep_state_bits(rep, n)
 
 
+def test_custom_rep_state_at_zero_is_v0():
+    # n = 0 has no bits, so no m0 acts: m0 v0 = (2, 3) != v0 here.
+    rep = LinearRep(v0=(1, 2), m0=((0, 1), (-1, 2)), m1=((3, -1), (4, -1)))
+    assert linear_rep_state(rep, 0) == (1, 2) == rep_state_bits(rep, 0)
+    assert linear_rep_eval(rep, 0) == linear_rep_eval(rep, 1) == 1
+
+
 @pytest.mark.parametrize("shape", ["random", "alternating"])
 def test_three_routes_agree_at_1e5_bits(shape):
     bits = 10**5

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from modpascal import (
     TriangleRow,
     binom_parity,
+    carlitz_sum,
     diagonal_sum_brute,
+    diagonal_sum_fast,
     iter_triangle_terms,
     row_sum_brute,
     row_sum_closed,
+    stern,
     triangle_entry,
     triangle_entry_parity,
     triangle_row,
@@ -57,6 +60,18 @@ def test_entry_matches_defining_sum():
 def test_entry_matches_defining_sum_to_300(nk):
     # the carried product's division is exact well past the grid above
     assert triangle_entry(*nk) == t_entry(*nk)
+
+
+@pytest.mark.parametrize("n, ks", [
+    # the fused step's divisor ((j+1)(j+2))^2 passes one 30-bit digit at
+    # j = 180, so these rows take both kinds of step
+    *((n, range(n + 1)) for n in range(359, 363)),
+    *((n, range(0, n + 1, 7)) for n in (1000, 1001)),
+    (4001, [2000]), (4000, [1999]),
+])
+def test_entry_matches_defining_sum_past_one_digit(n, ks):
+    for k in ks:
+        assert triangle_entry(n, k) == t_entry(n, k), k
 
 
 def test_entry_row_symmetry():
@@ -167,6 +182,39 @@ def test_consecutive_diagonal_sums_agree_brute_force():
 def test_diagonal_sum_brute_matches_reference():
     for n in range(301):
         assert diagonal_sum_brute(n) == diag_sum(n)
+
+
+def test_parity_diagonals_match_binomials_to_3000():
+    # d(n) and carlitz_sum(n) count the odd C(top - k, k), k <= top/2,
+    # for top = n - n % 2 and top = n.  Pascal's rule mod 2 gives the
+    # parity of row a as the bits of one int; math.comb sums check it
+    # where they are quick (to 3000 they take minutes).
+    rows = [1]
+    for _ in range(3000):
+        rows.append(rows[-1] ^ rows[-1] << 1)
+    odd = [sum(rows[top - k] >> k & 1 for k in range(top // 2 + 1))
+           for top in range(3001)]
+    for top in range(1001):
+        assert odd[top] == sum(comb(top - k, k) % 2 for k in range(top // 2 + 1))
+    for n in range(3001):
+        assert diagonal_sum_brute(n) == odd[n - n % 2], n
+        assert carlitz_sum(n) == odd[n], n
+
+
+def test_parity_diagonals_at_a_million():
+    n = 10**6
+    assert diagonal_sum_brute(n) == diagonal_sum_fast(n)
+    assert carlitz_sum(n) == stern(n + 1)
+
+
+def test_diagonal_sum_brute_streams():
+    tracemalloc.start()
+    try:
+        diagonal_sum_brute(2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_diagonal_sum_stream_fixture():
