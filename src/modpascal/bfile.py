@@ -12,10 +12,12 @@ here, all indexed from 0:
 Each id is the stream of one route in ROUTES, the table of evaluation
 routes behind the `seq` command: an endless stream terms(start) that
 each reader cuts with its own range, so b-files stream line by line.
-Every route checks start at the call.  The fast routes of d and stern
-are sweeps, O(1) big-int operations per term by Newman's successor rule
-(see the stern module); the per-index kernels beside them, continuant
-and scan, check them term for term.
+Every route checks start at the call.  The fast routes of d, r and
+stern are sweeps: d and stern at O(1) big-int operations per term by
+Newman's successor rule (see the stern module), r at one multiply per
+term by blocks of the binary weight (see triangle._row_sum_terms).  The
+per-index kernels beside them, continuant, closed and scan, check them
+term for term.
 
 The b-file layer is a stream of (index, value) records, which the CLI
 runs too: records gives a b-file's records, record_lines writes them,
@@ -53,6 +55,7 @@ from .regular import diagonal_sum_recurrence
 from .stern import _d_terms, _stern_terms, carlitz_sum, stern
 from .triangle import (
     _ROWS,
+    _row_sum_terms,
     _triangle_terms,
     diagonal_sum_brute,
     row_sum_brute,
@@ -131,6 +134,7 @@ ROUTES = MappingProxyType({
         "recurrence": _per_index(diagonal_sum_recurrence),
     }),
     "r": MappingProxyType({
+        "fast": _row_sum_terms,
         "closed": _per_index(row_sum_closed),
         "brute": _per_index(row_sum_brute),
     }),
@@ -150,7 +154,7 @@ ROUTES = MappingProxyType({
 SEQUENCES = MappingProxyType({
     "A119326": ("t-row", "exact"),
     "A114213": ("t-row", "parity"),
-    "A114212": ("r", "closed"),
+    "A114212": ("r", "fast"),
     "A114214": ("d", "fast"),
 })
 

@@ -30,9 +30,9 @@ middle of a row, so fixed-width types are not an option.
 """
 
 from collections import namedtuple
-from itertools import chain, count, cycle, repeat
+from itertools import chain, count, cycle, islice, repeat
 from math import isqrt
-from operator import and_, countOf, eq
+from operator import add, and_, countOf, eq
 from types import MappingProxyType
 
 from .continuant import _require_index, to_decimal
@@ -253,6 +253,46 @@ def row_sum_closed(n: int) -> int:
     if n % 2 == 1:
         return 1 << n.bit_count()
     return (1 << n.bit_count()) + (1 << (n - 2).bit_count())
+
+
+# _row_sum_terms sweeps blocks of 2 * 2^_ROW_SUM_BITS row sums.  The
+# block is built per call, so a small one keeps the first term cheap;
+# the sweep runs as fast at any larger size.
+_ROW_SUM_BITS = 8
+
+
+def _row_sum_blocks(c, tail):
+    """The row sums from block c on, as two iterables per block: its
+    first term, then tail (block 0 less its first term) times 2^s2(c)."""
+    for c in count(c):
+        scale = 1 << c.bit_count()
+        # r(2cB) = 2^s2(cB) + 2^s2(cB - 1), and cB - 1 = (c - 1)B + B - 1
+        yield (scale + (1 << ((c - 1).bit_count() + _ROW_SUM_BITS))
+               if c else 1,)
+        yield map(scale.__mul__, tail)
+
+
+def _row_sum_terms(start: int):
+    """The endless stream r(start), r(start+1), ...; start is checked at
+    the call, not at the first term.
+
+    The binary weight adds over blocks: s2(cB + m) = s2(c) + s2(m) for
+    B = 2^_ROW_SUM_BITS and m < B.  So with n = 2j + e and j = cB + m,
+
+        r(2j + 1) = 2^s2(c) * 2 * 2^s2(m),
+        r(2j) = 2^s2(c) * (2^s2(m) + 2^s2(m - 1))   for m >= 1,
+
+    and the 2B row sums of block c are those of block 0 times 2^s2(c),
+    one C-level multiply per term, except for the block's first term
+    r(2cB), which _row_sum_blocks computes on its own.
+    """
+    _require_index("start", start)
+    weights = [1 << m.bit_count() for m in range(1 << _ROW_SUM_BITS)]
+    evens = map(add, weights[1:], weights)  # r(2m), 0 < m < B
+    odds = [w << 1 for w in weights]  # r(2m + 1), m < B
+    tail = [odds[0], *chain.from_iterable(zip(evens, odds[1:]))]
+    c, offset = divmod(start, 2 << _ROW_SUM_BITS)
+    return islice(chain.from_iterable(_row_sum_blocks(c, tail)), offset, None)
 
 
 def _odd_diagonal(top):

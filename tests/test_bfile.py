@@ -19,7 +19,9 @@ from modpascal import (
     generate_bfile,
     parse_bfile,
     regular,
+    row_sum_closed,
     serialize_bfile,
+    triangle,
 )
 from modpascal.bfile import (
     ROUTES,
@@ -66,7 +68,7 @@ def test_every_route_checks_start_at_the_call():
 
 
 # Each sweep against the per-index kernel of its sequence.
-SWEEPS = (("d", "continuant"), ("stern", "scan"))
+SWEEPS = (("d", "continuant"), ("r", "closed"), ("stern", "scan"))
 
 
 def test_sweeps_match_per_index_kernels_from_zero():
@@ -88,6 +90,18 @@ def test_sweeps_match_per_index_kernels_at_huge_starts(parity, half):
         routes = ROUTES[which]
         assert (list(islice(routes["fast"](start), 64))
                 == list(islice(routes[kernel](start), 64))), (which, start)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 2**9 - 1, 2**9, 2**64 - 1, 2**64, 2**70])
+def test_row_sum_sweep_across_block_edges(c):
+    # Block c of the r sweep starts at index 2cB and its first term is
+    # computed on its own; check three blocks from just before, at and
+    # just after that edge.
+    block = 2 << triangle._ROW_SUM_BITS
+    for start in (c * block - 1, c * block, c * block + 1):
+        got = list(islice(ROUTES["r"]["fast"](start), 3 * block))
+        assert got == [row_sum_closed(n)
+                       for n in range(start, start + 3 * block)], start
 
 
 def test_known_sequence_ids():

@@ -136,7 +136,7 @@ def test_seq_triangle_terms(capsys):
         ["seq", "d", "-3..4"],
         ["seq", "d", "x..y"],
         ["seq", "d", "0..9", "--method", "closed"],
-        ["seq", "r", "0..9", "--method", "fast"],
+        ["seq", "r", "0..9", "--method", "scan"],
         ["seq", "nope", "0..9"],
         # int() takes these, but a range is ASCII [0-9]+
         ["seq", "d", "1_0"],
