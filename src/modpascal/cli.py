@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bfc.set_defaults(handler=_cmd_bfile_compare, parser=bfc)
 
     ver = commands.add_parser("verify", help="run an identity check suite")
-    ver.add_argument("suite", choices=verify.SUITE_NAMES)
+    ver.add_argument("suite", choices=verify.SUITE_CHOICES)
     ver.add_argument(
         "--max-n", type=_number, default=256,
         help="largest parameter checked per identity (default: 256; the "

@@ -28,10 +28,11 @@ Stern's scan and the matrix representation).  Each route states its
 recurrence once, as a scan that carries a row (x, y) through part of
 its sequence.  Up to _LEAF items the scan is the whole computation.
 Past that, the bit routes read n a byte at a time: _byte_table turns a
-route's scan into one 2x2 matrix per byte value, and _bits_product
-multiplies the start row by the matrices of the bytes of n as a
-balanced tree (_row_product).  The term route, continuant(), cuts its
-terms into leaves of _LEAF and takes each leaf's matrix from two scans.
+route's scan into one 2x2 matrix per byte value, built the first time
+a route's n passes one leaf, and _bits_product multiplies the start row
+by the matrices of the bytes of n as a balanced tree (_row_product).
+The term route, continuant(), cuts its terms into leaves of _LEAF and
+takes each leaf's matrix from two scans.
 Folding left to right multiplies an ever-growing accumulator by a small
 term each time, a cost quadratic in the bit length b of the result; the
 tree multiplies operands of equal size, so CPython's Karatsuba multiply
@@ -39,6 +40,7 @@ brings it down to O(b^1.585).
 """
 
 from collections.abc import Iterable
+from functools import cache
 from itertools import chain, islice, zip_longest
 
 __all__ = [
@@ -146,14 +148,15 @@ def _bits_product(row, n, scan, table=None):
     starting from row.
 
     scan(bits, x, y) is a route's recurrence over a bit string, and
-    table its _byte_table (built here if None).  Up to _LEAF bits, bin(n)
-    is scanned in one pass, so n = 0 is the one bit "0".  Past that, the
-    top n.bit_length() % _LEAF bits are scanned, since a start row need
-    not be fixed by the 0-bit matrix, and each byte of n after them is
-    looked up in table, with no Python step per bit.  The byte matrices
-    are paired as they arrive, up to one per leaf of _LEAF bits, so only
-    the leaves' level is ever held as a list, and _row_product
-    multiplies the leaves as a product tree.
+    table() returns its _byte_table (built here if table is None).  Up to
+    _LEAF bits, bin(n) is scanned in one pass, so n = 0 is the one bit
+    "0", and table is never called.  Past that, the top n.bit_length() %
+    _LEAF bits are scanned, since a start row need not be fixed by the
+    0-bit matrix, and each byte of n after them is looked up in the
+    table, with no Python step per bit.  The byte matrices are paired as
+    they arrive, up to one per leaf of _LEAF bits, so only the leaves'
+    level is ever held as a list, and _row_product multiplies the leaves
+    as a product tree.
     """
     size = n.bit_length()
     if size <= _LEAF:
@@ -162,8 +165,7 @@ def _bits_product(row, n, scan, table=None):
     body = size - size % _LEAF  # the bits of the whole leaves
     if body < size:
         row = scan(bin(n >> body)[2:], *row)
-    if table is None:
-        table = _byte_table(scan)
+    table = _byte_table(scan) if table is None else table()
     # byteorder is passed, as Python 3.10 requires
     data = (n & ((1 << body) - 1)).to_bytes(body // 8, "big")
     mats = map(table.__getitem__, data)
@@ -270,7 +272,11 @@ def _d_scan(bits, p, q):
     return p, q
 
 
-_D_TABLE = _byte_table(_d_scan)
+@cache
+def _d_table():
+    """_d_scan's byte table, built on the first d past one leaf, not at
+    import: a CLI call that never gets there does not pay for it."""
+    return _byte_table(_d_scan)
 
 
 def diagonal_sum_fast(n: int) -> int:
@@ -287,4 +293,4 @@ def diagonal_sum_fast(n: int) -> int:
     bit "0", and (1, 0) L = (1, 0), whose first entry is K() = 1.
     """
     _require_index("n", n)
-    return _bits_product((1, 0), n ^ (n >> 1), _d_scan, _D_TABLE)[0]
+    return _bits_product((1, 0), n ^ (n >> 1), _d_scan, _d_table)[0]

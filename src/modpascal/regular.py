@@ -31,12 +31,14 @@ The state is carried by one scan over the bits of n, one matrix-vector
 product per bit, and continuant._bits_product either runs it over all
 the bits or, past one leaf, multiplies v0 by the matrices of the bytes
 of n as a balanced tree.  That is O(log n) big-int operations at a
-subquadratic bit cost (see the continuant module).  The byte table of
-_REP is built once, at import, and kept with the rep it was built from;
-any other representation builds its own table per call.
+subquadratic bit cost (see the continuant module).  _REP's byte table
+is built the first time a state passes one leaf and kept, keyed by the
+rep it was built for; any other representation builds its own table
+per call.
 """
 
 from collections import namedtuple
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .continuant import (
@@ -151,9 +153,12 @@ def _rep_scan(rep: LinearRep):
     return scan
 
 
-# _REP's byte table, with the rep it was built from: a rep that differs
-# from it, _REP replaced included, builds its own.
-_REP_TABLE = (_REP, _byte_table(_rep_scan(_REP)))
+@lru_cache(maxsize=1)
+def _rep_table(rep: LinearRep):
+    """The byte table of rep's scan, built on first use; the table of the
+    last rep asked for is kept.  _state asks for the rep that _REP is at
+    the call, so a replaced _REP gets a table of its own."""
+    return _byte_table(_rep_scan(rep))
 
 
 def _state(rep: LinearRep, n: int) -> tuple[int, int]:
@@ -163,9 +168,8 @@ def _state(rep: LinearRep, n: int) -> tuple[int, int]:
     a v0 fixed by m0, as _REP's is."""
     if n == 0:
         return tuple(rep.v0)
-    built_from, table = _REP_TABLE
     return _bits_product(rep.v0, n, _rep_scan(rep),
-                         table if rep == built_from else None)
+                         partial(_rep_table, rep) if rep == _REP else None)
 
 
 def linear_rep_state(rep: LinearRep, n: int) -> tuple[int, int]:

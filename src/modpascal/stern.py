@@ -13,10 +13,10 @@ the continuant of the binary run lengths of n.
 stern states its recurrence once, as _stern_scan over the bits of n
 with one addition per bit, and continuant._bits_product either runs it
 over all the bits or, past one leaf, multiplies the matrices of the
-bytes of n, looked up in _STERN_TABLE, as a balanced tree, which keeps
-the bit cost subquadratic (see the continuant module).  The scan never
-goes through continuant(), so the two stay independent routes to the
-same values.
+bytes of n, looked up in _stern_table() (built on first use), as a
+balanced tree, which keeps the bit cost subquadratic (see the
+continuant module).  The scan never goes through continuant(), so the
+two stay independent routes to the same values.
 
 A range costs O(1) big-int operations per term: _stern_terms seeds
 itself with two scans, then steps by Newman's successor rule s(m+2) =
@@ -24,6 +24,7 @@ s(m) + s(m+1) - 2 (s(m) mod s(m+1)) (Calkin & Wilf, 2000), and _d_terms
 sums adjacent terms of that sweep: the fast streams of bfile.ROUTES.
 """
 
+from functools import cache
 from itertools import islice, pairwise
 
 from .continuant import _bits_product, _byte_table, _require_index
@@ -47,7 +48,10 @@ def _stern_scan(bits, a, b):
     return a, b
 
 
-_STERN_TABLE = _byte_table(_stern_scan)
+@cache
+def _stern_table():
+    """_stern_scan's byte table, built on the first s(n) past one leaf."""
+    return _byte_table(_stern_scan)
 
 
 def stern(n: int) -> int:
@@ -56,7 +60,7 @@ def stern(n: int) -> int:
     no memo table."""
     _require_index("n", n)
     # bin(0) is "0", and a 0 bit appended to m = 0 leaves (0, 1) as it is
-    return _bits_product((0, 1), n, _stern_scan, _STERN_TABLE)[0]
+    return _bits_product((0, 1), n, _stern_scan, _stern_table)[0]
 
 
 def carlitz_sum(n: int) -> int:

@@ -14,7 +14,7 @@ the table _ROWS, and every stream (_triangle_terms, iter_triangle_terms,
 triangle_row, triangle_row_parity, row_sum_brute) reads its entries from
 that function.  Exact rows run an order-2 recurrence in k, O(n) big-int
 operations per row; triangle_entry evaluates the defining sum and is
-the reference that `verify proposition` and the tests compare against.
+the reference that `verify rows` and the tests compare against.
 
 The parity of T(n, k) never requires the defining sum: it collapses to
 the parity of a single ordinary binomial coefficient (C(n, k) when n + k

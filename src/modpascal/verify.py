@@ -1,21 +1,29 @@
 """Cross-checking suites for every identity the library relies on.
 
 The suites are one table, _SUITES: each names its identities as rows
-(name, indices, lhs, rhs), where indices(max_n) gives the indices to
-scan and lhs and rhs are two independently computed sides of the
-identity.  run_suite scans the rows of one suite, or of every suite in
-table order for "all", and reports per-identity check counts plus the
-first counterexample, if any.  A route that disagrees, the matrix
-representation included, is reported as a counterexample in the
-report, never raised; the CLI maps a failing report to its exit status.
+(name, indices, lhs, rhs), and whether "all" runs it.  indices(max_n)
+gives the indices to scan, which may be read more than once, and lhs
+and rhs are two independently computed sides of the identity, each a
+value stream values(indices) that yields the side's value at each index
+in turn.  A per-index function enters as partial(map, fn), and an
+endless route of bfile.ROUTES, such as the exact row stream or a sweep,
+enters as that route started at the first index.  run_suite scans the
+rows of one suite, or of every suite "all" runs in table order, and
+reports per-identity check counts plus the first counterexample, if
+any.  A route that disagrees, the matrix representation included, or a
+stream that ends before its indices do, is reported as a counterexample
+in the report, never raised; the CLI maps a failing report to its exit
+status.
 """
 
 from collections import namedtuple
-from itertools import repeat
+from functools import partial
+from itertools import chain, islice, repeat, starmap
 from math import comb
 from types import MappingProxyType
 
 from . import regular, triangle
+from .bfile import ROUTES
 from .continuant import _require_int, to_decimal
 from .continuant import diagonal_sum_fast as _d
 from .stern import carlitz_sum, stern
@@ -23,6 +31,7 @@ from .stern import carlitz_sum, stern
 __all__ = [
     "Counterexample",
     "IdentityResult",
+    "SUITE_CHOICES",
     "SUITE_NAMES",
     "VerifyReport",
     "run_suite",
@@ -31,7 +40,7 @@ __all__ = [
 
 class Counterexample(namedtuple("Counterexample", "index lhs rhs")):
     """The two sides of an identity that disagree at index, an int or a
-    tuple like (n, k)."""
+    tuple like (n, k); a side is None where its stream had ended."""
 
     __slots__ = ()
 
@@ -67,99 +76,178 @@ class VerifyReport(namedtuple("VerifyReport", "suite max_n results")):
                 index, lhs, rhs = r.counterexample
                 index = (f"({', '.join(map(to_decimal, index))})"
                          if isinstance(index, tuple) else to_decimal(index))
+                lhs, rhs = ("(ended)" if v is None else to_decimal(v)
+                            for v in (lhs, rhs))
                 out.append(
                     f"  FAIL {r.name}: counterexample at {index}: "
-                    f"lhs={to_decimal(lhs)} rhs={to_decimal(rhs)} "
-                    f"({r.checked} checks ran)"
+                    f"lhs={lhs} rhs={rhs} ({r.checked} checks ran)"
                 )
         status = "pass" if self.passed else "FAIL"
         out.append(f"  => {status}")
         return out
 
 
-def _scan(name, indices, lhs_fn, rhs_fn):
-    """Compare lhs_fn and rhs_fn across indices; keep the first mismatch."""
+def _scan(name, indices, lhs, rhs):
+    """Compare the value streams lhs(indices) and rhs(indices) index by
+    index; keep the first mismatch.  Each side is read only as far as
+    indices go, so an endless route needs no cut, and a side that ends
+    early reads None from there on: a mismatch at its first missing
+    index, never a pass."""
     checked = 0
     first = None
-    for i in indices:
-        lhs = lhs_fn(i)
-        rhs = rhs_fn(i)
+    sides = zip(indices, chain(lhs(indices), repeat(None)),
+                chain(rhs(indices), repeat(None)))
+    for i, a, b in sides:
         checked += 1
-        if lhs != rhs and first is None:
-            first = Counterexample(i, lhs, rhs)
+        if first is None and (a != b or a is None):
+            first = Counterexample(i, a, b)
     return IdentityResult(name, checked, first)
+
+
+def _route(terms, at=None, step=1):
+    """The side read off an endless route terms(start): started at the
+    first index i, or at at(i), and read at every step-th term, so it
+    stands for consecutive indices."""
+    def values(indices):
+        first = next(iter(indices))
+        return islice(terms(first if at is None else at(first)), 0, None, step)
+    return values
 
 
 def _upto(max_n):
     return range(max_n + 1)
 
 
-def _pairs_to(max_n):
-    for n in range(max_n + 1):
-        for k in range(n + 1):
-            yield (n, k)
+def _past_2_64(max_n):
+    return range(1 << 64, (1 << 64) + max_n + 1)
+
+
+class _Pairs:
+    """The pairs (n, k), 0 <= k <= n <= max_n, by rows, anew at each
+    iteration, so that _scan and both sides can read them."""
+
+    __slots__ = ("max_n",)
+
+    def __init__(self, max_n):
+        self.max_n = max_n
+
+    def __iter__(self):
+        return chain.from_iterable(
+            zip(repeat(n), range(n + 1)) for n in range(self.max_n + 1))
+
+
+def _linear(nk):
+    """The index of T(n, k) in the triangle read by rows."""
+    n, k = nk
+    return n * (n + 1) // 2 + k
+
+
+# The exact triangle read by rows, as the A119326 b-file streams it: each
+# row by the order-2 recurrence in k (triangle._exact_row).
+_exact_rows = _route(ROUTES["t-row"]["exact"], at=_linear)
+
+# s(2n+1) for consecutive n: every second term of the Stern sweep, which
+# steps by Newman's rule (stern._stern_terms)
+_odd_stern = _route(ROUTES["stern"]["fast"], at=lambda n: 2 * n + 1, step=2)
+
+
+class _Suite(namedtuple("_Suite", "rows in_all", defaults=(True,))):
+    """The identities of one suite, each a row (name, indices, lhs, rhs),
+    and whether "all" runs it."""
+
+    __slots__ = ()
 
 
 # suite -> its identities, each a row (name, indices, lhs, rhs) scanned by
-# _scan over indices(max_n).  "all" runs every row in this order.
+# _scan over indices(max_n), and lhs and rhs each a value stream
+# values(indices).  "all" runs the rows of every suite with in_all, in
+# this order; the others run only by name.
 _SUITES = MappingProxyType({
-    "proposition": (
-        ("parity entry = exact entry mod 2", _pairs_to,
-         lambda nk: triangle.triangle_entry_parity(*nk),
-         lambda nk: triangle.triangle_entry(*nk) % 2),
-    ),
-    "thm1": (
+    "proposition": _Suite((
+        # Lucas' reduction per entry against the exact row stream
+        ("parity entry = exact entry mod 2", _Pairs,
+         partial(starmap, triangle.triangle_entry_parity),
+         lambda pairs: map((1).__and__, _exact_rows(pairs))),
+    )),
+    "thm1": _Suite((
         ("continuant route = triangle brute force", _upto,
-         _d, triangle.diagonal_sum_brute),
+         partial(map, _d), partial(map, triangle.diagonal_sum_brute)),
         ("continuant route = scalar recurrence", _upto,
-         _d, regular.diagonal_sum_recurrence),
+         partial(map, _d), partial(map, regular.diagonal_sum_recurrence)),
         ("continuant route = matrix representation", _upto,
-         _d, lambda n: regular.linear_rep_eval(regular._REP, n)),
-    ),
-    "thm2": (
+         partial(map, _d),
+         partial(map, lambda n: regular.linear_rep_eval(regular._REP, n))),
+    )),
+    "thm2": _Suite((
         ("row sum closed form = brute force",
          lambda max_n: range(1, max_n + 1),
-         triangle.row_sum_closed, triangle.row_sum_brute),
+         partial(map, triangle.row_sum_closed),
+         partial(map, triangle.row_sum_brute)),
         ("row sum at 0 is the single entry", lambda _max_n: (0,),
-         triangle.row_sum_closed, lambda _n: 1),
-    ),
-    "eq2": (
+         partial(map, triangle.row_sum_closed),
+         partial(map, lambda _n: 1)),
+    )),
+    "eq2": _Suite((
         ("d(2n) = d(2n+1)", _upto,
-         lambda n: _d(2 * n), lambda n: _d(2 * n + 1)),
-    ),
-    "eq3": (
+         partial(map, lambda n: _d(2 * n)),
+         partial(map, lambda n: _d(2 * n + 1))),
+    )),
+    "eq3": _Suite((
         ("d(2n) = s(2n+1)", _upto,
-         lambda n: _d(2 * n), lambda n: stern(2 * n + 1)),
+         partial(map, lambda n: _d(2 * n)), _odd_stern),
         ("d(2n+1) = s(2n+1)", _upto,
-         lambda n: _d(2 * n + 1), lambda n: stern(2 * n + 1)),
-    ),
-    "carlitz": (
+         partial(map, lambda n: _d(2 * n + 1)), _odd_stern),
+    )),
+    "carlitz": _Suite((
         ("binomial-parity diagonal = s(n+1)", _upto,
-         carlitz_sum, lambda n: stern(n + 1)),
-    ),
-    "remark": (
+         partial(map, carlitz_sum), partial(map, lambda n: stern(n + 1))),
+    )),
+    "remark": _Suite((
         ("d(2n+1) = d(2n)", _upto,
-         lambda n: _d(2 * n + 1), lambda n: _d(2 * n)),
+         partial(map, lambda n: _d(2 * n + 1)),
+         partial(map, lambda n: _d(2 * n))),
         ("d(4n+2) = 3 d(2n) - d(4n)", _upto,
-         lambda n: _d(4 * n + 2), lambda n: 3 * _d(2 * n) - _d(4 * n)),
+         partial(map, lambda n: _d(4 * n + 2)),
+         partial(map, lambda n: 3 * _d(2 * n) - _d(4 * n))),
         ("d(8n) = -d(2n) + 2 d(4n)", _upto,
-         lambda n: _d(8 * n), lambda n: -_d(2 * n) + 2 * _d(4 * n)),
+         partial(map, lambda n: _d(8 * n)),
+         partial(map, lambda n: -_d(2 * n) + 2 * _d(4 * n))),
         ("d(8n+4) = 4 d(2n) - d(4n)", _upto,
-         lambda n: _d(8 * n + 4), lambda n: 4 * _d(2 * n) - _d(4 * n)),
-    ),
-    "lucas": (
-        ("bitwise binomial parity = exact binomial mod 2", _pairs_to,
-         lambda nk: triangle.binom_parity(*nk),
-         lambda nk: comb(*nk) % 2),
-    ),
-    "glaisher": (
+         partial(map, lambda n: _d(8 * n + 4)),
+         partial(map, lambda n: 4 * _d(2 * n) - _d(4 * n))),
+    )),
+    "lucas": _Suite((
+        ("bitwise binomial parity = exact binomial mod 2", _Pairs,
+         partial(starmap, triangle.binom_parity),
+         partial(starmap, lambda n, k: comb(n, k) % 2)),
+    )),
+    "glaisher": _Suite((
         ("odd entries in Pascal row n = 2^popcount(n)", _upto,
-         lambda n: sum(triangle._odd_binomials(repeat(n), range(n + 1))),
-         lambda n: 1 << n.bit_count()),
-    ),
+         partial(map, lambda n: sum(
+             triangle._odd_binomials(repeat(n), range(n + 1)))),
+         partial(map, lambda n: 1 << n.bit_count())),
+    )),
+    "rows": _Suite((
+        ("exact row stream = defining sum", _Pairs,
+         _exact_rows, partial(starmap, triangle.triangle_entry)),
+    ), in_all=False),
+    # each sweep of bfile.ROUTES against its per-index kernel, from 0 and
+    # from 2^64, where the kernels read n a byte at a time
+    "sweeps": _Suite(tuple(
+        (f"{which} fast = {kernel} from {where}", indices,
+         _route(ROUTES[which]["fast"]), _route(ROUTES[which][kernel]))
+        for which, kernel in (("d", "continuant"), ("r", "closed"),
+                              ("stern", "scan"))
+        for where, indices in (("0", _upto), ("2^64", _past_2_64))
+    ), in_all=False),
 })
 
-SUITE_NAMES = ("all",) + tuple(_SUITES)
+# "all" and the suites it runs, in order
+SUITE_NAMES = ("all",) + tuple(key for key, suite in _SUITES.items()
+                               if suite.in_all)
+# every name run_suite takes: SUITE_NAMES, then the suites run only by name
+SUITE_CHOICES = SUITE_NAMES + tuple(key for key, suite in _SUITES.items()
+                                    if not suite.in_all)
 
 
 def run_suite(suite: str, max_n: int) -> VerifyReport:
@@ -167,10 +255,12 @@ def run_suite(suite: str, max_n: int) -> VerifyReport:
     _require_int("max_n", max_n)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {to_decimal(max_n)}")
-    if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    if suite not in SUITE_CHOICES:
+        raise ValueError(
+            f"unknown suite {suite!r}; choose from {SUITE_CHOICES}")
     return VerifyReport(suite, max_n, tuple(
         _scan(name, indices(max_n), lhs, rhs)
-        for key, rows in _SUITES.items() if suite in ("all", key)
+        for key, (rows, in_all) in _SUITES.items()
+        if key == suite or (suite == "all" and in_all)
         for name, indices, lhs, rhs in rows
     ))

@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modpascal
 from modpascal import (
     TriangleRow,
     carlitz_sum,
@@ -28,8 +33,8 @@ from modpascal import (
     triangle_row_parity,
 )
 from modpascal import regular
-from modpascal.continuant import _CHUNK, _D_TABLE, _LEAF, _d_scan
-from modpascal.stern import _STERN_TABLE, _stern_scan
+from modpascal.continuant import _CHUNK, _LEAF, _d_scan, _d_table
+from modpascal.stern import _stern_scan, _stern_table
 from oracles import (
     binary_run_lengths,
     cf_numerator,
@@ -251,16 +256,43 @@ def test_routes_at_leaf_boundaries(size, shape):
 # Past _LEAF bits the bit routes look each byte of n up in a table
 # built from their own scan by doubling its one-bit matrices.
 @pytest.mark.parametrize("table, scan", [
-    pytest.param(_D_TABLE, _d_scan, id="d"),
-    pytest.param(_STERN_TABLE, _stern_scan, id="stern"),
-    pytest.param(regular._REP_TABLE[1], regular._rep_scan(regular._REP),
-                 id="matrix"),
+    pytest.param(_d_table, _d_scan, id="d"),
+    pytest.param(_stern_table, _stern_scan, id="stern"),
+    pytest.param(partial(regular._rep_table, regular._REP),
+                 regular._rep_scan(regular._REP), id="matrix"),
 ])
 def test_byte_table_is_the_scan_of_each_byte(table, scan):
+    table = table()
     assert len(table) == 256
     for byte in range(256):
         bits = format(byte, "08b")
         assert table[byte] == scan(bits, 1, 0) + scan(bits, 0, 1), bits
+
+
+# A fresh process, since other tests here build the tables: importing the
+# CLI builds none, n of one leaf (64 bits) still none, and 65 bits each.
+BUILT_PAST_ONE_LEAF = """
+from importlib import import_module
+import modpascal.cli
+continuant, regular, stern = map(import_module, (
+    "modpascal.continuant", "modpascal.regular", "modpascal.stern"))
+tables = (continuant._d_table, stern._stern_table, regular._rep_table)
+built = lambda: [table.cache_info().currsize for table in tables]
+print(built())
+for n in ((1 << 64) - 1, 1 << 64):
+    continuant.diagonal_sum_fast(n)
+    stern.stern(n)
+    regular.linear_rep_state(regular._REP, n)
+    print(built())
+"""
+
+
+def test_byte_tables_are_built_past_one_leaf_only():
+    env = dict(os.environ, PYTHONPATH=str(Path(modpascal.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", BUILT_PAST_ONE_LEAF], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.stderr, done.stdout.split("\n")) == (
+        "", ["[0, 0, 0]", "[0, 0, 0]", "[1, 1, 1]", ""])
 
 
 def _check_bit_routes(n):

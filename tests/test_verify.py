@@ -1,17 +1,45 @@
+from functools import partial
+from itertools import count, islice
+
 import pytest
 
-from modpascal import regular, run_suite
+from modpascal import regular, run_suite, triangle, verify
 from modpascal.cli import main
 from modpascal.verify import (
     Counterexample,
     IdentityResult,
+    SUITE_CHOICES,
     SUITE_NAMES,
     VerifyReport,
+    _route,
     _scan,
 )
 
+# `modpascal verify all --max-n 24` in full: a change to any label, count
+# or line of the report fails here, not only in the benchmark's digest.
+ALL_24 = """\
+suite all (max_n=24)
+  PASS parity entry = exact entry mod 2: 325 checks
+  PASS continuant route = triangle brute force: 25 checks
+  PASS continuant route = scalar recurrence: 25 checks
+  PASS continuant route = matrix representation: 25 checks
+  PASS row sum closed form = brute force: 24 checks
+  PASS row sum at 0 is the single entry: 1 checks
+  PASS d(2n) = d(2n+1): 25 checks
+  PASS d(2n) = s(2n+1): 25 checks
+  PASS d(2n+1) = s(2n+1): 25 checks
+  PASS binomial-parity diagonal = s(n+1): 25 checks
+  PASS d(2n+1) = d(2n): 25 checks
+  PASS d(4n+2) = 3 d(2n) - d(4n): 25 checks
+  PASS d(8n) = -d(2n) + 2 d(4n): 25 checks
+  PASS d(8n+4) = 4 d(2n) - d(4n): 25 checks
+  PASS bitwise binomial parity = exact binomial mod 2: 325 checks
+  PASS odd entries in Pascal row n = 2^popcount(n): 25 checks
+  => pass
+"""
 
-@pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "all"])
+
+@pytest.mark.parametrize("suite", [s for s in SUITE_CHOICES if s != "all"])
 def test_every_suite_passes_at_small_range(suite):
     report = run_suite(suite, 32)
     assert report.suite == suite
@@ -26,6 +54,71 @@ def test_all_suite_concatenates_everything():
     assert len(report.results) == 16
     alone = [r for s in SUITE_NAMES[1:] for r in run_suite(s, 24).results]
     assert report.results == tuple(alone)
+    # rows and sweeps run only by name, so "all" keeps its text
+    assert SUITE_CHOICES == SUITE_NAMES + ("rows", "sweeps")
+    assert not {"rows", "sweeps"} & set(SUITE_NAMES)
+
+
+def test_verify_all_text_is_pinned(capsys):
+    assert main(["verify", "all", "--max-n", "24"]) == 0
+    assert capsys.readouterr().out == ALL_24
+
+
+def test_rows_and_sweeps_reports():
+    rows = run_suite("rows", 40)
+    assert rows.lines() == [
+        "suite rows (max_n=40)",
+        "  PASS exact row stream = defining sum: 861 checks",
+        "  => pass",
+    ]
+    sweeps = run_suite("sweeps", 40)
+    assert sweeps.passed
+    assert [(r.name, r.checked) for r in sweeps.results] == [
+        (f"{which} fast = {kernel} from {where}", 41)
+        for which, kernel in (("d", "continuant"), ("r", "closed"),
+                              ("stern", "scan"))
+        for where in ("0", "2^64")
+    ]
+
+
+def _exact_row_off_by_one_at(n0, k0):
+    """triangle._ROWS with T(n0, k0) one too large in the exact rows."""
+    def row(n, k):
+        return (t + (n == n0 and i == k0)
+                for i, t in enumerate(triangle._exact_row(n, k), k))
+    return {**triangle._ROWS, "exact": row}
+
+
+def test_corrupt_exact_entry_fails_at_its_pair(monkeypatch, capsys):
+    monkeypatch.setattr(triangle, "_ROWS", _exact_row_off_by_one_at(200, 77))
+    result, = run_suite("proposition", 250).results
+    parity = triangle.triangle_entry_parity(200, 77)
+    assert result == IdentityResult(
+        "parity entry = exact entry mod 2", 31626,
+        Counterexample((200, 77), parity, 1 - parity))
+    assert main(["verify", "rows", "--max-n", "210"]) == 1
+    out, err = capsys.readouterr()
+    entry = triangle.triangle_entry(200, 77)
+    assert (f"  FAIL exact row stream = defining sum: counterexample at "
+            f"(200, 77): lhs={entry + 1} rhs={entry} (22366 checks ran)"
+            in out.splitlines())
+    assert err == ""
+
+
+def test_stream_that_stops_early_is_a_fail(monkeypatch, capsys):
+    (name, indices, lhs, rhs), = verify._SUITES["proposition"].rows
+    short = (name, indices, lhs, lambda pairs: islice(rhs(pairs), 100))
+    monkeypatch.setattr(verify, "_SUITES", {
+        **verify._SUITES,
+        "proposition": verify._Suite((short,)),
+    })
+    fail = ("  FAIL parity entry = exact entry mod 2: counterexample at "
+            "(13, 9): lhs=1 rhs=(ended) (325 checks ran)")
+    assert run_suite("proposition", 24).lines()[1] == fail
+    assert main(["verify", "all", "--max-n", "24"]) == 1
+    out, err = capsys.readouterr()
+    assert fail in out.splitlines()
+    assert err == ""
 
 
 def test_suite_validation():
@@ -104,7 +197,25 @@ def test_failing_report_renders_numbers_past_the_digit_limit():
 
 
 def test_scan_keeps_first_counterexample_and_keeps_counting():
-    result = _scan("squares = cubes", range(5), lambda n: n * n,
-                   lambda n: n**3)
-    assert result.checked == 5
-    assert result.counterexample == Counterexample(2, 4, 8)
+    cubes = _route(lambda start: (n**3 for n in count(start)))
+    for rhs in (partial(map, lambda n: n**3), cubes):
+        result = _scan("squares = cubes", range(5),
+                       partial(map, lambda n: n * n), rhs)
+        assert result.checked == 5
+        assert result.counterexample == Counterexample(2, 4, 8)
+    # an endless route is read only as far as the indices go
+    assert _scan("cubes", range(10**6, 10**6 + 3), cubes,
+                 partial(map, lambda n: n**3)) == IdentityResult("cubes", 3)
+
+
+def test_scan_fails_a_side_that_ends_early():
+    squares = partial(map, lambda n: n * n)
+    three = lambda ns: islice(squares(ns), 3)
+    empty = lambda ns: iter(())
+    for lhs, rhs, counterexample in [
+        (three, squares, Counterexample(3, None, 9)),
+        (squares, empty, Counterexample(0, 0, None)),
+        (empty, empty, Counterexample(0, None, None)),
+    ]:
+        result = _scan("short", range(5), lhs, rhs)
+        assert result == IdentityResult("short", 5, counterexample)
