@@ -64,6 +64,10 @@ _LEAF = 64
 
 _ONE = (1, 0, 0, 1)  # the identity matrix, as (a, b, c, d) = [[a, b], [c, d]]
 
+# The column (1, 0) as a matrix with a zero second column: the last
+# factor of a product tree whose caller keeps only entry 0 of its row.
+_READOUT = (1, 0, 0, 0)
+
 
 def _require_int(name, value):
     """TypeError unless value is an int (bool is not)."""
@@ -117,8 +121,11 @@ def _row_product(row, mats):
     left, so both operands of every multiply are about the same size.
     The row enters first, as a matrix whose second row is zero:
     multiplying by 0 is free, so the products down the tree's left
-    spine cost half.  The bottom level is paired as the matrices
-    arrive, so the iterable is never held as a list.
+    spine cost half.  A caller that keeps only entry 0 ends mats with
+    _READOUT, whose second column is zero: then the products down the
+    right spine cost half too, and the root 2 multiplies, not 4.  The
+    bottom level is paired as the matrices arrive, so the iterable is
+    never held as a list.
     """
     mats = chain([(*row, 0, 0)], mats)
     while True:
@@ -143,9 +150,11 @@ def _byte_table(scan):
     return table
 
 
-def _bits_product(row, n, scan, table=None):
+def _bits_product(row, n, scan, table=None, readout=True):
     """The row (x, y) after the bits of n, most significant first,
-    starting from row.
+    starting from row.  With readout, the default, the caller keeps only
+    x, and past one leaf y comes back as 0; readout=False gives the
+    whole row.
 
     scan(bits, x, y) is a route's recurrence over a bit string, and
     table() returns its _byte_table (built here if table is None).  Up to
@@ -156,7 +165,7 @@ def _bits_product(row, n, scan, table=None):
     table, with no Python step per bit.  The byte matrices are paired as
     they arrive, up to one per leaf of _LEAF bits, so only the leaves'
     level is ever held as a list, and _row_product multiplies the leaves
-    as a product tree.
+    as a product tree, with _READOUT last for a readout.
     """
     size = n.bit_length()
     if size <= _LEAF:
@@ -173,7 +182,7 @@ def _bits_product(row, n, scan, table=None):
     while width < _LEAF:  # the same iterator twice: adjacent pairs
         mats = map(_mul, mats, mats)
         width *= 2
-    return _row_product(row, mats)
+    return _row_product(row, chain(mats, (_READOUT,) if readout else ()))
 
 
 def _chunk_runs(text):
@@ -255,9 +264,9 @@ def continuant(m: Iterable[int]) -> int:
     if len(terms) <= _LEAF:
         return _continuant_scan(terms, 1, 0)[0]
     leaves = (terms[i:i + _LEAF] for i in range(0, len(terms), _LEAF))
-    return _row_product((1, 0), (
+    return _row_product((1, 0), chain((
         _continuant_scan(part, 1, 0) + _continuant_scan(part, 0, 1)
-        for part in leaves))[0]
+        for part in leaves), (_READOUT,)))[0]
 
 
 def _d_scan(bits, p, q):

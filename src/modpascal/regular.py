@@ -161,22 +161,25 @@ def _rep_table(rep: LinearRep):
     return _byte_table(_rep_scan(rep))
 
 
-def _state(rep: LinearRep, n: int) -> tuple[int, int]:
+def _state(rep: LinearRep, n: int, readout: bool = True) -> tuple[int, int]:
     """v(n): v0 carried through m0 or m1 for each bit of n, most
-    significant first.  n = 0 has no bits, so v(0) is v0 itself; bin(0)
-    is the one bit "0", which would give m0 v0, and that is v0 only for
-    a v0 fixed by m0, as _REP's is."""
+    significant first.  With readout, the default, only entry 0 is kept,
+    and past one leaf entry 1 comes back as 0; readout=False gives the
+    whole state.  n = 0 has no bits, so v(0) is v0 itself; bin(0) is the
+    one bit "0", which would give m0 v0, and that is v0 only for a v0
+    fixed by m0, as _REP's is."""
     if n == 0:
         return tuple(rep.v0)
     return _bits_product(rep.v0, n, _rep_scan(rep),
-                         partial(_rep_table, rep) if rep == _REP else None)
+                         partial(_rep_table, rep) if rep == _REP else None,
+                         readout)
 
 
 def linear_rep_state(rep: LinearRep, n: int) -> tuple[int, int]:
     """State vector (d(2n), d(4n)): v0 times one matrix per bit of n,
     multiplied as a product tree past one leaf of bits."""
     _require_index("n", n)
-    return _state(rep, n)
+    return _state(rep, n, readout=False)
 
 
 def linear_rep_eval(rep: LinearRep, n: int) -> int:

@@ -9,12 +9,34 @@ with C(a, b) = 0 whenever b > a.  Reducing mod 2 gives the 0/1 triangle
 A114213, whose row sums r(n) form A114212 and whose diagonal sums d(n)
 form A114214.
 
-Each mode of the triangle, "exact" or "parity", is one row function in
-the table _ROWS, and every stream (_triangle_terms, iter_triangle_terms,
-triangle_row, triangle_row_parity, row_sum_brute) reads its entries from
-that function.  Exact rows run an order-2 recurrence in k, O(n) big-int
-operations per row; triangle_entry evaluates the defining sum and is
-the reference that `verify rows` and the tests compare against.
+Each mode of the triangle, "exact" or "parity", is one rows function in
+the table _ROWS, and _triangle_terms, and so iter_triangle_terms and the
+t-row route of the b-files, reads its entries from that function.
+
+Exact rows have two routes.  The generating function of T, with u
+marking k and v marking n - k, splits as
+
+    G(u, v) = 1 / ((1 - u)(1 - v)(1 - w^2)),  w = uv / ((1 - u)(1 - v)),
+            = 1/2 [1 / (1 - u - v) + 1 / (1 - u - v + 2uv)],
+
+so T(n, k) = (C(n, k) + E(n, k)) / 2, where the second fraction gives
+E(n, k) = sum of (-1)^j C(k, j) C(n - k, j) over all j and the rule
+
+    E(n, k) = E(n-1, k-1) + E(n-1, k) - 2 E(n-2, k-1),
+
+while C(n, k) follows Pascal's rule.  Together they give
+
+    T(n, k) = T(n-1, k-1) + T(n-1, k) - E(n-2, k-1).
+
+_exact_rows builds each row past the second of a stream this way, from
+three half rows (T and E are both symmetric in k and n - k), by a few
+C-level maps of additions: no multiply, no division and no Python step
+per entry.  _exact_row runs an order-2 recurrence in k instead, O(n)
+big-int operations per row, one multiply and one exact division per
+entry, and serves where a row stands alone: a stream's first row,
+which may start mid-row, its seeds, and triangle_row.  triangle_entry
+evaluates the defining sum and is the reference that `verify rows` and
+the tests compare both against.
 
 The parity of T(n, k) never requires the defining sum: it collapses to
 the parity of a single ordinary binomial coefficient (C(n, k) when n + k
@@ -30,9 +52,9 @@ middle of a row, so fixed-width types are not an option.
 """
 
 from collections import namedtuple
-from itertools import chain, count, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from math import isqrt
-from operator import add, and_, countOf, eq
+from operator import add, and_, countOf, eq, sub
 from types import MappingProxyType
 
 from .continuant import _require_index, to_decimal
@@ -152,12 +174,18 @@ def triangle_entry_parity(n: int, k: int) -> int:
 def _exact_row(n, k):
     """T(n, k), ..., T(n, n), each yielded as soon as it is known.
 
-    By Vandermonde, T(n, k) = (C(n, k) + E(k)) / 2 with
+    By the split of the generating function in the module docstring (or
+    by Vandermonde), T(n, k) = (C(n, k) + E(k)) / 2 with
 
-        E(k) = sum of (-1)^j C(k, j) C(n - k, j) over all j
-             = [x^k] (1 + x)^k (1 - x)^(n - k),
+        E(k) = E(n, k) = sum of (-1)^j C(k, j) C(n - k, j) over all j
+             = [x^k] (1 + x)^k (1 - x)^(n - k).
 
-    and E satisfies, for 1 <= k <= n, the order-2 recurrence in k
+    Across rows, E follows E(n, k) = E(n-1, k-1) + E(n-1, k) -
+    2 E(n-2, k-1), which _exact_rows runs by additions past a stream's
+    second row.  Along one row, which is what this function needs for a
+    row that stands alone (a stream's first row, the seeds of the
+    additions, triangle_row), E satisfies, for 1 <= k <= n, the order-2
+    recurrence in k
 
         c0(k) E(k) + c1(k) E(k-1) + c2(k) E(k-2) = 0,
         c0 = k (k-n-1) (2k-n-3),
@@ -204,6 +232,70 @@ def _exact_row(n, k):
     yield from (half[n - i] for i in range(max(k, n // 2 + 1), n + 1))
 
 
+def _split(m):
+    """The half rows T(m, 0..m/2) and E(m, 0..m/2) = 2 T(m, .) - C(m, .):
+    T by _exact_row, and C by C(m, i) = C(m, i-1) (m-i+1) / i."""
+    t = list(islice(_exact_row(m, 0), m // 2 + 1))
+    c = accumulate(range(1, m // 2 + 1), lambda c, i: c * (m - i + 1) // i,
+                   initial=1)
+    return t, list(map(sub, map(add, t, t), c))
+
+
+_ZERO = (0,)
+
+
+def _pascal_half(half, size):
+    """Pascal's rule on a symmetric row held as its half: the first size
+    entries of x(k-1) + x(k) for the next row.  Reading half on into its
+    mirror gives the one entry past the half that an odd row's successor
+    needs."""
+    return map(add, chain(_ZERO, half),
+               islice(chain(half, reversed(half)), size))
+
+
+def _mirror(half, n):
+    """Row n, symmetric in k and n - k, from its half 0..n/2."""
+    return half + half[n % 2 - 2::-1]
+
+
+def _exact_rows(n, k):
+    """The exact rows n (from entry k on), n + 1, n + 2, ..., each an
+    iterable of its entries.
+
+    Row n comes from _exact_row(n, k), so a stream that ends inside it
+    does no other work.  Row n + 1 is seeded, as the half rows of T and E,
+    from _exact_row(n + 1, 0), and E(n) from one extra _exact_row(n, 0).
+    Each later row is the module docstring's rule on half rows,
+
+        T(n, k) = T(n-1, k-1) + T(n-1, k) - E(n-2, k-1),
+        E(n, k) = E(n-1, k-1) + E(n-1, k) - 2 E(n-2, k-1),
+
+    for k <= n/2, then mirrored: a few C-level maps per row and three
+    half rows held.
+    """
+    yield _exact_row(n, k)
+    n += 1
+    t, e = _split(n)
+    yield _mirror(t, n)
+    e_prev = _split(n - 1)[1]
+    for n in count(n + 1):
+        size = n // 2 + 1
+        t = list(map(sub, _pascal_half(t, size), chain(_ZERO, e_prev)))
+        e, e_prev = list(map(sub, _pascal_half(e, size),
+                             chain(_ZERO, map(add, e_prev, e_prev)))), e
+        yield _mirror(t, n)
+
+
+def _pascal_rows():
+    """The rows of Pascal's triangle, C(n, 0..n) for n = 0, 1, ..., each
+    a list built from the one before by Pascal's rule, with no multiply
+    and no Python step per entry."""
+    row = [1]
+    while True:
+        yield row
+        row = list(map(add, chain(_ZERO, row), chain(row, _ZERO)))
+
+
 def _parity_row(n, k):
     """T(n, k), ..., T(n, n) mod 2: T(n, i) is C(n - (n + i) % 2, i) mod 2,
     so the tops alternate n and n - 1 from the phase of n + k."""
@@ -211,9 +303,16 @@ def _parity_row(n, k):
     return map(int, _odd_binomials(cycle(tops), range(k, n + 1)))
 
 
-# Each mode of the triangle and its row function row(n, k), which
-# streams T(n, k..n): the one place that maps a mode to code.
-_ROWS = MappingProxyType({"exact": _exact_row, "parity": _parity_row})
+def _parity_rows(n, k):
+    """The mod-2 rows n (from entry k on), n + 1, ..., each by _parity_row."""
+    return chain((_parity_row(n, k),),
+                 map(_parity_row, count(n + 1), repeat(0)))
+
+
+# Each mode of the triangle and its rows function rows(n, k), which
+# streams row n from T(n, k) on and every row after it, each row an
+# iterable: the one place that maps a mode to code.
+_ROWS = MappingProxyType({"exact": _exact_rows, "parity": _parity_rows})
 
 
 def _row_fn(mode: str):
@@ -318,13 +417,12 @@ def diagonal_sum_brute(n: int) -> int:
 def _triangle_terms(start: int, mode: str):
     """The endless stream of triangle entries read by rows, from linear
     index start on: index 0 is T(0, 0), and row n occupies indices
-    n(n+1)/2 .. n(n+1)/2 + n, each row from the mode's row function."""
+    n(n+1)/2 .. n(n+1)/2 + n, the rows from the mode's rows function."""
     _require_index("start", start)
-    row = _row_fn(mode)
+    rows = _row_fn(mode)
     # largest n with n(n+1)/2 <= start; isqrt is exact, so no correction
     n = (isqrt(8 * start + 1) - 1) // 2
-    return chain(row(n, start - n * (n + 1) // 2),
-                 chain.from_iterable(map(row, count(n + 1), repeat(0))))
+    return chain.from_iterable(rows(n, start - n * (n + 1) // 2))
 
 
 def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
@@ -332,8 +430,9 @@ def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     range(start, stop).
 
     Bad arguments raise at the call.  This is _triangle_terms cut at
-    stop: an exact row costs O(n) big-int operations and a term at either
-    end of a row O(1); parity terms cost O(1) memory each.
+    stop: the first two exact rows cost O(n) big-int operations each,
+    with a term at either end of the first row O(1), and each later row
+    O(n) big-int additions; parity terms cost O(1) memory each.
     """
     _require_index("start", start)
     _require_index("stop", stop)

@@ -7,7 +7,11 @@ and rhs are two independently computed sides of the identity, each a
 value stream values(indices) that yields the side's value at each index
 in turn.  A per-index function enters as partial(map, fn), and an
 endless route of bfile.ROUTES, such as the exact row stream or a sweep,
-enters as that route started at the first index.  run_suite scans the
+enters as that route started at the first index.  Over the pairs (n, k),
+which start at (0, 0), a side may also be rows built from row 0 on:
+`lucas` reads the exact Pascal rows by Pascal's rule, and `rows` reads
+the exact row stream, which builds rows by additions, against both the
+defining sum and rows by the order-2 recurrence in k.  run_suite scans the
 rows of one suite, or of every suite "all" runs in table order, and
 reports per-identity check counts plus the first counterexample, if
 any.  A route that disagrees, the matrix representation included, or a
@@ -18,8 +22,7 @@ status.
 
 from collections import namedtuple
 from functools import partial
-from itertools import chain, islice, repeat, starmap
-from math import comb
+from itertools import chain, count, islice, repeat, starmap
 from types import MappingProxyType
 
 from . import regular, triangle
@@ -142,9 +145,10 @@ def _linear(nk):
     return n * (n + 1) // 2 + k
 
 
-# The exact triangle read by rows, as the A119326 b-file streams it: each
-# row by the order-2 recurrence in k (triangle._exact_row).
-_exact_rows = _route(ROUTES["t-row"]["exact"], at=_linear)
+# The exact triangle read by rows, as the A119326 b-file streams it: past
+# its second row, each row by additions from the rows before it
+# (triangle._exact_rows).
+_exact_stream = _route(ROUTES["t-row"]["exact"], at=_linear)
 
 # s(2n+1) for consecutive n: every second term of the Stern sweep, which
 # steps by Newman's rule (stern._stern_terms)
@@ -167,7 +171,7 @@ _SUITES = MappingProxyType({
         # Lucas' reduction per entry against the exact row stream
         ("parity entry = exact entry mod 2", _Pairs,
          partial(starmap, triangle.triangle_entry_parity),
-         lambda pairs: map((1).__and__, _exact_rows(pairs))),
+         lambda pairs: map((1).__and__, _exact_stream(pairs))),
     )),
     "thm1": _Suite((
         ("continuant route = triangle brute force", _upto,
@@ -217,9 +221,13 @@ _SUITES = MappingProxyType({
          partial(map, lambda n: 4 * _d(2 * n) - _d(4 * n))),
     )),
     "lucas": _Suite((
+        # exact Pascal rows by Pascal's rule, reduced mod 2; like the
+        # order-2 recurrence in rows below, read from row 0, where
+        # _Pairs starts
         ("bitwise binomial parity = exact binomial mod 2", _Pairs,
          partial(starmap, triangle.binom_parity),
-         partial(starmap, lambda n, k: comb(n, k) % 2)),
+         lambda pairs: map((1).__and__,
+                           chain.from_iterable(triangle._pascal_rows()))),
     )),
     "glaisher": _Suite((
         ("odd entries in Pascal row n = 2^popcount(n)", _upto,
@@ -229,7 +237,10 @@ _SUITES = MappingProxyType({
     )),
     "rows": _Suite((
         ("exact row stream = defining sum", _Pairs,
-         _exact_rows, partial(starmap, triangle.triangle_entry)),
+         _exact_stream, partial(starmap, triangle.triangle_entry)),
+        ("exact row stream = order-2 recurrence in k", _Pairs,
+         _exact_stream, lambda pairs: chain.from_iterable(
+             map(triangle._exact_row, count(0), repeat(0)))),
     ), in_all=False),
     # each sweep of bfile.ROUTES against its per-index kernel, from 0 and
     # from 2^64, where the kernels read n a byte at a time

@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from math import comb, isqrt
 
 import pytest
@@ -22,7 +23,8 @@ from modpascal import (
     triangle_row,
     triangle_row_parity,
 )
-from modpascal.triangle import _parity_row
+from modpascal import triangle
+from modpascal.triangle import _exact_row, _parity_row, _pascal_rows
 from oracles import EXACT_ROWS, PARITY_ROWS, diag_sum, row_sum, t_entry
 
 # r(0..8) and d(0..16), keyed down from the first nine triangle rows.
@@ -387,3 +389,64 @@ def test_one_exact_term_at_row_end_is_cheap():
         tracemalloc.stop()
     assert terms == [triangle_entry(1500, 1500)]
     assert peak < 2**20
+
+
+def test_split_rules_hold_on_defining_sum():
+    # The split of the generating function, on the oracle's entries: with
+    # E = 2T - C, both E and T follow their rules across rows.
+    def e(n, k):
+        return 2 * t_entry(n, k) - comb(n, k) if 0 <= k <= n else 0
+
+    def t(n, k):
+        return t_entry(n, k) if 0 <= k <= n else 0
+
+    for n in range(2, 61):
+        for k in range(n + 1):
+            assert e(n, k) == e(n - 1, k - 1) + e(n - 1, k) - 2 * e(n - 2, k - 1)
+            assert t(n, k) == t(n - 1, k - 1) + t(n - 1, k) - e(n - 2, k - 1)
+
+
+def _recurrence_rows(n, k=0):
+    """Row n from entry k, then every row after it, all by _exact_row."""
+    yield from _exact_row(n, k)
+    for m in count(n + 1):
+        yield from _exact_row(m, 0)
+
+
+def test_additions_stream_matches_recurrence_rows_to_300():
+    size = 301 * 302 // 2
+    assert (list(islice(triangle._triangle_terms(0, "exact"), size))
+            == list(islice(_recurrence_rows(0), size)))
+
+
+def test_additions_stream_from_every_start_to_row_40():
+    # every start in rows 0..40, read on for three more rows
+    want = list(islice(_recurrence_rows(0), 46 * 47 // 2))
+    for start in range(41 * 42 // 2):
+        got = list(islice(triangle._triangle_terms(start, "exact"), 4 * 44))
+        assert got == want[start:start + 4 * 44], start
+
+
+def test_additions_stream_across_rows_1499_to_1502():
+    for n, k in [(1499, 0), (1499, 700), (1499, 1499), (1500, 0), (1500, 1500)]:
+        start = n * (n + 1) // 2 + k
+        got = islice(triangle._triangle_terms(start, "exact"), 2 * 1502)
+        assert list(got) == list(islice(_recurrence_rows(n, k), 2 * 1502)), (n, k)
+
+
+def test_pascal_rows_match_comb_to_300():
+    for n, row in enumerate(islice(_pascal_rows(), 301)):
+        assert row == [comb(n, k) for k in range(n + 1)]
+
+
+def test_stream_cut_inside_its_first_row_never_seeds(monkeypatch):
+    def seeds(m):
+        raise AssertionError(f"seeded the additions at row {m}")
+
+    monkeypatch.setattr(triangle, "_split", seeds)
+    for n, k in [(0, 0), (7, 3), (1500, 0), (1500, 1499)]:
+        start = n * (n + 1) // 2 + k
+        got = list(iter_triangle_terms(start, start + n + 1 - k))
+        assert got == list(_exact_row(n, k))
+        with pytest.raises(AssertionError, match=f"row {n + 1}$"):
+            list(iter_triangle_terms(start, start + n + 2 - k))

@@ -69,6 +69,7 @@ def test_rows_and_sweeps_reports():
     assert rows.lines() == [
         "suite rows (max_n=40)",
         "  PASS exact row stream = defining sum: 861 checks",
+        "  PASS exact row stream = order-2 recurrence in k: 861 checks",
         "  => pass",
     ]
     sweeps = run_suite("sweeps", 40)
@@ -81,16 +82,18 @@ def test_rows_and_sweeps_reports():
     ]
 
 
-def _exact_row_off_by_one_at(n0, k0):
-    """triangle._ROWS with T(n0, k0) one too large in the exact rows."""
-    def row(n, k):
-        return (t + (n == n0 and i == k0)
-                for i, t in enumerate(triangle._exact_row(n, k), k))
-    return {**triangle._ROWS, "exact": row}
+def _exact_rows_off_by_one_at(n0, k0):
+    """triangle._ROWS with T(n0, k0) one too large in the exact rows that
+    the exact stream reads, whichever route builds row n0."""
+    def rows(n, k):
+        for m, row in enumerate(triangle._exact_rows(n, k), n):
+            yield [t + (m == n0 and i == k0)
+                   for i, t in enumerate(row, k if m == n else 0)]
+    return {**triangle._ROWS, "exact": rows}
 
 
 def test_corrupt_exact_entry_fails_at_its_pair(monkeypatch, capsys):
-    monkeypatch.setattr(triangle, "_ROWS", _exact_row_off_by_one_at(200, 77))
+    monkeypatch.setattr(triangle, "_ROWS", _exact_rows_off_by_one_at(200, 77))
     result, = run_suite("proposition", 250).results
     parity = triangle.triangle_entry_parity(200, 77)
     assert result == IdentityResult(
@@ -99,9 +102,10 @@ def test_corrupt_exact_entry_fails_at_its_pair(monkeypatch, capsys):
     assert main(["verify", "rows", "--max-n", "210"]) == 1
     out, err = capsys.readouterr()
     entry = triangle.triangle_entry(200, 77)
-    assert (f"  FAIL exact row stream = defining sum: counterexample at "
-            f"(200, 77): lhs={entry + 1} rhs={entry} (22366 checks ran)"
-            in out.splitlines())
+    for rhs in ("defining sum", "order-2 recurrence in k"):
+        assert (f"  FAIL exact row stream = {rhs}: counterexample at "
+                f"(200, 77): lhs={entry + 1} rhs={entry} (22366 checks ran)"
+                in out.splitlines())
     assert err == ""
 
 
