@@ -19,16 +19,22 @@ term by blocks of the binary weight (see triangle._row_sum_terms).  The
 per-index kernels beside them, continuant, closed and scan, check them
 term for term.
 
-The b-file layer is a stream of (index, value) records, which the CLI
-runs too: records gives a b-file's records, record_lines writes them,
-read_records reads them back and compare_records checks them.
-read_records reads a text stream with .read() in blocks of whole lines:
-a block of canonical "<index> <value>\n" records takes a fast path of
-one regex match and one split, and any other block goes line by line
-under the grammar _RECORD.  Only to_decimal (from the continuant module,
-where the argument checks use it too) and from_decimal convert ints to
-decimal text and back, at any length.  The whole-file functions
-(generate_bfile, parse_bfile, ...) are views over this stream.
+The b-file layer is a stream of (index, value) records: records gives
+a b-file's records, record_lines writes them, read_records reads them
+back and compare_records checks them.  These per-record functions are
+the reference for two block routes, which the CLI runs: record_blocks
+writes the same text a block of records at a time, and compare_stream
+gives compare_records' result over read_records from the text itself,
+rendering the terms of a block as lines and comparing them with the
+block as one string, so a block that agrees is never parsed.  Both
+readers take the text with .read() in blocks of whole lines, and
+_block_records parses a block: a block of canonical "<index> <value>\n"
+records takes a fast path of one regex match and one split, and any
+other block goes line by line under the grammar _RECORD.  Only
+to_decimal (from the continuant module, where the argument checks use
+it too) and from_decimal convert ints to decimal text and back, at any
+length.  The whole-file functions (generate_bfile, parse_bfile, ...) are
+views over this stream.
 
 Files downloaded from the OEIS may use a different starting index; the
 comparison maps the i-th record of the file to the i-th term of the
@@ -41,7 +47,7 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from itertools import count
+from itertools import count, islice
 from types import MappingProxyType
 from typing import TextIO
 
@@ -70,10 +76,12 @@ __all__ = [
     "SEQUENCES",
     "compare_bfile",
     "compare_records",
+    "compare_stream",
     "from_decimal",
     "generate_bfile",
     "parse_bfile",
     "read_records",
+    "record_blocks",
     "record_lines",
     "records",
     "serialize_bfile",
@@ -221,6 +229,41 @@ def record_lines(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
         yield line
 
 
+# record_blocks writes at most this many records a block: it holds a
+# block's pairs as a list, for its fallback, and blocks of 4096 wrote
+# slower than blocks of 1024.  Each next block is sized to about
+# _WRITE_CHARS characters by the mean line length of the last, so a
+# block of long values holds only a few lines.
+_WRITE_RECORDS = 1024
+_WRITE_CHARS = 1 << 16
+
+
+def _text(pairs: Iterable[tuple[int, int]]) -> str:
+    """The "<index> <value>\n" lines of pairs as one string; ValueError
+    if a number is past the int/str digit limit."""
+    return "".join([f"{index} {value}\n" for index, value in pairs])
+
+
+def record_blocks(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The text of record_lines(pairs) in blocks of whole lines: up to
+    _WRITE_RECORDS records a block, each block's size set by the text
+    of the last.  A block with a number past the int/str digit limit
+    goes line by line through record_lines, and the next block is one
+    record."""
+    pairs = iter(pairs)
+    size = 1
+    while chunk := list(islice(pairs, size)):
+        try:
+            text = _text(chunk)
+        except ValueError:  # a number past the int/str digit limit
+            yield from record_lines(chunk)
+            size = 1
+            continue
+        yield text
+        size = min(_WRITE_RECORDS,
+                   max(1, _WRITE_CHARS * len(chunk) // len(text)))
+
+
 def serialize_bfile(bfile: BFile) -> str:
     return "".join(record_lines(bfile.records))
 
@@ -280,6 +323,42 @@ def _canonical_records(
     return indices, values
 
 
+def _block_records(
+        block: str, expected: int | None, line_no: int,
+) -> tuple[list[int], list[int]]:
+    """The (indices, values) lists of the records of block, a block of
+    _blocks whose first line is line line_no + 1 of the file, with the
+    first index expected (any, if None); raises BFileParseError."""
+    canonical = _canonical_records(block, expected)
+    if canonical is not None:
+        return canonical
+    indices, values = [], []
+    for line in block.removesuffix("\n").split("\n"):
+        line_no += 1
+        match = _RECORD.fullmatch(line)
+        if match is None:
+            stripped = line.removesuffix("\r").strip(" \t")
+            if not stripped or stripped.startswith("#"):
+                continue
+            raise BFileParseError(line_no, (
+                f"expected 'index value', got {line!r}"
+                if len(line.split()) != 2 else
+                f"non-integer field in {line!r}"))
+        try:
+            index, value = int(match[1]), int(match[2])
+        except ValueError:  # a field past the int/str digit limit
+            index, value = map(from_decimal, match.groups())
+        if expected is not None and index != expected:
+            raise BFileParseError(
+                line_no, f"index {to_decimal(index)} not consecutive "
+                f"(expected {to_decimal(expected)})"
+            )
+        expected = index + 1
+        indices.append(index)
+        values.append(value)
+    return indices, values
+
+
 def read_records(stream: TextIO) -> Iterator[tuple[int, int]]:
     r"""The (index, value) records of a text stream, whose text is split
     into lines at "\n" only, whatever the stream's newline mode.
@@ -290,45 +369,22 @@ def read_records(stream: TextIO) -> Iterator[tuple[int, int]]:
     of any length are read, also past the interpreter's int/str digit
     limit.
 
-    The stream is read with .read() in blocks of whole lines.  A block
-    of canonical "<index> <value>" records with consecutive indices,
-    its lines all ended by "\n" or all by "\r\n", is checked by one
-    regex match and read by one split, at C speed; any other block goes
-    line by line, and only that path accepts comments, tabs, signs and
-    long fields, or raises BFileParseError.
+    The stream is read with .read() in blocks of whole lines, each read
+    by _block_records.  A block of canonical "<index> <value>" records
+    with consecutive indices, its lines all ended by "\n" or all by
+    "\r\n", is checked by one regex match and read by one split, at C
+    speed; any other block goes line by line, and only that path accepts
+    comments, tabs, signs and long fields, or raises BFileParseError.
     """
     expected = None
     line_no = 0
     for block in _blocks(stream):
-        canonical = _canonical_records(block, expected)
-        if canonical is not None:
-            indices, values = canonical
-            line_no += len(indices)
+        indices, values = _block_records(block, expected, line_no)
+        # only the last block may lack a final "\n"
+        line_no += block.count("\n")
+        if indices:
             expected = indices[-1] + 1
-            yield from zip(indices, values)
-            continue
-        for line in block.removesuffix("\n").split("\n"):
-            line_no += 1
-            match = _RECORD.fullmatch(line)
-            if match is None:
-                stripped = line.removesuffix("\r").strip(" \t")
-                if not stripped or stripped.startswith("#"):
-                    continue
-                raise BFileParseError(line_no, (
-                    f"expected 'index value', got {line!r}"
-                    if len(line.split()) != 2 else
-                    f"non-integer field in {line!r}"))
-            try:
-                index, value = int(match[1]), int(match[2])
-            except ValueError:  # a field past the int/str digit limit
-                index, value = map(from_decimal, match.groups())
-            if expected is not None and index != expected:
-                raise BFileParseError(
-                    line_no, f"index {to_decimal(index)} not consecutive "
-                    f"(expected {to_decimal(expected)})"
-                )
-            expected = index + 1
-            yield index, value
+        yield from zip(indices, values)
     if expected is None:
         raise BFileParseError(0, "no records")
 
@@ -361,6 +417,60 @@ def compare_records(sequence_id: str, records: Iterable) -> BFileComparison:
         checked += 1
         if file_value != computed and mismatch is None:
             mismatch = (index, file_value, computed)
+    return BFileComparison(sequence_id, checked, mismatch)
+
+
+def compare_stream(sequence_id: str, stream: TextIO) -> BFileComparison:
+    r"""compare_records(sequence_id, read_records(stream)), with the
+    same result or BFileParseError, a block of text at a time.
+
+    A block of L lines that ends in "\n" and holds no "\r" draws the
+    next L terms and renders them as "<index> <value>\n" lines, with
+    indices consecutive from the file's running index (from the first
+    line's own index in the first block).  If that text is the block,
+    all L records agree, with no parse.  Any other block is read by
+    _block_records, as read_records reads it, and its values compared
+    with the terms drawn for them; terms drawn for lines that held no
+    record serve the next records.  Once a record disagrees, the rest
+    of the file is only parsed and counted.
+    """
+    terms = _terms(sequence_id)(0)
+    drawn = []  # terms drawn for records not yet checked
+    mismatch = None
+    checked = 0
+    expected = None
+    line_no = 0
+    for block in _blocks(stream):
+        lines = block.count("\n")
+        if mismatch is None and block[-1] == "\n" and "\r" not in block:
+            drawn += islice(terms, max(lines - len(drawn), 0))
+            try:
+                first = (int(block[:block.find(" ")]) if expected is None
+                         else expected)
+                agree = _text(zip(range(first, first + lines), drawn)) == block
+            except ValueError:  # no index first, or past the digit limit
+                agree = False
+            if agree:
+                del drawn[:lines]
+                checked += lines
+                line_no += lines
+                expected = first + lines
+                continue
+        indices, values = _block_records(block, expected, line_no)
+        line_no += lines
+        checked += len(values)
+        if not indices:
+            continue
+        expected = indices[-1] + 1
+        if mismatch is None:
+            drawn += islice(terms, max(len(values) - len(drawn), 0))
+            if values != drawn[:len(values)]:
+                pos = next(pos for pos, (value, term)
+                           in enumerate(zip(values, drawn)) if value != term)
+                mismatch = (indices[pos], values[pos], drawn[pos])
+            del drawn[:len(values)]
+    if expected is None:
+        raise BFileParseError(0, "no records")
     return BFileComparison(sequence_id, checked, mismatch)
 
 

@@ -63,7 +63,7 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
     records = bfile_mod.records(args.seq_id, args.max_index)
     try:
         with open(args.out_path, "w", newline="\n") as handle:
-            handle.writelines(bfile_mod.record_lines(records))
+            handle.writelines(bfile_mod.record_blocks(records))
     except BrokenPipeError as exc:  # not stdout's: the b-file is cut short
         raise OSError(f"{exc}: {args.out_path!r}") from None
     print(f"wrote {args.max_index + 1} records to {args.out_path}")
@@ -73,8 +73,7 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
 def _cmd_bfile_compare(args: argparse.Namespace) -> int:
     # newline="\n": a lone "\r" must reach the parser, not end a record
     with open(args.path, encoding="ascii", newline="\n") as handle:
-        result = bfile_mod.compare_records(
-            args.seq_id, bfile_mod.read_records(handle))
+        result = bfile_mod.compare_stream(args.seq_id, handle)
     if result.passed:
         print(f"{args.seq_id}: all {result.checked} records agree")
         return 0

@@ -52,7 +52,7 @@ middle of a row, so fixed-width types are not an option.
 """
 
 from collections import namedtuple
-from itertools import accumulate, chain, count, cycle, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from math import isqrt
 from operator import add, and_, countOf, eq, sub
 from types import MappingProxyType
@@ -171,7 +171,7 @@ def triangle_entry_parity(n: int, k: int) -> int:
     return binom_parity(n - 1, k)
 
 
-def _exact_row(n, k):
+def _exact_row(n, k, t_half=None, e_half=None):
     """T(n, k), ..., T(n, n), each yielded as soon as it is known.
 
     By the split of the generating function in the module docstring (or
@@ -199,6 +199,10 @@ def _exact_row(n, k):
     So the row is run forward from k = 0, past the middle only as far
     as n - k, and then mirrored with T(n, k) = T(n, n - k): a term at
     either end of a row costs O(1) operations and a whole row O(n).
+    The pass appends T(n, i) and E(n, i) to the lists t_half and e_half
+    (fresh ones if not given) as it runs, for i = 0 to min(n/2, n - k):
+    when k <= n - n/2 that is the whole half row of both, which
+    _exact_rows reuses.
 
     Proof by creative telescoping (Zeilberger's algorithm; Petkovsek,
     Wilf and Zeilberger, A=B, 1996, ch. 6).  Let F(k, j) = (-1)^j C(k, j)
@@ -216,9 +220,10 @@ def _exact_row(n, k):
     telescopes to 0, which is the recurrence.
     tests/test_triangle.py checks both identities in exact arithmetic.
     """
+    if t_half is None:
+        t_half, e_half = [], []
     c = e = 1  # C(n, i) and E(i) at i = 0
     e_prev = 0  # E(-1), whose coefficient c2(1) is 0
-    half = []  # T(n, 0..i)
     for i in range(min(n // 2, n - k) + 1):
         if i:
             c = c * (n - i + 1) // i
@@ -226,19 +231,20 @@ def _exact_row(n, k):
             e, e_prev = ((m - 2) * (6 * i * (i - n - 2) + n * n + 5 * n + 4) * e
                          - (i - 1) * (i - n - 2) * (m - 1) * e_prev) // (
                              i * (i - n - 1) * (m - 3)), e
-        half.append((c + e) // 2)
+        t_half.append((c + e) // 2)
+        e_half.append(e)
         if i >= k:
-            yield half[i]
-    yield from (half[n - i] for i in range(max(k, n // 2 + 1), n + 1))
+            yield t_half[i]
+    yield from (t_half[n - i] for i in range(max(k, n // 2 + 1), n + 1))
 
 
 def _split(m):
-    """The half rows T(m, 0..m/2) and E(m, 0..m/2) = 2 T(m, .) - C(m, .):
-    T by _exact_row, and C by C(m, i) = C(m, i-1) (m-i+1) / i."""
-    t = list(islice(_exact_row(m, 0), m // 2 + 1))
-    c = accumulate(range(1, m // 2 + 1), lambda c, i: c * (m - i + 1) // i,
-                   initial=1)
-    return t, list(map(sub, map(add, t, t), c))
+    """The half rows T(m, 0..m/2) and E(m, 0..m/2), from one pass of
+    _exact_row: started at k = m/2, its first term comes once the pass
+    has run the whole half row."""
+    t, e = [], []
+    next(_exact_row(m, m // 2, t, e))
+    return t, e
 
 
 _ZERO = (0,)
@@ -263,9 +269,12 @@ def _exact_rows(n, k):
     iterable of its entries.
 
     Row n comes from _exact_row(n, k), so a stream that ends inside it
-    does no other work.  Row n + 1 is seeded, as the half rows of T and E,
-    from _exact_row(n + 1, 0), and E(n) from one extra _exact_row(n, 0).
-    Each later row is the module docstring's rule on half rows,
+    does no other work.  The additions are seeded by the half rows of T
+    and E of two consecutive rows: row n's, kept by its own pass when
+    that ran the whole half row (k <= n - n/2), and row n + 1's from
+    _split, which also gives row n + 1; otherwise rows n + 1 and n + 2
+    both come from _split.  Each later row is the module docstring's
+    rule on half rows,
 
         T(n, k) = T(n-1, k-1) + T(n-1, k) - E(n-2, k-1),
         E(n, k) = E(n-1, k-1) + E(n-1, k) - 2 E(n-2, k-1),
@@ -273,11 +282,16 @@ def _exact_rows(n, k):
     for k <= n/2, then mirrored: a few C-level maps per row and three
     half rows held.
     """
-    yield _exact_row(n, k)
+    t, e = [], []
+    yield _exact_row(n, k, t, e)
+    if len(t) <= n // 2:  # row n's pass stopped short of its middle
+        n += 1
+        t, e = _split(n)
+        yield _mirror(t, n)
+    e_prev = e
     n += 1
     t, e = _split(n)
     yield _mirror(t, n)
-    e_prev = _split(n - 1)[1]
     for n in count(n + 1):
         size = n // 2 + 1
         t = list(map(sub, _pascal_half(t, size), chain(_ZERO, e_prev)))

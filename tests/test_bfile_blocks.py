@@ -1,0 +1,222 @@
+"""The block routes of the b-file layer against the per-record routes:
+record_blocks against record_lines, and compare_stream against
+compare_records over read_records."""
+
+import io
+import random
+import statistics
+import time
+import tracemalloc
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modpascal import SEQUENCES, bfile
+from modpascal.bfile import (
+    BFileParseError,
+    compare_records,
+    compare_stream,
+    read_records,
+    record_blocks,
+    record_lines,
+    records,
+)
+
+# Enough records for several 8 KiB read blocks of every id.
+SIZES = {"A119326": 1500, "A114213": 3000, "A114212": 3000, "A114214": 3000}
+LINES = {sid: list(record_lines(records(sid, size)))
+         for sid, size in SIZES.items()}
+
+
+def _outcome(compare, sid, text):
+    """compare's result, or the line number and message of its parse
+    error."""
+    try:
+        return compare(sid, text)
+    except BFileParseError as exc:
+        return exc.line_no, exc.message
+
+
+def _reference(sid, text):
+    return compare_records(sid, read_records(io.StringIO(text)))
+
+
+def _blocks(sid, text):
+    return compare_stream(sid, io.StringIO(text))
+
+
+def _assert_same(sid, text):
+    want = _outcome(_reference, sid, text)
+    assert _outcome(_blocks, sid, text) == want
+    return want
+
+
+def _first_block_end(lines):
+    """The number of lines in the first read block of "".join(lines)."""
+    text = "".join(lines)
+    return text.count("\n", 0, text.rfind("\n", 0, bfile._BLOCK) + 1)
+
+
+def _with_value(lines, pos, delta):
+    index, value = lines[pos].split()
+    return [*lines[:pos], f"{index} {int(value) + delta}\n", *lines[pos + 1:]]
+
+
+def _mutations(sid):
+    """(name, text) pairs: the b-file of sid and its edits."""
+    lines = LINES[sid]
+    mid = len(lines) // 2
+    edge = _first_block_end(lines)
+    yield "clean", "".join(lines)
+    for pos in (0, edge - 1, edge):
+        for delta in (-1, 1):
+            yield (f"value {delta:+} at {pos}",
+                   "".join(_with_value(lines, pos, delta)))
+    yield "crlf", "".join(lines).replace("\n", "\r\n")
+    yield "one crlf line", "".join(
+        [*lines[:mid], lines[mid].replace("\n", "\r\n"), *lines[mid + 1:]])
+    # A run of blank lines draws more terms than the blocks after it
+    # have lines.
+    for extra in ("# a comment\n", "\n", "  \t\n", "\n" * 50):
+        yield f"{extra!r} first", extra + "".join(lines)
+        yield f"{extra!r} midway", "".join([*lines[:mid], extra, *lines[mid:]])
+    index, value = lines[mid].split()
+    for name, line in [("leading zeros", f"00{index} 00{value}\n"),
+                       ("tabs", f"\t{index}\t{value}\t\n"),
+                       ("plus sign", f"{index} +{value}\n"),
+                       ("gap", f"{int(index) + 1} {value}\n"),
+                       ("non-integer", f"{index} x{value}\n"),
+                       ("three fields", f"{index} {value} 1\n"),
+                       ("past the digit limit", f"{index} {'7' * 5000}\n")]:
+        yield name, "".join([*lines[:mid], line, *lines[mid + 1:]])
+    yield "from index 1", "".join(
+        f"{pos + 1} {line.split()[1]}\n" for pos, line in enumerate(lines))
+    yield "no final newline", "".join(lines).removesuffix("\n")
+    yield "empty", ""
+    yield "only comments", "# nothing\n\n"
+
+
+@pytest.mark.parametrize("sid", SIZES)
+def test_compare_stream_is_compare_records(sid):
+    for name, text in _mutations(sid):
+        want = _assert_same(sid, text)
+        if name == "clean":
+            assert want.passed and want.checked == SIZES[sid] + 1
+
+
+@pytest.mark.parametrize("sid", SIZES)
+def test_compare_stream_is_compare_records_on_small_blocks(sid):
+    # Blocks of one line and of a few: each edit is then at a block's
+    # edge, and lines without a record leave drawn terms over.
+    for block in (1, 7, 256):
+        with mock.patch.object(bfile, "_BLOCK", block):
+            for _name, text in _mutations(sid):
+                _assert_same(sid, text)
+
+
+def test_compare_stream_finds_each_mutation():
+    # The cases above are not all vacuous agreements.
+    lines = LINES["A114212"]
+    edge = _first_block_end(lines)
+    for pos in (0, edge - 1, edge):
+        got = _blocks("A114212", "".join(_with_value(lines, pos, 1)))
+        value = int(lines[pos].split()[1])
+        assert got.mismatch == (pos, value + 1, value)
+        assert got.checked == len(lines)
+    assert _blocks("A114212", "".join(lines).replace("\n", "\r\n")).passed
+
+
+@pytest.mark.parametrize("sid", SIZES)
+def test_compare_stream_on_the_wrong_sequence(sid):
+    for other in SEQUENCES:
+        _assert_same(other, "".join(LINES[sid]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    sid=st.sampled_from(sorted(SIZES)),
+    edits=st.lists(st.tuples(
+        st.integers(0, 2999),
+        st.sampled_from(["+1", "-1", "crlf", "comment", "blank", "tab",
+                         "zeros", "drop", "cut", "x"])), max_size=4),
+    block=st.sampled_from([3, 64, 512, bfile._BLOCK]),
+)
+def test_compare_stream_is_compare_records_after_random_edits(
+        sid, edits, block):
+    lines = list(LINES[sid])
+    for pos, edit in edits:
+        pos %= len(lines)
+        index, value = LINES[sid][pos].split()
+        lines[pos] = {
+            "+1": f"{index} {int(value) + 1}\n",
+            "-1": f"{index} {int(value) - 1}\n",
+            "crlf": f"{index} {value}\r\n",
+            "comment": f"# {index}\n{index} {value}\n",
+            "blank": f"\n{index} {value}\n",
+            "tab": f"{index}\t{value}\n",
+            "zeros": f"0{index} 0{value}\n",
+            "drop": "",
+            "cut": f"{index} {value}",
+            "x": f"{index} {value}x\n",
+        }[edit]
+    with mock.patch.object(bfile, "_BLOCK", block):
+        _assert_same(sid, "".join(lines))
+
+
+@pytest.mark.parametrize("sid", SIZES)
+def test_record_blocks_is_record_lines(sid):
+    pairs = list(records(sid, SIZES[sid]))
+    assert "".join(record_blocks(pairs)) == "".join(LINES[sid])
+    assert list(record_blocks([])) == []
+
+
+@pytest.mark.parametrize("digits", [5000, 30_000])
+def test_record_blocks_past_the_digit_limit(digits):
+    # Long values among short ones, also negative and as the index.
+    rng = random.Random(digits)
+    big = [rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(6)]
+    pairs = [(0, big[0]), (1, 5), (2, -big[1]),
+             *((i, i) for i in range(3, 40)), (big[2], 7), (41, big[3]),
+             *((i, big[4] + i) for i in range(42, 46))]
+    assert "".join(record_blocks(pairs)) == "".join(record_lines(pairs))
+
+
+def test_record_blocks_memory_follows_the_text():
+    # 300 lines of 30,000 digits take 9 MB; the writer holds a few.
+    rng = random.Random(1)
+    pairs = [(i, rng.randrange(10**29_999, 10**30_000)) for i in range(300)]
+    line = len("299 \n") + 30_000
+    tracemalloc.start()
+    try:
+        blocks = sum(1 for _block in record_blocks(pairs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == 300
+    assert peak < 4 * line
+
+
+def test_record_blocks_size_tracks_the_text():
+    # 2,000-digit values: about 32 lines a block, not 1024.
+    rng = random.Random(2)
+    pairs = [(i, rng.randrange(10**1999, 10**2000)) for i in range(300)]
+    sizes = [block.count("\n") for block in record_blocks(pairs)]
+    assert sum(sizes) == 300
+    assert max(sizes) <= bfile._WRITE_CHARS // 2000
+
+
+def test_wrong_sequence_compare_costs_no_more_than_compare_records():
+    # Every read block of A114212's file disagrees with A114213: the
+    # block route must not slow down block by block.
+    text = "".join(record_lines(records("A114212", 200_000)))
+    assert _blocks("A114213", text) == _reference("A114213", text)
+    times = {_reference: [], _blocks: []}
+    for _round in range(5):
+        for compare in times:
+            start = time.perf_counter()
+            compare("A114213", text)
+            times[compare].append(time.perf_counter() - start)
+    reference, blocks = map(statistics.median, times.values())
+    assert blocks < 1.5 * reference
