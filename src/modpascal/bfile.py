@@ -16,8 +16,11 @@ Every route checks start at the call.  The fast routes of d, r and
 stern are sweeps: d and stern at O(1) big-int operations per term by
 Newman's successor rule (see the stern module), r at one multiply per
 term by blocks of the binary weight (see triangle._row_sum_terms).  The
-per-index kernels beside them, continuant, closed and scan, check them
-term for term.
+routes beside them, continuant, closed and scan, check them term for
+term: closed and scan per index, and d's continuant route a block of
+256 terms at a time from the continuant's byte table
+(continuant._d_block_terms).  d's brute route sweeps the parity
+diagonals by Pascal's rule on bitsets (triangle._diagonal_sum_terms).
 
 The b-file layer is a stream of (index, value) records: records gives
 a b-file's records, record_lines writes them, read_records reads them
@@ -52,18 +55,18 @@ from types import MappingProxyType
 from typing import TextIO
 
 from .continuant import (
+    _d_block_terms,
     _require_index,
     _require_int,
-    diagonal_sum_fast,
     to_decimal,
 )
 from .regular import diagonal_sum_recurrence
 from .stern import _d_terms, _stern_terms, carlitz_sum, stern
 from .triangle import (
     _ROWS,
+    _diagonal_sum_terms,
     _row_sum_terms,
     _triangle_terms,
-    diagonal_sum_brute,
     row_sum_brute,
     row_sum_closed,
 )
@@ -137,8 +140,8 @@ def _per_index(fn: Callable[[int], int]) -> Callable[[int], Iterator[int]]:
 ROUTES = MappingProxyType({
     "d": MappingProxyType({
         "fast": _d_terms,
-        "continuant": _per_index(diagonal_sum_fast),
-        "brute": _per_index(diagonal_sum_brute),
+        "continuant": _d_block_terms,
+        "brute": _diagonal_sum_terms,
         "recurrence": _per_index(diagonal_sum_recurrence),
     }),
     "r": MappingProxyType({

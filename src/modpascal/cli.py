@@ -3,8 +3,9 @@ bfile-compare and verify, each described by its help (`modpascal --help`).
 
 Exit codes: 0 success (also when a reader of stdout stops early, as `head`
 does), 1 a verification counterexample or b-file mismatch, 2 usage error,
-3 I/O or parse error (a closed stdout too), 130 interrupted (Ctrl-C), with
-nothing on stderr.  All numeric output is decimal with unlimited precision.
+3 I/O or parse error (a closed stdout too) or out of memory, 130
+interrupted (Ctrl-C), with nothing on stderr.  All numeric output is
+decimal with unlimited precision.
 """
 
 import argparse
@@ -176,6 +177,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (bfile_mod.BFileParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

@@ -37,11 +37,17 @@ Folding left to right multiplies an ever-growing accumulator by a small
 term each time, a cost quadratic in the bit length b of the result; the
 tree multiplies operands of equal size, so CPython's Karatsuba multiply
 brings it down to O(b^1.585).
+
+A range of d needs no product per term: _d_block_terms splits n into
+its top bits and its low byte, runs _bits_product once per block of
+256 terms over the top bits, and gives the block's terms as two C-level
+multiplies and one addition each against two columns of _d_table.
 """
 
 from collections.abc import Iterable
 from functools import cache
-from itertools import chain, islice, zip_longest
+from itertools import chain, count, islice, zip_longest
+from operator import add
 
 __all__ = [
     "continuant",
@@ -303,3 +309,51 @@ def diagonal_sum_fast(n: int) -> int:
     """
     _require_index("n", n)
     return _bits_product((1, 0), n ^ (n >> 1), _d_scan, _d_table)[0]
+
+
+@cache
+def _d_columns():
+    """Entries 0 and 2 of the _d_table matrices of the low bytes of
+    n ^ (n >> 1), for the 256 low bytes m of n, as the columns (A, C):
+    one pair for even n >> 8 and one for odd n >> 8, whose low bit sets
+    the 0x80 bit of that byte.  Built on the first d block, not at
+    import."""
+    table = _d_table()
+    return tuple(
+        tuple(tuple(table[m ^ (m >> 1) ^ flip][entry] for m in range(256))
+              for entry in (0, 2))
+        for flip in (0, 0x80))
+
+
+def _d_blocks(c):
+    """d over the blocks c, c + 1, ... of 256 terms, one map per block."""
+    columns = _d_columns()
+    for c in count(c):
+        a_m, c_m = columns[c & 1]
+        x, y = _bits_product((1, 0), c ^ (c >> 1), _d_scan, _d_table,
+                             readout=False)
+        yield map(add, map(x.__mul__, a_m), map(y.__mul__, c_m))
+
+
+def _d_block_terms(start: int):
+    """The endless stream d(start), d(start+1), ..., a block of 256 terms
+    at a time; start is checked at the call, not at the first term.
+
+    Write n = 256c + m with m < 256 and t(n) = n ^ (n >> 1).  Then
+    t(n) >> 8 = t(c), and the low byte of t(n) is m ^ (m >> 1) ^
+    ((c & 1) << 7).  So diagonal_sum_fast's product over the bits of
+    t(n) is the row (x, y) after the bits of t(c), times the matrix of
+    that byte:
+
+        d(256c + m) = x A(m) + y C(m),
+
+    with A and C the byte matrix's entries 0 and 2 (_d_columns).  Each
+    block costs one _bits_product over t(c), and each term two C-level
+    multiplies and one addition, with no Python step per term: the
+    2-regular block evaluation (Allouche & Shallit, Automatic Sequences,
+    2003, ch. 16) on the continuant's byte table.  At c = 0, t(c) is the
+    bit "0", whose row is (1, 0).
+    """
+    _require_index("start", start)
+    return islice(chain.from_iterable(_d_blocks(start >> 8)), start & 255,
+                  None)

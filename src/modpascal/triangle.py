@@ -43,7 +43,11 @@ the parity of a single ordinary binomial coefficient (C(n, k) when n + k
 is even, C(n - 1, k) otherwise), and binomial parity itself is a bitwise
 subset test by Lucas' congruence.  That reduction is what makes the
 parity row sums and diagonal sums tractable at large n; this module
-keeps both routes so they can be checked against each other.
+keeps both routes so they can be checked against each other.  One
+diagonal sum counts Kummer's carry test along its diagonal
+(diagonal_sum_brute); a range of them sweeps the diagonals as bitsets
+by Pascal's rule, D_t = D_(t-1) ^ (D_(t-2) << 1), one shift and xor
+per diagonal (_diagonal_sum_terms).
 
 Everything here is a pure function of its arguments (no shared state),
 safe to call from any number of threads.  Values are plain Python ints,
@@ -54,7 +58,7 @@ middle of a row, so fixed-width types are not an option.
 from collections import namedtuple
 from itertools import chain, count, cycle, islice, repeat
 from math import isqrt
-from operator import add, and_, countOf, eq, sub
+from operator import add, and_, countOf, eq, not_, sub
 from types import MappingProxyType
 
 from .continuant import _require_index, to_decimal
@@ -426,6 +430,58 @@ def diagonal_sum_brute(n: int) -> int:
     _require_index("n", n)
     # (n - k) + k = n, so T(n - k, k) is C(top - k, k) mod 2 for every k
     return _odd_diagonal(n - n % 2)
+
+
+# _diagonal_bits reads Kummer's carry test as binary text this many
+# bits at a time, so the text stays small beside the int it builds.
+_SEED_BITS = 1 << 15
+
+# bool bytes to binary digits: b"\0" is "0", b"\1" is "1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _diagonal_bits(top):
+    """The int D_top whose bit k is C(top - k, k) mod 2, 0 <= k <= top/2,
+    by _odd_diagonal's carry test: each piece of _SEED_BITS tests, from
+    the high k down, becomes the binary text of that piece and one
+    int(text, 2), with no Python step per k.  D_(-1) is 0."""
+    bits = 0
+    for high in range(top // 2, -1, -_SEED_BITS):
+        ks = range(high, max(high - _SEED_BITS, -1), -1)
+        odd = map(not_, map(and_, ks, range(top - 2 * high, top + 1, 2)))
+        bits = bits << len(ks) | int(bytes(odd).translate(_DIGITS), 2)
+    return bits
+
+
+def _diagonal_sums(top):
+    """d(top), d(top + 1), d(top + 2), ... for even top: each even top's
+    D_top.bit_count(), twice.  Pascal's rule C(t - k, k) = C(t - 1 - k, k)
+    + C(t - 2 - (k - 1), k - 1) is, on the bitsets of _diagonal_bits,
+
+        D_t = D_(t-1) ^ (D_(t-2) << 1),
+
+    so past its two seeds the stream takes two shifts and two xors of
+    ints of about top/2 bits per even top."""
+    low, high = _diagonal_bits(top - 1), _diagonal_bits(top)
+    while True:
+        d = high.bit_count()
+        yield d
+        yield d
+        low = high ^ (low << 1)  # D_(top+1)
+        high = low ^ (high << 1)  # D_(top+2)
+
+
+def _diagonal_sum_terms(start: int):
+    """The endless stream d(start), d(start+1), ... summed along the
+    diagonals of the parity triangle, by Pascal's rule on bitsets
+    (_diagonal_sums); start is checked at the call, not at the first
+    term.  It holds a few ints of about start/2 bits, about start/4
+    bytes in all.  Its seeds read Kummer's carry test and its steps
+    Pascal's rule mod 2, never the continuant or Stern's sequence, so it
+    is a reference route for the d sweeps, as diagonal_sum_brute is for
+    one index."""
+    _require_index("start", start)
+    return islice(_diagonal_sums(start - start % 2), start % 2, None)
 
 
 def _triangle_terms(start: int, mode: str):

@@ -7,17 +7,20 @@ and rhs are two independently computed sides of the identity, each a
 value stream values(indices) that yields the side's value at each index
 in turn.  A per-index function enters as partial(map, fn), and an
 endless route of bfile.ROUTES, such as the exact row stream or a sweep,
-enters as that route started at the first index.  Over the pairs (n, k),
-which start at (0, 0), a side may also be rows built from row 0 on:
-`lucas` reads the exact Pascal rows by Pascal's rule, and `rows` reads
-the exact row stream, which builds rows by additions, against both the
-defining sum and rows by the order-2 recurrence in k.  run_suite scans the
-rows of one suite, or of every suite "all" runs in table order, and
-reports per-identity check counts plus the first counterexample, if
-any.  A route that disagrees, the matrix representation included, or a
-stream that ends before its indices do, is reported as a counterexample
-in the report, never raised; the CLI maps a failing report to its exit
-status.
+enters as that route started at the first index: `thm1` checks the
+per-index continuant against the brute route of d, which sweeps the
+parity diagonals by Pascal's rule on bitsets, and `eq3` reads d's
+continuant route, a block of 256 terms at a time, against the Stern
+sweep.  Over the pairs (n, k), which start at (0, 0), a side may also
+be rows built from row 0 on: `lucas` reads the exact Pascal rows by
+Pascal's rule, and `rows` reads the exact row stream, which builds rows
+by additions, against both the defining sum and rows by the order-2
+recurrence in k.  run_suite scans the rows of one suite, or of every
+suite "all" runs in table order, and reports per-identity check counts
+plus the first counterexample, if any.  A route that disagrees, the
+matrix representation included, or a stream that ends before its
+indices do, is reported as a counterexample in the report, never
+raised; the CLI maps a failing report to its exit status.
 """
 
 from collections import namedtuple
@@ -174,8 +177,9 @@ _SUITES = MappingProxyType({
          lambda pairs: map((1).__and__, _exact_stream(pairs))),
     )),
     "thm1": _Suite((
+        # the brute force as Pascal's rule on the diagonals' bitsets
         ("continuant route = triangle brute force", _upto,
-         partial(map, _d), partial(map, triangle.diagonal_sum_brute)),
+         partial(map, _d), _route(ROUTES["d"]["brute"])),
         ("continuant route = scalar recurrence", _upto,
          partial(map, _d), partial(map, regular.diagonal_sum_recurrence)),
         ("continuant route = matrix representation", _upto,
@@ -197,10 +201,13 @@ _SUITES = MappingProxyType({
          partial(map, lambda n: _d(2 * n + 1))),
     )),
     "eq3": _Suite((
+        # d by the continuant's byte table, a block of 256 terms at a time
         ("d(2n) = s(2n+1)", _upto,
-         partial(map, lambda n: _d(2 * n)), _odd_stern),
+         _route(ROUTES["d"]["continuant"], at=lambda n: 2 * n, step=2),
+         _odd_stern),
         ("d(2n+1) = s(2n+1)", _upto,
-         partial(map, lambda n: _d(2 * n + 1)), _odd_stern),
+         _route(ROUTES["d"]["continuant"], at=lambda n: 2 * n + 1, step=2),
+         _odd_stern),
     )),
     "carlitz": _Suite((
         ("binomial-parity diagonal = s(n+1)", _upto,

@@ -104,6 +104,28 @@ def test_row_sum_sweep_across_block_edges(c):
                        for n in range(start, start + 3 * block)], start
 
 
+D_BLOCK_EDGES = [1, 2, 3, 255, 256, 2**56 - 1, 2**56, 2**64 - 1, 2**70]
+
+
+@pytest.mark.parametrize("c", D_BLOCK_EDGES)
+def test_d_block_sweep_across_block_edges(c):
+    # Block c of d's continuant route is t(c)'s row times the columns of
+    # the low bytes, flipped at 0x80 for odd c; check three blocks from
+    # just before, at and just after its edge against the per-index
+    # kernel.
+    for start in (256 * c - 1, 256 * c, 256 * c + 1):
+        got = list(islice(ROUTES["d"]["continuant"](start), 3 * 256))
+        assert got == [diagonal_sum_fast(n)
+                       for n in range(start, start + 3 * 256)], start
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**4096))
+def test_d_block_sweep_matches_per_index_kernel_at_huge_starts(start):
+    assert (list(islice(ROUTES["d"]["continuant"](start), 300))
+            == [diagonal_sum_fast(n) for n in range(start, start + 300)])
+
+
 def test_known_sequence_ids():
     assert sorted(SEQUENCES) == ["A114212", "A114213", "A114214", "A119326"]
 

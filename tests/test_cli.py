@@ -272,6 +272,21 @@ def test_interrupt_is_quiet():
     assert (proc.returncode, err) == (130, b"")
 
 
+def test_out_of_memory_is_an_error(capsys, monkeypatch):
+    # A route that runs out of memory (as a huge t-row does under a small
+    # ulimit -v) ends with exit 3 and one line on stderr, not a traceback.
+    def terms(start):
+        yield 1
+        raise MemoryError
+
+    monkeypatch.setattr(modpascal.bfile, "ROUTES",
+                        {**ROUTES, "d": dict(ROUTES["d"], fast=terms)})
+    assert main(["seq", "d", "0..5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "0 1\n"
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
 @pytest.mark.parametrize("argv", [
     ["triangle", "3"],

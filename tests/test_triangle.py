@@ -219,6 +219,36 @@ def test_diagonal_sum_brute_streams():
     assert peak < 2**20
 
 
+def test_diagonal_bitset_sweep_matches_brute_from_every_start_to_300():
+    # The sweep seeds D_(top-1) and D_top by the carry test and steps by
+    # Pascal's rule; from each start, 40 terms cross 20 steps.
+    for start in range(301):
+        assert (list(islice(triangle._diagonal_sum_terms(start), 40))
+                == [diagonal_sum_brute(n) for n in range(start, start + 40)]
+                ), start
+
+
+@pytest.mark.parametrize("start", [2**20 - 3, 2**20 - 2, 2**20 - 1, 2**20,
+                                   2**20 + 1, 2**20 + 2])
+def test_diagonal_bitset_sweep_matches_brute_near_2_20(start):
+    # Seeds of 2^19 carry tests each, cut into several _SEED_BITS pieces.
+    assert (list(islice(triangle._diagonal_sum_terms(start), 6))
+            == [diagonal_sum_brute(n) for n in range(start, start + 6)])
+
+
+def test_diagonal_bitset_sweep_memory():
+    # At start 10^6 the sweep holds ints of about 5 * 10^5 bits and reads
+    # its seeds in pieces: about start/4 bytes, well under 1 MB.
+    tracemalloc.start()
+    try:
+        terms = list(islice(triangle._diagonal_sum_terms(10**6), 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert terms[0] == diagonal_sum_fast(10**6)
+
+
 def test_diagonal_sum_stream_fixture():
     assert [diagonal_sum_brute(n) for n in range(17)] == D_STREAM
 
