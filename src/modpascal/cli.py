@@ -48,7 +48,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     routes = bfile_mod.ROUTES[args.which]
-    method = args.method or next(iter(routes))
+    method = next(iter(routes)) if args.method is None else args.method
     if method not in routes:
         args.parser.error(
             f"method {method!r} is not valid for {args.which!r}; "

@@ -29,7 +29,8 @@ recurrence once, as a scan that carries a row (x, y) through part of
 its sequence.  Up to _LEAF items the scan is the whole computation.
 Past that, the bit routes read n a byte at a time: _byte_table turns a
 route's scan into one 2x2 matrix per byte value, built the first time
-a route's n passes one leaf, and _bits_product multiplies the start row
+a route's n passes one leaf and kept in one small cache keyed by the
+scan's two one-bit matrices, and _bits_product multiplies the start row
 by the matrices of the bytes of n as a balanced tree (_row_product).
 The term route, continuant(), cuts its terms into leaves of _LEAF and
 takes each leaf's matrix from two scans.
@@ -41,11 +42,11 @@ brings it down to O(b^1.585).
 A range of d needs no product per term: _d_block_terms splits n into
 its top bits and its low byte, runs _bits_product once per block of
 256 terms over the top bits, and gives the block's terms as two C-level
-multiplies and one addition each against two columns of _d_table.
+multiplies and one addition each against two columns of d's table.
 """
 
 from collections.abc import Iterable
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, count, islice, zip_longest
 from operator import add
 
@@ -141,46 +142,50 @@ def _row_product(row, mats):
             return mats[0][:2]
 
 
-def _byte_table(scan):
-    """The matrices of a bit scan for the 256 bytes, indexed by byte
-    value, bits most significant first.
-
-    The two one-bit matrices are the rows scan(bit, 1, 0) and
-    scan(bit, 0, 1); each doubling pairs every entry (the high bits)
-    with every entry (the low bits), so 4 + 16 + 256 products build the
-    table from the scan alone.
-    """
-    table = tuple(scan(bit, 1, 0) + scan(bit, 0, 1) for bit in "01")
+@lru_cache(maxsize=4)
+def _doubled(table):
+    """The 256 byte matrices from table, the one-bit matrices of bits 0
+    and 1: each doubling pairs every entry (the high bits) with every
+    entry (the low bits), so 4 + 16 + 256 products build it.  The
+    library's only byte table cache: keyed by content, so every scan
+    with the same one-bit matrices shares a table, and bounded, as d,
+    Stern, _REP and one other representation need four."""
     for _ in range(3):
         table = tuple(_mul(high, low) for high in table for low in table)
     return table
 
 
-def _bits_product(row, n, scan, table=None, readout=True):
+def _byte_table(scan):
+    """The matrices of a bit scan for the 256 bytes, indexed by byte
+    value, bits most significant first, from the rows scan(bit, 1, 0)
+    and scan(bit, 0, 1) of its two one-bit matrices."""
+    return _doubled(tuple(scan(bit, 1, 0) + scan(bit, 0, 1) for bit in "01"))
+
+
+def _bits_product(row, n, scan, readout=True):
     """The row (x, y) after the bits of n, most significant first,
     starting from row.  With readout, the default, the caller keeps only
     x, and past one leaf y comes back as 0; readout=False gives the
     whole row.
 
-    scan(bits, x, y) is a route's recurrence over a bit string, and
-    table() returns its _byte_table (built here if table is None).  Up to
-    _LEAF bits, bin(n) is scanned in one pass, so n = 0 is the one bit
-    "0", and table is never called.  Past that, the top n.bit_length() %
-    _LEAF bits are scanned, since a start row need not be fixed by the
-    0-bit matrix, and each byte of n after them is looked up in the
-    table, with no Python step per bit.  The byte matrices are paired as
-    they arrive, up to one per leaf of _LEAF bits, so only the leaves'
-    level is ever held as a list, and _row_product multiplies the leaves
-    as a product tree, with _READOUT last for a readout.
+    scan(bits, x, y) is a route's recurrence over a bit string.  Up to
+    _LEAF bits it is the whole computation, and n = 0 has no bits, so
+    its row is row itself.  Past that, the top n.bit_length() % _LEAF
+    bits are scanned, since a start row need not be fixed by the 0-bit
+    matrix, and each byte of n after them is looked up in _byte_table,
+    with no Python step per bit.  The byte matrices are paired as they
+    arrive, up to one per leaf of _LEAF bits, so only the leaves' level
+    is ever held as a list, and _row_product multiplies the leaves as a
+    product tree, with _READOUT last for a readout.
     """
     size = n.bit_length()
     if size <= _LEAF:
         x, y = row  # a faster call than scan(bits, *row) on small inputs
-        return scan(bin(n)[2:], x, y)
+        return scan(bin(n)[2:] if n else "", x, y)
     body = size - size % _LEAF  # the bits of the whole leaves
     if body < size:
         row = scan(bin(n >> body)[2:], *row)
-    table = _byte_table(scan) if table is None else table()
+    table = _byte_table(scan)
     # byteorder is passed, as Python 3.10 requires
     data = (n & ((1 << body) - 1)).to_bytes(body // 8, "big")
     mats = map(table.__getitem__, data)
@@ -287,13 +292,6 @@ def _d_scan(bits, p, q):
     return p, q
 
 
-@cache
-def _d_table():
-    """_d_scan's byte table, built on the first d past one leaf, not at
-    import: a CLI call that never gets there does not pay for it."""
-    return _byte_table(_d_scan)
-
-
 def diagonal_sum_fast(n: int) -> int:
     """d(n), the continuant of the run lengths of n, scanned over the
     bits of t = n ^ (n >> 1), in O(log n) big-int operations and
@@ -304,21 +302,21 @@ def diagonal_sum_fast(n: int) -> int:
     F L^(m-1) = [[1 + (m - 1), 1], [1, 0]] = [[m, 1], [1, 0]], the
     continuant's matrix for the term m, so the product of F and L over
     the bits of t is the continuant's product over the runs of n, and
-    from the row (1, 0) its first entry is K of the runs.  t = 0 is the
-    bit "0", and (1, 0) L = (1, 0), whose first entry is K() = 1.
+    from the row (1, 0) its first entry is K of the runs.  t = 0 has no
+    bits, so d(0) is 1 = K().
     """
     _require_index("n", n)
-    return _bits_product((1, 0), n ^ (n >> 1), _d_scan, _d_table)[0]
+    return _bits_product((1, 0), n ^ (n >> 1), _d_scan)[0]
 
 
 @cache
 def _d_columns():
-    """Entries 0 and 2 of the _d_table matrices of the low bytes of
+    """Entries 0 and 2 of d's byte matrices of the low bytes of
     n ^ (n >> 1), for the 256 low bytes m of n, as the columns (A, C):
     one pair for even n >> 8 and one for odd n >> 8, whose low bit sets
     the 0x80 bit of that byte.  Built on the first d block, not at
     import."""
-    table = _d_table()
+    table = _byte_table(_d_scan)
     return tuple(
         tuple(tuple(table[m ^ (m >> 1) ^ flip][entry] for m in range(256))
               for entry in (0, 2))
@@ -330,8 +328,7 @@ def _d_blocks(c):
     columns = _d_columns()
     for c in count(c):
         a_m, c_m = columns[c & 1]
-        x, y = _bits_product((1, 0), c ^ (c >> 1), _d_scan, _d_table,
-                             readout=False)
+        x, y = _bits_product((1, 0), c ^ (c >> 1), _d_scan, readout=False)
         yield map(add, map(x.__mul__, a_m), map(y.__mul__, c_m))
 
 
@@ -351,8 +348,8 @@ def _d_block_terms(start: int):
     block costs one _bits_product over t(c), and each term two C-level
     multiplies and one addition, with no Python step per term: the
     2-regular block evaluation (Allouche & Shallit, Automatic Sequences,
-    2003, ch. 16) on the continuant's byte table.  At c = 0, t(c) is the
-    bit "0", whose row is (1, 0).
+    2003, ch. 16) on the continuant's byte table.  At c = 0, t(c) has
+    no bits, so its row is (1, 0).
     """
     _require_index("start", start)
     return islice(chain.from_iterable(_d_blocks(start >> 8)), start & 255,

@@ -31,19 +31,17 @@ The state is carried by one scan over the bits of n, one matrix-vector
 product per bit, and continuant._bits_product either runs it over all
 the bits or, past one leaf, multiplies v0 by the matrices of the bytes
 of n as a balanced tree.  That is O(log n) big-int operations at a
-subquadratic bit cost (see the continuant module).  _REP's byte table
-is built the first time a state passes one leaf and kept, keyed by the
-rep it was built for; any other representation builds its own table
-per call.
+subquadratic bit cost (see the continuant module).  A rep's byte table
+is built the first time its state passes one leaf, in the kernel's
+bounded cache keyed by m0 and m1, so every rep, _REP or another, gets
+the table of its own matrices.  n = 0 has no bits, so v(0) is v0.
 """
 
 from collections import namedtuple
-from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .continuant import (
     _bits_product,
-    _byte_table,
     _require_index,
     diagonal_sum_fast,
     to_decimal,
@@ -153,36 +151,14 @@ def _rep_scan(rep: LinearRep):
     return scan
 
 
-@lru_cache(maxsize=1)
-def _rep_table(rep: LinearRep):
-    """The byte table of rep's scan, built on first use; the table of the
-    last rep asked for is kept.  _state asks for the rep that _REP is at
-    the call, so a replaced _REP gets a table of its own."""
-    return _byte_table(_rep_scan(rep))
-
-
-def _state(rep: LinearRep, n: int, readout: bool = True) -> tuple[int, int]:
-    """v(n): v0 carried through m0 or m1 for each bit of n, most
-    significant first.  With readout, the default, only entry 0 is kept,
-    and past one leaf entry 1 comes back as 0; readout=False gives the
-    whole state.  n = 0 has no bits, so v(0) is v0 itself; bin(0) is the
-    one bit "0", which would give m0 v0, and that is v0 only for a v0
-    fixed by m0, as _REP's is."""
-    if n == 0:
-        return tuple(rep.v0)
-    return _bits_product(rep.v0, n, _rep_scan(rep),
-                         partial(_rep_table, rep) if rep == _REP else None,
-                         readout)
-
-
 def linear_rep_state(rep: LinearRep, n: int) -> tuple[int, int]:
     """State vector (d(2n), d(4n)): v0 times one matrix per bit of n,
     multiplied as a product tree past one leaf of bits."""
     _require_index("n", n)
-    return _state(rep, n, readout=False)
+    return _bits_product(rep.v0, n, _rep_scan(rep), readout=False)
 
 
 def linear_rep_eval(rep: LinearRep, n: int) -> int:
     """d(n) read out of the state at floor(n/2)."""
     _require_index("n", n)
-    return _state(rep, n >> 1)[0]
+    return _bits_product(rep.v0, n >> 1, _rep_scan(rep))[0]

@@ -13,21 +13,20 @@ the continuant of the binary run lengths of n.
 stern states its recurrence once, as _stern_scan over the bits of n
 with one addition per bit, and continuant._bits_product either runs it
 over all the bits or, past one leaf, multiplies the matrices of the
-bytes of n, looked up in _stern_table() (built on first use), as a
-balanced tree, which keeps the bit cost subquadratic (see the
+bytes of n, looked up in the scan's byte table (built on first use), as
+a balanced tree, which keeps the bit cost subquadratic (see the
 continuant module).  The scan never goes through continuant(), so the
 two stay independent routes to the same values.
 
 A range costs O(1) big-int operations per term: _stern_terms seeds
-itself with two scans, then steps by Newman's successor rule s(m+2) =
+itself with one scan, then steps by Newman's successor rule s(m+2) =
 s(m) + s(m+1) - 2 (s(m) mod s(m+1)) (Calkin & Wilf, 2000), and _d_terms
 sums adjacent terms of that sweep: the fast streams of bfile.ROUTES.
 """
 
-from functools import cache
 from itertools import islice, pairwise
 
-from .continuant import _bits_product, _byte_table, _require_index
+from .continuant import _bits_product, _require_index
 from .triangle import _odd_diagonal
 
 __all__ = ["carlitz_sum", "stern"]
@@ -48,19 +47,12 @@ def _stern_scan(bits, a, b):
     return a, b
 
 
-@cache
-def _stern_table():
-    """_stern_scan's byte table, built on the first s(n) past one leaf."""
-    return _byte_table(_stern_scan)
-
-
 def stern(n: int) -> int:
     """s(n) in O(log n) big-int operations, scanning the bits of n
     most-significant-first from (s(0), s(1)) = (0, 1).  No recursion,
     no memo table."""
     _require_index("n", n)
-    # bin(0) is "0", and a 0 bit appended to m = 0 leaves (0, 1) as it is
-    return _bits_product((0, 1), n, _stern_scan, _stern_table)[0]
+    return _bits_product((0, 1), n, _stern_scan)[0]
 
 
 def carlitz_sum(n: int) -> int:
@@ -80,9 +72,10 @@ def _newman(a, b):
 
 def _stern_terms(start: int):
     """The endless stream s(start), s(start+1), ...; start is checked at
-    the call, not at the first term."""
+    the call, not at the first term.  One scan of start gives the whole
+    row (s(start), s(start+1))."""
     _require_index("start", start)
-    return _newman(stern(start), stern(start + 1))
+    return _newman(*_bits_product((0, 1), start, _stern_scan, readout=False))
 
 
 def _d_terms(start: int):

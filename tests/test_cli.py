@@ -138,6 +138,7 @@ def test_seq_triangle_terms(capsys):
         ["seq", "d", "0..9", "--method", "closed"],
         ["seq", "r", "0..9", "--method", "scan"],
         ["seq", "nope", "0..9"],
+        ["seq", "d", "0..3", "--method", ""],
         # int() takes these, but a range is ASCII [0-9]+
         ["seq", "d", "1_0"],
         ["seq", "d", "+5"],

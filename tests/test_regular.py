@@ -17,6 +17,8 @@ from modpascal import (
     run_suite,
     stern,
 )
+from modpascal.continuant import _bits_product, _d_scan, _doubled
+from modpascal.stern import _stern_scan
 from oracles import binary_run_lengths, cf_numerator, rep_state_bits
 from test_stern import BIG_N, alternating
 
@@ -228,6 +230,33 @@ def test_custom_rep_state_at_zero_is_v0():
     rep = LinearRep(v0=(1, 2), m0=((0, 1), (-1, 2)), m1=((3, -1), (4, -1)))
     assert linear_rep_state(rep, 0) == (1, 2) == rep_state_bits(rep, 0)
     assert linear_rep_eval(rep, 0) == linear_rep_eval(rep, 1) == 1
+    # The same holds in the kernel for every scan, from a row that each
+    # scan's 0 bit would move.
+    for scan in (_d_scan, _stern_scan, regular._rep_scan(rep)):
+        assert _bits_product((1, 2), 0, scan, readout=False) == (1, 2)
+
+
+def test_byte_table_cache_is_bounded():
+    # _REP's table is cached first; each custom rep then shares _REP's
+    # m1 or not, but never its m0, so a table keyed by less than both
+    # one-bit matrices gives some rep a wrong state.
+    rng = random.Random(25)
+    ns = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (65, 70, 300)]
+    for n in ns:
+        assert linear_rep_state(regular._REP, n) == rep_state_bits(
+            regular._REP, n)
+    reps = [LinearRep(v0=(1, i), m0=((i % 3, 1), (-1, 3 + i)),
+                      m1=regular._REP.m1 if i % 2 else ((3, -1), (4, i)))
+            for i in range(10)]
+    for rep in reps:
+        for n in ns:
+            assert linear_rep_state(rep, n) == rep_state_bits(rep, n)
+    info = _doubled.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for n in ns:  # _REP's table was evicted, and is built again
+        assert linear_rep_state(regular._REP, n) == rep_state_bits(
+            regular._REP, n)
+        assert linear_rep_eval(regular._REP, n) == diagonal_sum_fast(n)
 
 
 @pytest.mark.parametrize("shape", ["random", "alternating"])

@@ -150,7 +150,8 @@ def test_regular_identity_audit_report_shape():
 
 
 def test_disagreeing_matrix_route_is_a_fail_line(monkeypatch, capsys):
-    monkeypatch.setattr(regular, "_state", lambda rep, n: (0, 0))
+    monkeypatch.setattr(regular, "_rep_scan",
+                        lambda rep: lambda bits, x, y: (0, 0))
     fail = ("  FAIL continuant route = matrix representation: "
             "counterexample at 0: lhs=1 rhs=0 (9 checks ran)")
     report = run_suite("thm1", 8)
