@@ -20,7 +20,9 @@ routes beside them, continuant, closed and scan, check them term for
 term: closed and scan per index, and d's continuant route a block of
 256 terms at a time from the continuant's byte table
 (continuant._d_block_terms).  d's brute route sweeps the parity
-diagonals by Pascal's rule on bitsets (triangle._diagonal_sum_terms).
+diagonals by Pascal's rule on bitsets (triangle._diagonal_sum_terms),
+and its recurrence route the 2-regular identities by a tower of
+half-rate streams (regular._recurrence_terms).
 
 The b-file layer is a stream of (index, value) records: records gives
 a b-file's records, record_lines writes them, read_records reads them
@@ -60,7 +62,7 @@ from .continuant import (
     _require_int,
     to_decimal,
 )
-from .regular import diagonal_sum_recurrence
+from .regular import _recurrence_terms
 from .stern import _d_terms, _stern_terms, carlitz_sum, stern
 from .triangle import (
     _ROWS,
@@ -142,7 +144,7 @@ ROUTES = MappingProxyType({
         "fast": _d_terms,
         "continuant": _d_block_terms,
         "brute": _diagonal_sum_terms,
-        "recurrence": _per_index(diagonal_sum_recurrence),
+        "recurrence": _recurrence_terms,
     }),
     "r": MappingProxyType({
         "fast": _row_sum_terms,

@@ -43,6 +43,8 @@ A range of d needs no product per term: _d_block_terms splits n into
 its top bits and its low byte, runs _bits_product once per block of
 256 terms over the top bits, and gives the block's terms as two C-level
 multiplies and one addition each against two columns of d's table.
+That block evaluation, _block, also runs the matrix representation's
+sweep (see the regular module).
 """
 
 from collections.abc import Iterable
@@ -323,13 +325,23 @@ def _d_columns():
         for flip in (0, 0x80))
 
 
+def _block(row, n, scan, columns):
+    """Entry 0 of the row after the bits of n and then one byte matrix,
+    for each matrix of a table given as its entries 0 and 2, the columns
+    (A, C): from the row (x, y) = _bits_product(row, n, scan,
+    readout=False), the map x A + y C, two C-level multiplies and one
+    addition per matrix.  The block evaluation of d's continuant route
+    and of the matrix representation's sweep (regular._rep_terms)."""
+    x, y = _bits_product(row, n, scan, readout=False)
+    a_m, c_m = columns
+    return map(add, map(x.__mul__, a_m), map(y.__mul__, c_m))
+
+
 def _d_blocks(c):
     """d over the blocks c, c + 1, ... of 256 terms, one map per block."""
     columns = _d_columns()
     for c in count(c):
-        a_m, c_m = columns[c & 1]
-        x, y = _bits_product((1, 0), c ^ (c >> 1), _d_scan, readout=False)
-        yield map(add, map(x.__mul__, a_m), map(y.__mul__, c_m))
+        yield _block((1, 0), c ^ (c >> 1), _d_scan, columns[c & 1])
 
 
 def _d_block_terms(start: int):
@@ -345,8 +357,8 @@ def _d_block_terms(start: int):
         d(256c + m) = x A(m) + y C(m),
 
     with A and C the byte matrix's entries 0 and 2 (_d_columns).  Each
-    block costs one _bits_product over t(c), and each term two C-level
-    multiplies and one addition, with no Python step per term: the
+    block (_block) costs one _bits_product over t(c), and each term two
+    C-level multiplies and one addition, with no Python step per term: the
     2-regular block evaluation (Allouche & Shallit, Automatic Sequences,
     2003, ch. 16) on the continuant's byte table.  At c = 0, t(c) has
     no bits, so its row is (1, 0).

@@ -9,14 +9,32 @@ n -> 2n and n -> 2n+1:
     d(8n)   =  -d(2n) + 2 d(4n)
     d(8n+4) = 4 d(2n) -   d(4n)
 
-Two evaluators are built from them.  diagonal_sum_recurrence applies the
-identities directly, bottoming out at base values d(0), d(2), d(4)
-taken from the continuant route: it keeps d(n) as one linear
+Three evaluators are built from them.  diagonal_sum_recurrence applies
+the identities to one index, bottoming out at base values d(0), d(2),
+d(4) taken from the continuant route: it keeps d(n) as one linear
 combination of pending indices and rewrites the largest of them by its
 identity until only base indices are left.  At most three indices are
-pending at once, so its memory grows linearly in the bits of n.  The
-linear representation packs the same four identities into 2x2 integer
-matrices acting on the state vector v(n) = (d(2n), d(4n)):
+pending at once, so its memory grows linearly in the bits of n.
+
+The scalar recurrence's sweep, d's `recurrence` route (_recurrence_terms),
+reads the same identities on e(j) = d(2j), where they become
+
+    e(2i+1) = 3 e(i) - e(2i),   e(4i) = 2 e(2i) - e(i),
+    e(4i+2) = 4 e(i) - e(2i) = e(i) + e(2i+1),
+
+so e(2i) and e(2i+1) follow from the pair (e(i), e(i // 2)) in O(1)
+big-int operations.  A tower of generators (_tower) runs them: each
+level yields the pairs (e(j), e(j // 2)) for consecutive j, reading
+the level above it, which runs at half its rate, so a window of W terms
+takes O(W) operations in all.  A level yields its first pair, or two,
+from seeds and makes the level above only when it needs its next pair,
+so the tower is about log2(W) levels high whatever the start, and it
+holds a few ints per level.  Each level's seed is one per-index
+diagonal_sum_recurrence, which reads _BASE at 0; the sweep never reads
+the continuant, Stern or matrix routes.
+
+The linear representation packs the same four identities into 2x2
+integer matrices acting on the state vector v(n) = (d(2n), d(4n)):
 
     v(2n)   = M0 v(n),  M0 = [[ 0,  1], [-1,  2]]   (rows: d(4n), d(8n))
     v(2n+1) = M1 v(n),  M1 = [[ 3, -1], [ 4, -1]]   (rows: d(4n+2), d(8n+4))
@@ -35,13 +53,23 @@ subquadratic bit cost (see the continuant module).  A rep's byte table
 is built the first time its state passes one leaf, in the kernel's
 bounded cache keyed by m0 and m1, so every rep, _REP or another, gets
 the table of its own matrices.  n = 0 has no bits, so v(0) is v0.
+
+A range of states needs no product per state: _rep_terms, the matrix
+side of `verify thm1`, runs one _bits_product per block of 256 states
+and gives each state's component 0 from two columns of the byte table,
+by the block evaluation of d's continuant route (continuant._block),
+each value twice, for d(2s) and d(2s + 1).
 """
 
 from collections import namedtuple
+from itertools import chain, count, islice, repeat, tee
+from operator import itemgetter
 from types import MappingProxyType
 
 from .continuant import (
     _bits_product,
+    _block,
+    _byte_table,
     _require_index,
     diagonal_sum_fast,
     to_decimal,
@@ -104,6 +132,48 @@ def diagonal_sum_recurrence(n: int) -> int:
     return value
 
 
+def _twice(values):
+    """Each of values twice in a row, as d(2i) = d(2i + 1)."""
+    return chain.from_iterable(zip(*tee(values)))
+
+
+def _tower(k, e_k):
+    """The pairs (e(j), e(j // 2)) for j = k, k + 1, ..., where e(j) =
+    d(2j) and e_k = e(k).
+
+    The first pair takes one seed, e(k // 2) by diagonal_sum_recurrence,
+    and for even k the second is e(k + 1) = 3 e(k / 2) - e(k).  The rest
+    come two by two from the pairs (e(i), e(i // 2)) of the level above,
+    _tower(k // 2, e(k // 2)), past its first pair, which the seeds
+    already cover: e(2i) = e(i) + e(i // 2) for odd i and
+    2 e(i) - e(i // 2) for even i, and e(2i + 1) = 3 e(i) - e(2i).  That
+    level is made only once the seeds run out.
+    """
+    half = diagonal_sum_recurrence(2 * (k // 2))
+    yield e_k, half
+    if k % 2 == 0:
+        yield 3 * half - e_k, half
+    parent = _tower(k // 2, half)
+    next(parent)
+    odd = k // 2 % 2 == 0  # the parity of the parent's next index
+    for a, b in parent:
+        e = a + b if odd else a + a - b
+        yield e, a
+        yield 3 * a - e, a
+        odd = not odd
+
+
+def _recurrence_terms(start: int):
+    """The endless stream d(start), d(start+1), ... by the tower of the
+    scalar identities, O(1) big-int operations a term amortized and a
+    few ints per level of the tower; start is checked at the call, not
+    at the first term."""
+    _require_index("start", start)
+    j = start >> 1
+    values = map(itemgetter(0), _tower(j, diagonal_sum_recurrence(2 * j)))
+    return islice(_twice(values), start & 1, None)
+
+
 class LinearRep(namedtuple("LinearRep", "v0 m0 m1")):
     """2x2 integer linear representation of the diagonal sums.
 
@@ -162,3 +232,26 @@ def linear_rep_eval(rep: LinearRep, n: int) -> int:
     """d(n) read out of the state at floor(n/2)."""
     _require_index("n", n)
     return _bits_product(rep.v0, n >> 1, _rep_scan(rep))[0]
+
+
+def _rep_terms(start: int):
+    """The endless stream d(start), d(start+1), ... from _REP's states,
+    a block of 256 states, or 512 terms, at a time; start is checked at
+    the call, not at the first term.
+
+    The state index s = 256c + m has the bits of c, then the byte m, so
+    component 0 of v(s) is entry 0 of the row after c, v0 times the
+    matrices of its bits, times the byte table's matrix of m
+    (continuant._block over the table's entries 0 and 2).  _REP and
+    _rep_scan are read here, at the call, so a rep or scan put in their
+    place is what the stream runs.
+    """
+    _require_index("start", start)
+    rep = _REP
+    scan = _rep_scan(rep)
+    table = _byte_table(scan)
+    columns = tuple(tuple(matrix[entry] for matrix in table)
+                    for entry in (0, 2))
+    blocks = map(_block, repeat(rep.v0), count(start >> 9), repeat(scan),
+                 repeat(columns))
+    return islice(_twice(chain.from_iterable(blocks)), start & 511, None)

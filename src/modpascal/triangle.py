@@ -55,6 +55,8 @@ which are arbitrary precision; T(n, k) grows roughly like 3^n along the
 middle of a row, so fixed-width types are not an option.
 """
 
+import os
+import sys
 from collections import namedtuple
 from itertools import chain, count, cycle, islice, repeat
 from math import isqrt
@@ -471,16 +473,31 @@ def _diagonal_sums(top):
         high = low ^ (high << 1)  # D_(top+2)
 
 
+def _memory_bytes():
+    """The machine's physical memory in bytes, or sys.maxsize, the most
+    one object can hold, where os.sysconf does not say (as on
+    Windows)."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
 def _diagonal_sum_terms(start: int):
     """The endless stream d(start), d(start+1), ... summed along the
     diagonals of the parity triangle, by Pascal's rule on bitsets
     (_diagonal_sums); start is checked at the call, not at the first
     term.  It holds a few ints of about start/2 bits, about start/4
-    bytes in all.  Its seeds read Kummer's carry test and its steps
-    Pascal's rule mod 2, never the continuant or Stern's sequence, so it
-    is a reference route for the d sweeps, as diagonal_sum_brute is for
-    one index."""
+    bytes in all, so a start whose start/4 bytes pass the machine's
+    memory is a MemoryError at the call, before any seed is read.  Its
+    seeds read Kummer's carry test and its steps Pascal's rule mod 2,
+    never the continuant or Stern's sequence, so it is a reference route
+    for the d sweeps, as diagonal_sum_brute is for one index."""
     _require_index("start", start)
+    if start // 4 > _memory_bytes():
+        raise MemoryError(
+            f"the brute sweep from {to_decimal(start)} holds about "
+            f"{to_decimal(start // 4)} bytes")
     return islice(_diagonal_sums(start - start % 2), start % 2, None)
 
 

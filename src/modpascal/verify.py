@@ -8,11 +8,14 @@ value stream values(indices) that yields the side's value at each index
 in turn.  A per-index function enters as partial(map, fn), and an
 endless route of bfile.ROUTES, such as the exact row stream or a sweep,
 enters as that route started at the first index: `thm1` checks the
-per-index continuant against the brute route of d, which sweeps the
-parity diagonals by Pascal's rule on bitsets, and `eq3` reads d's
-continuant route, a block of 256 terms at a time, against the Stern
-sweep.  Over the pairs (n, k), which start at (0, 0), a side may also
-be rows built from row 0 on: `lucas` reads the exact Pascal rows by
+per-index continuant against three streams, the brute route of d,
+which sweeps the parity diagonals by Pascal's rule on bitsets, its
+recurrence route, which sweeps the 2-regular identities by a tower of
+half-rate streams, and the matrix representation a block of 256 states
+at a time (regular._rep_terms); `eq3` reads d's continuant route, a
+block of 256 terms at a time, against the Stern sweep.  Over the pairs
+(n, k), which start at (0, 0), a side may also be rows built from row
+0 on: `lucas` reads the exact Pascal rows by
 Pascal's rule, and `rows` reads the exact row stream, which builds rows
 by additions, against both the defining sum and rows by the order-2
 recurrence in k.  run_suite scans the rows of one suite, or of every
@@ -180,11 +183,12 @@ _SUITES = MappingProxyType({
         # the brute force as Pascal's rule on the diagonals' bitsets
         ("continuant route = triangle brute force", _upto,
          partial(map, _d), _route(ROUTES["d"]["brute"])),
+        # the scalar identities by a tower of half-rate streams
         ("continuant route = scalar recurrence", _upto,
-         partial(map, _d), partial(map, regular.diagonal_sum_recurrence)),
+         partial(map, _d), _route(ROUTES["d"]["recurrence"])),
+        # the matrix representation, a block of 256 states at a time
         ("continuant route = matrix representation", _upto,
-         partial(map, _d),
-         partial(map, lambda n: regular.linear_rep_eval(regular._REP, n))),
+         partial(map, _d), _route(regular._rep_terms)),
     )),
     "thm2": _Suite((
         ("row sum closed form = brute force",

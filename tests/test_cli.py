@@ -288,6 +288,22 @@ def test_out_of_memory_is_an_error(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+def test_brute_sweep_past_memory_is_out_of_memory(capsys):
+    # From 2^64 the brute sweep's seeds would hold about 2^62 bytes and
+    # take about 2^63 carry tests: the command ends at once with exit 3,
+    # having allocated nothing near that.
+    first = 2**64
+    tracemalloc.start()
+    try:
+        code = main(["seq", "d", f"{first}..{first + 10}", "--method", "brute"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert peak < 2**20
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
 @pytest.mark.parametrize("argv", [
     ["triangle", "3"],

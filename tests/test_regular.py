@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from collections import deque
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from modpascal import (
     run_suite,
     stern,
 )
+from modpascal.bfile import ROUTES
 from modpascal.continuant import _bits_product, _d_scan, _doubled
 from modpascal.stern import _stern_scan
 from oracles import binary_run_lengths, cf_numerator, rep_state_bits
@@ -281,3 +284,79 @@ def test_non_int_arguments_raise_type_error(bad):
                  lambda n: linear_rep_state(rep, n)):
         with pytest.raises(TypeError, match="^n must be an int, got "):
             call(bad)
+
+
+# Starts of the recurrence route's windows: the first indices, and both
+# sides of every power of two to 2^70, where the tower's seeds cross a
+# bit length.
+RECURRENCE_STARTS = sorted({*range(6), 2**64, 2**200 + 3, *(
+    2**k + delta for k in range(1, 71) for delta in (-1, 0, 1))})
+
+
+def test_recurrence_route_windows():
+    # 40 terms climb five levels of the tower, each seeded anew.
+    recurrence = ROUTES["d"]["recurrence"]
+    for start in RECURRENCE_STARTS:
+        got = list(islice(recurrence(start), 40))
+        assert got == [diagonal_sum_fast(n)
+                       for n in range(start, start + 40)], start
+        assert got[::7] == [diagonal_sum_recurrence(n)
+                            for n in range(start, start + 40, 7)], start
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2**4096), st.integers(0, 600))
+def test_recurrence_route_matches_per_index_kernel_at_huge_starts(start,
+                                                                    size):
+    assert (list(islice(ROUTES["d"]["recurrence"](start), size))
+            == [diagonal_sum_fast(n) for n in range(start, start + size)])
+
+
+def test_recurrence_route_past_2_4096_is_not_deep():
+    # A tower made down to its seeds at once would be 4097 generators
+    # deep, past the recursion limit; made as the window needs it, it is
+    # about ten.
+    start = 2**4097 + 12345
+    got = list(islice(ROUTES["d"]["recurrence"](start), 1000))
+    assert len(got) == 1000
+    for n in (0, 1, 2, 511, 998, 999):
+        assert got[n] == diagonal_sum_fast(start + n)
+
+
+def test_recurrence_route_memory_is_logarithmic_in_the_window():
+    # About 20 levels, a few ints each: a tower that kept what it made
+    # would hold 10^6 ints.
+    tracemalloc.start()
+    try:
+        deque(islice(ROUTES["d"]["recurrence"](0), 10**6), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 255, 256, 2**56 - 1, 2**56,
+                               2**64 - 1, 2**70])
+def test_matrix_sweep_across_block_edges(c):
+    # Block c of the matrix sweep is the state row after c times two
+    # columns of the byte table, each value twice: d indices 512c - 1,
+    # 512c and 512c + 1 start just before, at and just after its edge.
+    for start in (512 * c - 1, 512 * c, 512 * c + 1):
+        got = list(islice(regular._rep_terms(start), 1030))
+        assert got == [linear_rep_eval(regular._REP, n)
+                       for n in range(start, start + 1030)], start
+
+
+def test_matrix_sweep_from_the_first_indices():
+    for start in range(6):
+        assert (list(islice(regular._rep_terms(start), 600))
+                == [diagonal_sum_fast(n) for n in range(start, start + 600)])
+
+
+@pytest.mark.parametrize("terms", [ROUTES["d"]["recurrence"],
+                                   regular._rep_terms])
+def test_sweeps_check_start_at_the_call(terms):
+    with pytest.raises(ValueError, match="^start must be >= 0, got -1$"):
+        terms(-1)
+    with pytest.raises(TypeError, match="^start must be an int, got float$"):
+        terms(2.0)

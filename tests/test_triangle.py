@@ -1,3 +1,5 @@
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -247,6 +249,24 @@ def test_diagonal_bitset_sweep_memory():
         tracemalloc.stop()
     assert peak < 2**20
     assert terms[0] == diagonal_sum_fast(10**6)
+
+
+def test_diagonal_bitset_sweep_refuses_seeds_past_memory(monkeypatch):
+    # The sweep holds about start/4 bytes: with 1000 bytes of memory,
+    # start 4003 is within it and 4004 is a MemoryError at the call.
+    monkeypatch.setattr(triangle, "_memory_bytes", lambda: 1000)
+    assert next(triangle._diagonal_sum_terms(4003)) == diagonal_sum_fast(4003)
+    with pytest.raises(MemoryError, match="^the brute sweep from 4004 holds "
+                                          "about 1001 bytes$"):
+        triangle._diagonal_sum_terms(4004)
+
+
+def test_machine_memory_is_a_positive_int(monkeypatch):
+    memory = triangle._memory_bytes()
+    assert type(memory) is int and memory > 0
+    # Where os.sysconf is missing, as on Windows, no object passes it.
+    monkeypatch.delattr(os, "sysconf", raising=False)
+    assert triangle._memory_bytes() == sys.maxsize
 
 
 def test_diagonal_sum_stream_fixture():

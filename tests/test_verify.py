@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 from itertools import count, islice
 
@@ -161,6 +162,54 @@ def test_disagreeing_matrix_route_is_a_fail_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert fail in out.splitlines()
     assert err == ""
+
+
+THM1_2500 = """\
+suite thm1 (max_n=2500)
+  PASS continuant route = triangle brute force: 2501 checks
+  PASS continuant route = scalar recurrence: 2501 checks
+  PASS continuant route = matrix representation: 2501 checks
+  => pass
+"""
+
+
+def test_thm1_text_is_pinned(capsys):
+    assert main(["verify", "thm1", "--max-n", "2500"]) == 0
+    assert capsys.readouterr().out == THM1_2500
+
+
+def test_recurrence_side_is_the_tower_from_base(monkeypatch, capsys):
+    # thm1's recurrence side is d's recurrence route, whose tower reads
+    # only d(0) from _BASE from index 0 on: doubling it doubles every
+    # value the side gives.
+    monkeypatch.setattr(regular, "_BASE", {0: 2, 2: 4, 4: 6})
+    fail = ("  FAIL continuant route = scalar recurrence: "
+            "counterexample at 0: lhs=1 rhs=2 (9 checks ran)")
+    report = run_suite("thm1", 8)
+    assert [line for line in report.lines() if "FAIL " in line] == [fail]
+    assert main(["verify", "thm1", "--max-n", "8"]) == 1
+    assert fail in capsys.readouterr().out.splitlines()
+
+
+def test_thm1_reference_sides_are_sweeps(monkeypatch):
+    # The recurrence side seeds each level of its tower by one per-index
+    # call, about log2(2501) levels, and the matrix side runs one block
+    # per 512 indices, not one evaluation per index.
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("diagonal_sum_recurrence", "_block", "linear_rep_eval"):
+        monkeypatch.setattr(regular, name,
+                            counted(name, getattr(regular, name)))
+    assert run_suite("thm1", 2500).passed
+    assert 0 < calls["diagonal_sum_recurrence"] <= (2500).bit_length() + 2
+    assert calls["_block"] == 5
+    assert calls["linear_rep_eval"] == 0
 
 
 def test_passing_report_rendering():
