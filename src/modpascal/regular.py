@@ -26,12 +26,13 @@ so e(2i) and e(2i+1) follow from the pair (e(i), e(i // 2)) in O(1)
 big-int operations.  A tower of generators (_tower) runs them: each
 level yields the pairs (e(j), e(j // 2)) for consecutive j, reading
 the level above it, which runs at half its rate, so a window of W terms
-takes O(W) operations in all.  A level yields its first pair, or two,
-from seeds and makes the level above only when it needs its next pair,
-so the tower is about log2(W) levels high whatever the start, and it
-holds a few ints per level.  Each level's seed is one per-index
-diagonal_sum_recurrence, which reads _BASE at 0; the sweep never reads
-the continuant, Stern or matrix routes.
+takes O(W) operations in all.  A level yields its first two pairs, or
+three, from seeds and makes the level above only when it needs its
+next pair, so the tower is at most about log2(W) + 2 levels high
+whatever the start, and it holds a few ints per level.  A level's
+seeds are one per-index diagonal_sum_recurrence, or three where its
+first index is odd, each reading _BASE at 0; the sweep never reads the
+continuant, Stern or matrix routes.
 
 The linear representation packs the same four identities into 2x2
 integer matrices acting on the state vector v(n) = (d(2n), d(4n)):
@@ -141,21 +142,30 @@ def _tower(k, e_k):
     """The pairs (e(j), e(j // 2)) for j = k, k + 1, ..., where e(j) =
     d(2j) and e_k = e(k).
 
-    The first pair takes one seed, e(k // 2) by diagonal_sum_recurrence,
-    and for even k the second is e(k + 1) = 3 e(k / 2) - e(k).  The rest
-    come two by two from the pairs (e(i), e(i // 2)) of the level above,
-    _tower(k // 2, e(k // 2)), past its first pair, which the seeds
-    already cover: e(2i) = e(i) + e(i // 2) for odd i and
-    2 e(i) - e(i // 2) for even i, and e(2i + 1) = 3 e(i) - e(2i).  That
-    level is made only once the seeds run out.
+    The seeds give the pairs up to j = 2i + 1, where 2i is the least
+    even j >= k: e(k // 2) by diagonal_sum_recurrence, and for odd k
+    also e(2i) = e(k + 1) and e(i) the same way, then
+    e(2i + 1) = 3 e(i) - e(2i).  The rest come two by two from the pairs
+    (e(i'), e(i' // 2)) of the level above, _tower(i, e(i)), past its
+    first pair, which the seeds already cover: e(2i') = e(i') + e(i' // 2)
+    for odd i' and 2 e(i') - e(i' // 2) for even i', and
+    e(2i' + 1) = 3 e(i') - e(2i').  That level is made only once the
+    seeds, two or three pairs, run out, so a level that yields n > 3
+    pairs asks the level above for about n / 2 + 1: a window of W terms
+    makes at most about log2(W) + 2 levels, whatever the bits of k.
     """
-    half = diagonal_sum_recurrence(2 * (k // 2))
+    i = k // 2
+    half = diagonal_sum_recurrence(2 * i)
     yield e_k, half
-    if k % 2 == 0:
-        yield 3 * half - e_k, half
-    parent = _tower(k // 2, half)
+    if k % 2 == 1:
+        i += 1
+        e_k = diagonal_sum_recurrence(4 * i)
+        half = diagonal_sum_recurrence(2 * i)
+        yield e_k, half
+    yield 3 * half - e_k, half
+    parent = _tower(i, half)
     next(parent)
-    odd = k // 2 % 2 == 0  # the parity of the parent's next index
+    odd = i % 2 == 0  # the parity of the parent's next index
     for a, b in parent:
         e = a + b if odd else a + a - b
         yield e, a

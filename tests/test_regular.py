@@ -304,8 +304,16 @@ def test_recurrence_route_windows():
                             for n in range(start, start + 40, 7)], start
 
 
+# Starts up to 2^4096, and starts just below a power of two, whose
+# state index ends in a long run of one bits.
+HUGE_STARTS = st.one_of(
+    st.integers(0, 2**4096),
+    st.builds(lambda k, delta: 2**k - delta, st.integers(2, 4096),
+              st.integers(1, 4)))
+
+
 @settings(deadline=None, max_examples=20)
-@given(st.integers(0, 2**4096), st.integers(0, 600))
+@given(HUGE_STARTS, st.integers(0, 600))
 def test_recurrence_route_matches_per_index_kernel_at_huge_starts(start,
                                                                     size):
     assert (list(islice(ROUTES["d"]["recurrence"](start), size))
@@ -321,6 +329,40 @@ def test_recurrence_route_past_2_4096_is_not_deep():
     assert len(got) == 1000
     for n in (0, 1, 2, 511, 998, 999):
         assert got[n] == diagonal_sum_fast(start + n)
+
+
+@pytest.mark.parametrize("start", [2**4098 - 3, 2**4098 - 2, 2**4098 - 1],
+                         ids=["2^4098-3", "2^4098-2", "2^4098-1"])
+def test_recurrence_route_after_a_long_run_of_ones(start):
+    # start >> 1 ends in 4096 or 4097 one bits, so the first levels of
+    # the tower start at odd indices, one after another.
+    recurrence = ROUTES["d"]["recurrence"]
+    for size in (3, 4, 5, 40):
+        assert (list(islice(recurrence(start), size))
+                == [diagonal_sum_fast(n) for n in range(start, start + size)])
+    got = list(islice(recurrence(start), 1000))
+    for n in (0, 1, 2, 3, 511, 998, 999):
+        assert got[n] == diagonal_sum_fast(start + n)
+
+
+@pytest.mark.parametrize("start", [0, 5, 2**64 - 1, 2**200 + 3,
+                                   2**4098 - 2, 2**4098 - 1],
+                         ids=["0", "5", "2^64-1", "2^200+3", "2^4098-2",
+                              "2^4098-1"])
+@pytest.mark.parametrize("size", [1, 3, 4, 40, 1000])
+def test_recurrence_tower_height_follows_the_window(monkeypatch, start,
+                                                    size):
+    # Every level makes the level above it through the module's _tower,
+    # so counting those calls counts the levels a window makes.
+    tower, levels = regular._tower, []
+
+    def counted(k, e_k):
+        levels.append(k)
+        return tower(k, e_k)
+
+    monkeypatch.setattr(regular, "_tower", counted)
+    deque(islice(regular._recurrence_terms(start), size), 0)
+    assert len(levels) <= size.bit_length() + 2
 
 
 def test_recurrence_route_memory_is_logarithmic_in_the_window():
