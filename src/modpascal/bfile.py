@@ -17,11 +17,12 @@ stern are sweeps: d and stern at O(1) big-int operations per term by
 Newman's successor rule (see the stern module), r at one multiply per
 term by blocks of the binary weight (see triangle._row_sum_terms).  The
 routes beside them, continuant, closed and scan, check them term for
-term: closed and scan per index, and d's continuant route a block of
-256 terms at a time from the continuant's byte table
-(continuant._d_block_terms).  d's brute route sweeps the parity
+term: closed and scan per index.  Every route of d is a sweep of
+e(j) = d(2j) = d(2j + 1), repeated into d by continuant._evens: the
+continuant route a block of 256 values at a time from the continuant's
+byte table (continuant._d_block_terms), the brute route the parity
 diagonals by Pascal's rule on bitsets (triangle._diagonal_sum_terms),
-and its recurrence route the 2-regular identities by a tower of
+and the recurrence route the 2-regular identities by a tower of
 half-rate streams (regular._recurrence_terms).
 
 The b-file layer is a stream of (index, value) records: records gives

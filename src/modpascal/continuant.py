@@ -39,17 +39,18 @@ term each time, a cost quadratic in the bit length b of the result; the
 tree multiplies operands of equal size, so CPython's Karatsuba multiply
 brings it down to O(b^1.585).
 
-A range of d needs no product per term: _d_block_terms splits n into
-its top bits and its low byte, runs _bits_product once per block of
-256 terms over the top bits, and gives the block's terms as two C-level
-multiplies and one addition each against two columns of d's table.
-That block evaluation, _block, also runs the matrix representation's
-sweep (see the regular module).
+A range of d needs no product per term.  Every d sweep streams
+e(j) = d(2j) = d(2j + 1), and _evens alone repeats it into d.
+_d_block_terms runs _bits_product once per block of 256 values of e,
+over the top bits of j, and gives each value as two C-level multiplies
+and one addition against two columns of d's table.  That block
+evaluation (_block) and cut (_blocks) also run the matrix
+representation's sweep (see the regular module).
 """
 
 from collections.abc import Iterable
-from functools import cache, lru_cache
-from itertools import chain, count, islice, zip_longest
+from functools import cache, lru_cache, wraps
+from itertools import chain, count, islice, tee, zip_longest
 from operator import add
 
 __all__ = [
@@ -311,58 +312,66 @@ def diagonal_sum_fast(n: int) -> int:
     return _bits_product((1, 0), n ^ (n >> 1), _d_scan)[0]
 
 
+def _evens(sweep):
+    """The d stream terms(start) of sweep(j), an endless stream of
+    e(j) = d(2j), e(j+1), ...: as d(2j + 1) = d(2j), it runs the sweep
+    from j = start >> 1, gives each value twice, and drops the first for
+    odd start.  start is checked at the call, not at the first term."""
+    @wraps(sweep)
+    def terms(start):
+        _require_index("start", start)
+        twice = chain.from_iterable(zip(*tee(sweep(start >> 1))))
+        return islice(twice, start & 1, None)
+    return terms
+
+
 @cache
 def _d_columns():
-    """Entries 0 and 2 of d's byte matrices of the low bytes of
-    n ^ (n >> 1), for the 256 low bytes m of n, as the columns (A, C):
-    one pair for even n >> 8 and one for odd n >> 8, whose low bit sets
-    the 0x80 bit of that byte.  Built on the first d block, not at
-    import."""
+    """The sums (A, C) of entries 0 + 1 and 2 + 3 of d's byte matrices
+    of the low bytes m ^ (m >> 1) of t(j), m < 256: one pair for even
+    j >> 8 and one for odd, whose low bit sets the 0x80 bit of that
+    byte.  Built on the first d block, not at import."""
     table = _byte_table(_d_scan)
-    return tuple(
-        tuple(tuple(table[m ^ (m >> 1) ^ flip][entry] for m in range(256))
-              for entry in (0, 2))
-        for flip in (0, 0x80))
+    entries = (zip(*(table[m ^ (m >> 1) ^ flip] for m in range(256)))
+               for flip in (0, 0x80))
+    return tuple((tuple(map(add, a, b)), tuple(map(add, c, d)))
+                 for a, b, c, d in entries)
 
 
 def _block(row, n, scan, columns):
-    """Entry 0 of the row after the bits of n and then one byte matrix,
-    for each matrix of a table given as its entries 0 and 2, the columns
-    (A, C): from the row (x, y) = _bits_product(row, n, scan,
-    readout=False), the map x A + y C, two C-level multiplies and one
-    addition per matrix.  The block evaluation of d's continuant route
+    """x A + y C for the columns (A, C), (x, y) the row after the bits of
+    n: two C-level multiplies and one addition per value.  With A and C
+    a byte table's entries 0 and 2, each value is entry 0 of the row
+    after n and one byte.  The block evaluation of d's continuant route
     and of the matrix representation's sweep (regular._rep_terms)."""
     x, y = _bits_product(row, n, scan, readout=False)
     a_m, c_m = columns
     return map(add, map(x.__mul__, a_m), map(y.__mul__, c_m))
 
 
-def _d_blocks(c):
-    """d over the blocks c, c + 1, ... of 256 terms, one map per block."""
-    columns = _d_columns()
-    for c in count(c):
-        yield _block((1, 0), c ^ (c >> 1), _d_scan, columns[c & 1])
-
-
-def _d_block_terms(start: int):
-    """The endless stream d(start), d(start+1), ..., a block of 256 terms
-    at a time; start is checked at the call, not at the first term.
-
-    Write n = 256c + m with m < 256 and t(n) = n ^ (n >> 1).  Then
-    t(n) >> 8 = t(c), and the low byte of t(n) is m ^ (m >> 1) ^
-    ((c & 1) << 7).  So diagonal_sum_fast's product over the bits of
-    t(n) is the row (x, y) after the bits of t(c), times the matrix of
-    that byte:
-
-        d(256c + m) = x A(m) + y C(m),
-
-    with A and C the byte matrix's entries 0 and 2 (_d_columns).  Each
-    block (_block) costs one _bits_product over t(c), and each term two
-    C-level multiplies and one addition, with no Python step per term: the
-    2-regular block evaluation (Allouche & Shallit, Automatic Sequences,
-    2003, ch. 16) on the continuant's byte table.  At c = 0, t(c) has
-    no bits, so its row is (1, 0).
-    """
-    _require_index("start", start)
-    return islice(chain.from_iterable(_d_blocks(start >> 8)), start & 255,
+def _blocks(j, block):
+    """v(j), v(j+1), ... from block(c) = v(256c), ..., v(256c + 255)."""
+    return islice(chain.from_iterable(map(block, count(j >> 8))), j & 255,
                   None)
+
+
+@_evens
+def _d_block_terms(j):
+    """e(j), e(j+1), ..., with e(j) = d(2j), a block of 256 at a time.
+
+    With t(j) = j ^ (j >> 1), t(2j) is t(j) << 1 | (j & 1), and F and L
+    both send the row (x, y) to a row whose entry 0 is x + y, so e(j) is
+    the sum of the row after the bits of t(j).  Write j = 256c + m with
+    m < 256: t(j) >> 8 = t(c), and the low byte of t(j) is
+    m ^ (m >> 1) ^ ((c & 1) << 7).  So with (x, y) the row after t(c),
+
+        e(256c + m) = x A(m) + y C(m)
+
+    (_d_columns): one _bits_product per block (_block), and two C-level
+    multiplies and one addition per value, the 2-regular block
+    evaluation (Allouche & Shallit, Automatic Sequences, 2003, ch. 16).
+    At c = 0, t(c) has no bits, so its row is (1, 0).
+    """
+    columns = _d_columns()
+    return _blocks(j, lambda c: _block((1, 0), c ^ (c >> 1), _d_scan,
+                                       columns[c & 1]))

@@ -57,20 +57,23 @@ the table of its own matrices.  n = 0 has no bits, so v(0) is v0.
 
 A range of states needs no product per state: _rep_terms, the matrix
 side of `verify thm1`, runs one _bits_product per block of 256 states
-and gives each state's component 0 from two columns of the byte table,
-by the block evaluation of d's continuant route (continuant._block),
-each value twice, for d(2s) and d(2s + 1).
+and gives each state's component 0, e(s) = d(2s), from two columns of
+the byte table, by the block evaluation and cut of d's continuant route
+(continuant._block and _blocks).  Both sweeps stream e alone, and
+continuant._evens repeats it into d.
 """
 
 from collections import namedtuple
-from itertools import chain, count, islice, repeat, tee
+from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
 
 from .continuant import (
     _bits_product,
     _block,
+    _blocks,
     _byte_table,
+    _evens,
     _require_index,
     diagonal_sum_fast,
     to_decimal,
@@ -133,11 +136,6 @@ def diagonal_sum_recurrence(n: int) -> int:
     return value
 
 
-def _twice(values):
-    """Each of values twice in a row, as d(2i) = d(2i + 1)."""
-    return chain.from_iterable(zip(*tee(values)))
-
-
 def _tower(k, e_k):
     """The pairs (e(j), e(j // 2)) for j = k, k + 1, ..., where e(j) =
     d(2j) and e_k = e(k).
@@ -173,15 +171,12 @@ def _tower(k, e_k):
         odd = not odd
 
 
-def _recurrence_terms(start: int):
-    """The endless stream d(start), d(start+1), ... by the tower of the
-    scalar identities, O(1) big-int operations a term amortized and a
-    few ints per level of the tower; start is checked at the call, not
-    at the first term."""
-    _require_index("start", start)
-    j = start >> 1
-    values = map(itemgetter(0), _tower(j, diagonal_sum_recurrence(2 * j)))
-    return islice(_twice(values), start & 1, None)
+@_evens
+def _recurrence_terms(j):
+    """e(j), e(j+1), ..., with e(j) = d(2j), by the tower of the scalar
+    identities, O(1) big-int operations a value amortized and a few
+    ints per level of the tower."""
+    return map(itemgetter(0), _tower(j, diagonal_sum_recurrence(2 * j)))
 
 
 class LinearRep(namedtuple("LinearRep", "v0 m0 m1")):
@@ -244,10 +239,10 @@ def linear_rep_eval(rep: LinearRep, n: int) -> int:
     return _bits_product(rep.v0, n >> 1, _rep_scan(rep))[0]
 
 
-def _rep_terms(start: int):
-    """The endless stream d(start), d(start+1), ... from _REP's states,
-    a block of 256 states, or 512 terms, at a time; start is checked at
-    the call, not at the first term.
+@_evens
+def _rep_terms(j):
+    """e(j), e(j+1), ..., where e(s) = d(2s) is component 0 of _REP's
+    state v(s), a block of 256 states at a time.
 
     The state index s = 256c + m has the bits of c, then the byte m, so
     component 0 of v(s) is entry 0 of the row after c, v0 times the
@@ -256,12 +251,7 @@ def _rep_terms(start: int):
     _rep_scan are read here, at the call, so a rep or scan put in their
     place is what the stream runs.
     """
-    _require_index("start", start)
     rep = _REP
     scan = _rep_scan(rep)
-    table = _byte_table(scan)
-    columns = tuple(tuple(matrix[entry] for matrix in table)
-                    for entry in (0, 2))
-    blocks = map(_block, repeat(rep.v0), count(start >> 9), repeat(scan),
-                 repeat(columns))
-    return islice(_twice(chain.from_iterable(blocks)), start & 511, None)
+    columns = tuple(zip(*_byte_table(scan)))[::2]  # entries 0 and 2
+    return _blocks(j, partial(_block, rep.v0, scan=scan, columns=columns))

@@ -21,12 +21,14 @@ two stay independent routes to the same values.
 A range costs O(1) big-int operations per term: _stern_terms seeds
 itself with one scan, then steps by Newman's successor rule s(m+2) =
 s(m) + s(m+1) - 2 (s(m) mod s(m+1)) (Calkin & Wilf, 2000), and _d_terms
-sums adjacent terms of that sweep: the fast streams of bfile.ROUTES.
+sums adjacent terms of that sweep into e(j) = d(2j), which
+continuant._evens repeats into d: the fast streams of bfile.ROUTES.
 """
 
-from itertools import islice, pairwise
+from itertools import pairwise, starmap
+from operator import add
 
-from .continuant import _bits_product, _require_index
+from .continuant import _bits_product, _evens, _require_index
 from .triangle import _odd_diagonal
 
 __all__ = ["carlitz_sum", "stern"]
@@ -78,10 +80,8 @@ def _stern_terms(start: int):
     return _newman(*_bits_product((0, 1), start, _stern_scan, readout=False))
 
 
-def _d_terms(start: int):
-    """The endless stream d(start), d(start+1), ...: since d(2j) =
-    d(2j+1) = s(2j+1) = s(j) + s(j+1), each sum of adjacent terms of the
-    Stern sweep from j = start // 2, twice, less the first for odd start."""
-    _require_index("start", start)
-    pairs = pairwise(_stern_terms(start // 2))
-    return islice((d for a, b in pairs for d in (a + b,) * 2), start % 2, None)
+@_evens
+def _d_terms(j):
+    """e(j), e(j+1), ..., with e(j) = d(2j) = s(2j+1) = s(j) + s(j+1):
+    the sums of adjacent terms of the Stern sweep from j."""
+    return starmap(add, pairwise(_stern_terms(j)))

@@ -63,7 +63,7 @@ from math import isqrt
 from operator import add, and_, countOf, eq, not_, sub
 from types import MappingProxyType
 
-from .continuant import _require_index, to_decimal
+from .continuant import _evens, _require_index, to_decimal
 
 __all__ = [
     "TriangleRow",
@@ -455,20 +455,19 @@ def _diagonal_bits(top):
     return bits
 
 
-def _diagonal_sums(top):
-    """d(top), d(top + 1), d(top + 2), ... for even top: each even top's
-    D_top.bit_count(), twice.  Pascal's rule C(t - k, k) = C(t - 1 - k, k)
+@_evens
+def _diagonal_sums(j):
+    """e(j) = d(2j), e(j+1), ...: D_top.bit_count() for the even tops
+    from 2j.  Pascal's rule C(t - k, k) = C(t - 1 - k, k)
     + C(t - 2 - (k - 1), k - 1) is, on the bitsets of _diagonal_bits,
 
         D_t = D_(t-1) ^ (D_(t-2) << 1),
 
     so past its two seeds the stream takes two shifts and two xors of
-    ints of about top/2 bits per even top."""
-    low, high = _diagonal_bits(top - 1), _diagonal_bits(top)
+    ints of about j bits per even top."""
+    low, high = _diagonal_bits(2 * j - 1), _diagonal_bits(2 * j)
     while True:
-        d = high.bit_count()
-        yield d
-        yield d
+        yield high.bit_count()
         low = high ^ (low << 1)  # D_(top+1)
         high = low ^ (high << 1)  # D_(top+2)
 
@@ -498,7 +497,7 @@ def _diagonal_sum_terms(start: int):
         raise MemoryError(
             f"the brute sweep from {to_decimal(start)} holds about "
             f"{to_decimal(start // 4)} bytes")
-    return islice(_diagonal_sums(start - start % 2), start % 2, None)
+    return _diagonal_sums(start)
 
 
 def _triangle_terms(start: int, mode: str):

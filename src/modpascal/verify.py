@@ -8,22 +8,22 @@ value stream values(indices) that yields the side's value at each index
 in turn.  A per-index function enters as partial(map, fn), and an
 endless route of bfile.ROUTES, such as the exact row stream or a sweep,
 enters as that route started at the first index: `thm1` checks the
-per-index continuant against three streams, the brute route of d,
-which sweeps the parity diagonals by Pascal's rule on bitsets, its
-recurrence route, which sweeps the 2-regular identities by a tower of
-half-rate streams, and the matrix representation a block of 256 states
-at a time (regular._rep_terms); `eq3` reads d's continuant route, a
-block of 256 terms at a time, against the Stern sweep.  Over the pairs
-(n, k), which start at (0, 0), a side may also be rows built from row
-0 on: `lucas` reads the exact Pascal rows by
-Pascal's rule, and `rows` reads the exact row stream, which builds rows
-by additions, against both the defining sum and rows by the order-2
-recurrence in k.  run_suite scans the rows of one suite, or of every
-suite "all" runs in table order, and reports per-identity check counts
-plus the first counterexample, if any.  A route that disagrees, the
-matrix representation included, or a stream that ends before its
-indices do, is reported as a counterexample in the report, never
-raised; the CLI maps a failing report to its exit status.
+per-index continuant against three streams of d, each a sweep of
+e(j) = d(2j): the brute route, Pascal's rule on the parity diagonals'
+bitsets, the recurrence route, a tower of half-rate streams, and the
+matrix representation, a block of 256 states at a time
+(regular._rep_terms); `eq3` reads d's continuant route, a block of 256
+values of e at a time, a stream per row, against the Stern sweep.  Over
+the pairs (n, k), which start at (0, 0), a side may also be rows built
+from row 0 on: `lucas` reads the exact Pascal rows by Pascal's rule,
+and `rows` reads the exact row stream, which builds rows by additions,
+against both the defining sum and rows by the order-2 recurrence in k.
+run_suite scans the rows of one suite, or of every suite "all" runs in
+table order, and reports per-identity check counts plus the first
+counterexample, if any.  A route that disagrees, the matrix
+representation included, or a stream that ends before its indices do,
+is reported as a counterexample in the report, never raised; the CLI
+maps a failing report to its exit status.
 """
 
 from collections import namedtuple
@@ -205,7 +205,7 @@ _SUITES = MappingProxyType({
          partial(map, lambda n: _d(2 * n + 1))),
     )),
     "eq3": _Suite((
-        # d by the continuant's byte table, a block of 256 terms at a time
+        # d by the continuant's byte table, a block of 256 d(2j) at a time
         ("d(2n) = s(2n+1)", _upto,
          _route(ROUTES["d"]["continuant"], at=lambda n: 2 * n, step=2),
          _odd_stern),

@@ -292,16 +292,36 @@ def test_non_int_arguments_raise_type_error(bad):
 RECURRENCE_STARTS = sorted({*range(6), 2**64, 2**200 + 3, *(
     2**k + delta for k in range(1, 71) for delta in (-1, 0, 1))})
 
+# Every d sweep streams e(j) = d(2j) and repeats each value into d, so
+# the d indices 2j and 2j + 1 start each sweep at j; with j = 256c - 1,
+# 256c and 256c + 1 they start just before, at and just after the edge
+# of the block sweeps' block c, for c = 2^k - 1 and 2^k.
+EDGE_STARTS = sorted({2 * j + odd for k in (1, 2, 8, 9, 64)
+                      for c in (2**k - 1, 2**k)
+                      for j in (256 * c - 1, 256 * c, 256 * c + 1)
+                      for odd in (0, 1)})
+
+# Each d sweep and its windows' starts: the brute sweep, whose seeds
+# take O(start) steps, only below 2^20, well within its memory check.
+D_WINDOWS = [
+    (ROUTES["d"]["fast"], EDGE_STARTS),
+    (ROUTES["d"]["continuant"], EDGE_STARTS),
+    (ROUTES["d"]["brute"], [start for start in EDGE_STARTS if start < 2**20]),
+    (ROUTES["d"]["recurrence"], sorted({*RECURRENCE_STARTS, *EDGE_STARTS})),
+    (regular._rep_terms, EDGE_STARTS),
+]
+
 
 def test_recurrence_route_windows():
-    # 40 terms climb five levels of the tower, each seeded anew.
-    recurrence = ROUTES["d"]["recurrence"]
-    for start in RECURRENCE_STARTS:
-        got = list(islice(recurrence(start), 40))
-        assert got == [diagonal_sum_fast(n)
-                       for n in range(start, start + 40)], start
-        assert got[::7] == [diagonal_sum_recurrence(n)
-                            for n in range(start, start + 40, 7)], start
+    # 40 terms climb five levels of the tower, each seeded anew, and
+    # cross the edge of a block of e from 2j and 2j + 1.
+    for terms, starts in D_WINDOWS:
+        for start in starts:
+            got = list(islice(terms(start), 40))
+            assert got == [diagonal_sum_fast(n) for n in
+                           range(start, start + 40)], (terms.__name__, start)
+            assert got[::7] == [diagonal_sum_recurrence(n) for n in
+                                range(start, start + 40, 7)], start
 
 
 # Starts up to 2^4096, and starts just below a power of two, whose

@@ -253,12 +253,16 @@ def test_diagonal_bitset_sweep_memory():
 
 def test_diagonal_bitset_sweep_refuses_seeds_past_memory(monkeypatch):
     # The sweep holds about start/4 bytes: with 1000 bytes of memory,
-    # start 4003 is within it and 4004 is a MemoryError at the call.
+    # start 4003 is within it and 4004 is a MemoryError at the call, and
+    # so is the odd 4005, named as given, not as its even index 4004.
     monkeypatch.setattr(triangle, "_memory_bytes", lambda: 1000)
     assert next(triangle._diagonal_sum_terms(4003)) == diagonal_sum_fast(4003)
     with pytest.raises(MemoryError, match="^the brute sweep from 4004 holds "
                                           "about 1001 bytes$"):
         triangle._diagonal_sum_terms(4004)
+    with pytest.raises(MemoryError, match="^the brute sweep from 4005 holds "
+                                          "about 1001 bytes$"):
+        triangle._diagonal_sum_terms(4005)
 
 
 def test_machine_memory_is_a_positive_int(monkeypatch):

@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import partial
+from importlib import import_module
 from itertools import count, islice
 
 import pytest
@@ -210,6 +211,22 @@ def test_thm1_reference_sides_are_sweeps(monkeypatch):
     assert 0 < calls["diagonal_sum_recurrence"] <= (2500).bit_length() + 2
     assert calls["_block"] == 5
     assert calls["linear_rep_eval"] == 0
+
+
+def test_eq3_builds_each_row_once_over_e(monkeypatch):
+    # Each eq3 row reads d(0..80001) from d's continuant route, which
+    # sweeps e(j) = d(2j) for j <= 40000: 157 blocks of 256 per row.  A
+    # sweep that built d itself, each value twice, would make 313.
+    continuant, calls = import_module("modpascal.continuant"), []
+    block = continuant._block
+
+    def counted(*args):
+        calls.append(args)
+        return block(*args)
+
+    monkeypatch.setattr(continuant, "_block", counted)
+    assert run_suite("eq3", 40000).passed
+    assert len(calls) == 2 * 157
 
 
 def test_passing_report_rendering():
