@@ -9,30 +9,29 @@ n -> 2n and n -> 2n+1:
     d(8n)   =  -d(2n) + 2 d(4n)
     d(8n+4) = 4 d(2n) -   d(4n)
 
-Three evaluators are built from them.  diagonal_sum_recurrence applies
-the identities to one index, bottoming out at base values d(0), d(2),
-d(4) taken from the continuant route: it keeps d(n) as one linear
-combination of pending indices and rewrites the largest of them by its
-identity until only base indices are left.  At most three indices are
-pending at once, so its memory grows linearly in the bits of n.
-
-The scalar recurrence's sweep, d's `recurrence` route (_recurrence_terms),
-reads the same identities on e(j) = d(2j), where they become
+Three evaluators are built from them.  Both scalar ones read the
+identities on e(j) = d(2j), where they become
 
     e(2i+1) = 3 e(i) - e(2i),   e(4i) = 2 e(2i) - e(i),
     e(4i+2) = 4 e(i) - e(2i) = e(i) + e(2i+1),
 
-so e(2i) and e(2i+1) follow from the pair (e(i), e(i // 2)) in O(1)
-big-int operations.  A tower of generators (_tower) runs them: each
-level yields the pairs (e(j), e(j // 2)) for consecutive j, reading
-the level above it, which runs at half its rate, so a window of W terms
-takes O(W) operations in all.  A level yields its first two pairs, or
+so one step, _children, gives e(2i) and e(2i+1) from the pair
+(e(i), e(i // 2)) in O(1) big-int operations, and d(n) = e(n >> 1).
+diagonal_sum_recurrence carries the pair down the bits of n >> 1 from
+(e(0), e(0)) = (1, 1), d(0) = T(0, 0) = 1 being the one value in _BASE,
+so it takes O(log n) big-int additions and holds two ints.
+
+The scalar recurrence's sweep, d's `recurrence` route (_recurrence_terms),
+runs the same step over a tower of generators (_tower): each level
+yields the pairs (e(j), e(j // 2)) for consecutive j, reading the level
+above it, which runs at half its rate, so a window of W terms takes
+O(W) operations in all.  A level yields its first two pairs, or
 three, from seeds and makes the level above only when it needs its
 next pair, so the tower is at most about log2(W) + 2 levels high
 whatever the start, and it holds a few ints per level.  A level's
 seeds are one per-index diagonal_sum_recurrence, or three where its
-first index is odd, each reading _BASE at 0; the sweep never reads the
-continuant, Stern or matrix routes.
+first index is odd.  Neither scalar evaluator reads the continuant,
+Stern or matrix routes.
 
 The linear representation packs the same four identities into 2x2
 integer matrices acting on the state vector v(n) = (d(2n), d(4n)):
@@ -87,53 +86,36 @@ __all__ = [
     "linear_rep_state",
 ]
 
-# Base values for the scalar recurrence, taken from the continuant route.
-_BASE = MappingProxyType({n: diagonal_sum_fast(n) for n in (0, 2, 4)})
+# d(0) = T(0, 0) = 1, by the definition: the one value the scalar
+# recurrence does not derive.
+_BASE = MappingProxyType({0: 1})
 
 
-def _identity(m):
-    """(coefficient, index) pairs with d(m) = sum of coefficient * d(index)."""
-    if m % 2 == 1:
-        return ((1, m - 1),)
-    if m % 4 == 2:
-        return ((3, (m - 2) // 2), (-1, m - 2))
-    if m % 8 == 0:
-        return ((-1, m // 4), (2, m // 2))
-    return ((4, (m - 4) // 4), (-1, (m - 4) // 2))  # m % 8 == 4
+def _children(a, b, odd):
+    """(e(2i), e(2i + 1)) from a = e(i), b = e(i // 2) and whether i is
+    odd, where e(j) = d(2j)."""
+    even = a + b if odd else a + a - b
+    return even, 3 * a - even
 
 
 def diagonal_sum_recurrence(n: int) -> int:
-    """d(n) from the four scalar identities plus the three base values.
+    """d(n) = e(n >> 1), from e(0) = _BASE[0] by the scalar identities.
 
-    d(n) is held as one linear combination, index -> coefficient, and
-    the largest pending index is replaced by its identity until every
-    index left is a base.  Every identity reads only smaller indices, so
-    once m is the largest pending index nothing left can add to it, and
-    each index is expanded exactly once.  Every index an identity
-    returns is even, so once the largest pending index is a base (0, 2
-    or 4), every index left is a base.  The combination never holds more
-    than three indices, so memory is linear in the bits of n.
+    The pair (a, b) = (e(i), e(i // 2)) starts at i = 0 and steps from i
+    to 2i + bit by _children for each bit of n >> 1, most significant
+    first: O(log n) big-int additions, and memory linear in the bits of n.
     """
     _require_index("n", n)
-    combo = {n: 1}  # d(n) = sum of c * d(i) over these (i, c)
-    while (m := max(combo)) not in _BASE:
-        c = combo.pop(m)
-        for coef, i in _identity(m):
-            if i >= m:
-                # every identity must strictly reduce the index down to a base
-                raise RuntimeError(
-                    f"recurrence cannot make progress at index "
-                    f"{to_decimal(m)}; base-case set {sorted(_BASE)} "
-                    f"does not cover it"
-                )
-            combo[i] = combo.get(i, 0) + coef * c
-    value = sum(c * _BASE[i] for i, c in combo.items())
-    if value < 0:
+    a = b = _BASE[0]
+    odd = 0
+    for bit in map(int, bin(n >> 1)[2:]):
+        a, b, odd = _children(a, b, odd)[bit], a, bit
+    if a < 0:
         raise RuntimeError(
-            f"recurrence produced negative value {to_decimal(value)} "
+            f"recurrence produced negative value {to_decimal(a)} "
             f"at index {to_decimal(n)}"
         )
-    return value
+    return a
 
 
 def _tower(k, e_k):
@@ -143,11 +125,9 @@ def _tower(k, e_k):
     The seeds give the pairs up to j = 2i + 1, where 2i is the least
     even j >= k: e(k // 2) by diagonal_sum_recurrence, and for odd k
     also e(2i) = e(k + 1) and e(i) the same way, then
-    e(2i + 1) = 3 e(i) - e(2i).  The rest come two by two from the pairs
-    (e(i'), e(i' // 2)) of the level above, _tower(i, e(i)), past its
-    first pair, which the seeds already cover: e(2i') = e(i') + e(i' // 2)
-    for odd i' and 2 e(i') - e(i' // 2) for even i', and
-    e(2i' + 1) = 3 e(i') - e(2i').  That level is made only once the
+    e(2i + 1) = 3 e(i) - e(2i).  The rest come two by two, by _children,
+    from the pairs of the level above, _tower(i, e(i)), past its first
+    pair, which the seeds already cover.  That level is made only once the
     seeds, two or three pairs, run out, so a level that yields n > 3
     pairs asks the level above for about n / 2 + 1: a window of W terms
     makes at most about log2(W) + 2 levels, whatever the bits of k.
@@ -165,9 +145,9 @@ def _tower(k, e_k):
     next(parent)
     odd = i % 2 == 0  # the parity of the parent's next index
     for a, b in parent:
-        e = a + b if odd else a + a - b
-        yield e, a
-        yield 3 * a - e, a
+        even, odd_child = _children(a, b, odd)
+        yield even, a
+        yield odd_child, a
         odd = not odd
 
 

@@ -1,12 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
+from importlib import import_module
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modpascal
 from modpascal import regular
 from modpascal import (
     LinearRep,
@@ -54,27 +60,17 @@ def test_recurrence_rejects_negative():
         diagonal_sum_recurrence(-1)
 
 
-def test_recurrence_reports_uncovered_base(monkeypatch):
-    # With the base values gone the identity for 0 depends on 0 itself,
-    # so the evaluator must refuse instead of looping, also when it
-    # reaches 0 only after a deep expansion.
-    monkeypatch.setattr(regular, "_BASE", {})
-    for n in (0, 12345):
-        with pytest.raises(RuntimeError, match="base-case set"):
-            diagonal_sum_recurrence(n)
-
-
 def test_recurrence_reports_negative_value(monkeypatch):
-    # d(6) = 3 d(2) - d(4) = -9 with these base values.
-    monkeypatch.setattr(regular, "_BASE", {0: 1, 2: -2, 4: 3})
-    with pytest.raises(RuntimeError, match="negative value"):
+    # The identities are linear, so d(0) = -1 negates every value.
+    monkeypatch.setattr(regular, "_BASE", {0: -1})
+    with pytest.raises(RuntimeError, match="negative value -3 at index 6$"):
         diagonal_sum_recurrence(6)
 
 
 def test_recurrence_reports_huge_numbers_in_its_own_words(monkeypatch):
-    # 10**5000, and the negative value these base values give there, are
+    # 10**5000, and the negative value this base value gives there, are
     # past CPython's int/str digit limit, which str() would refuse.
-    monkeypatch.setattr(regular, "_BASE", {0: 1, 2: -2, 4: 3})
+    monkeypatch.setattr(regular, "_BASE", {0: -1})
     with pytest.raises(RuntimeError,
                        match=f"^recurrence produced negative value -[0-9]+ "
                              f"at index 1{'0' * 5000}$"):
@@ -83,9 +79,9 @@ def test_recurrence_reports_huge_numbers_in_its_own_words(monkeypatch):
 
 @pytest.mark.parametrize("shape", ["random", "alternating", "all-ones"])
 def test_recurrence_memory_is_linear_in_bits(shape):
-    # Every pending index is a prefix of n, so at most three of them at
-    # once is O(bits) memory; holding every dependency index would be
-    # O(bits^2), about 18 MB at this size.
+    # The scan holds the pair (e(i), e(i // 2)) and its two children, so
+    # O(bits) memory; holding every dependency index would be O(bits^2),
+    # about 18 MB at this size.
     bits = 10**4
     n = {"random": random.Random(35).getrandbits(bits) | 1 << (bits - 1),
          "alternating": alternating(bits),
@@ -109,6 +105,59 @@ def test_recurrence_leaves_no_module_state_behind():
     before = sizes()
     diagonal_sum_recurrence((1 << 4000) - 12345)
     assert sizes() == before
+
+
+# A fresh process, since other tests here evaluate the routes: a
+# profile hook sees every call made while the CLI is imported.
+IMPORT_EVALUATES = """
+import sys
+routes = {"diagonal_sum_fast", "_bits_product", "stern", "linear_rep_eval"}
+calls = []
+
+def hook(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in routes:
+        calls.append(frame.f_code.co_name)
+
+sys.setprofile(hook)
+import modpascal.cli
+sys.setprofile(None)
+print(*calls)
+"""
+
+
+def test_cli_import_evaluates_no_sequence():
+    env = dict(os.environ, PYTHONPATH=str(Path(modpascal.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", IMPORT_EVALUATES], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
+@pytest.fixture
+def without_other_routes(monkeypatch):
+    """Every kernel the scalar recurrence could lean on, made to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scalar recurrence read another route")
+
+    continuant = import_module("modpascal.continuant")
+    for module, name in ((regular, "diagonal_sum_fast"),
+                         (regular, "_bits_product"), (regular, "_block"),
+                         (continuant, "_bits_product"),
+                         (continuant, "_block")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_recurrence_reads_no_other_route(without_other_routes):
+    rng = random.Random(36)
+    for n in [*range(4097), *(rng.getrandbits(4096) for _ in range(8))]:
+        assert (diagonal_sum_recurrence(n)
+                == cf_numerator(binary_run_lengths(n))), n
+
+
+@pytest.mark.parametrize("start", [0, 2**4098 - 3], ids=["0", "2^4098-3"])
+def test_recurrence_route_reads_no_other_route(without_other_routes, start):
+    got = list(islice(ROUTES["d"]["recurrence"](start), 1000))
+    assert got == [cf_numerator(binary_run_lengths(n))
+                   for n in range(start, start + 1000)]
 
 
 @given(st.integers(0, 2**200))
