@@ -28,19 +28,19 @@ half-rate streams (regular._recurrence_terms).
 The b-file layer is a stream of (index, value) records: records gives
 a b-file's records, record_lines writes them, read_records reads them
 back and compare_records checks them.  These per-record functions are
-the reference for two block routes, which the CLI runs: record_blocks
-writes the same text a block of records at a time, and compare_stream
-gives compare_records' result over read_records from the text itself,
-rendering the terms of a block as lines and comparing them with the
-block as one string, so a block that agrees is never parsed.  Both
-readers take the text with .read() in blocks of whole lines, and
-_block_records parses a block: a block of canonical "<index> <value>\n"
-records takes a fast path of one regex match and one split, and any
-other block goes line by line under the grammar _RECORD.  Only
-to_decimal (from the continuant module, where the argument checks use
-it too) and from_decimal convert ints to decimal text and back, at any
-length.  The whole-file functions (generate_bfile, parse_bfile, ...) are
-views over this stream.
+the reference for two block routes, which the CLI runs and which build
+no pair per record: _text renders a block's lines from two columns, an
+index range and a list of terms.  record_blocks(indices, values) writes
+the text of an index range and a term stream that way, and
+compare_stream gives compare_records' result over read_records from the
+text itself: a block of the file that equals its rendered terms is
+never parsed.  Both readers take the text with .read() in blocks of
+whole lines, and _block_records parses a block: canonical records take
+one regex match and one split, any other block goes line by line under
+the grammar _RECORD.  Only to_decimal (from the continuant module) and
+from_decimal convert ints to decimal text and back, at any length.  The
+whole-file functions (generate_bfile, parse_bfile, ...) are views over
+this stream.
 
 Files downloaded from the OEIS may use a different starting index; the
 comparison maps the i-th record of the file to the i-th term of the
@@ -108,9 +108,8 @@ class BFileParseError(Exception):
 
 
 class BFile(namedtuple("BFile", "sequence_id offset records")):
-    """A parsed b-file: records are (index, value) pairs whose indices
-    run up by one from offset, checked when it is built, also by _make
-    and _replace."""
+    """A parsed b-file: (index, value) records whose indices run up by
+    one from offset, checked when built, also by _make and _replace."""
 
     __slots__ = ()
 
@@ -236,7 +235,7 @@ def record_lines(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
 
 
 # record_blocks writes at most this many records a block: it holds a
-# block's pairs as a list, for its fallback, and blocks of 4096 wrote
+# block's values as a list, for its fallback, and blocks of 4096 wrote
 # slower than blocks of 1024.  Each next block is sized to about
 # _WRITE_CHARS characters by the mean line length of the last, so a
 # block of long values holds only a few lines.
@@ -244,25 +243,30 @@ _WRITE_RECORDS = 1024
 _WRITE_CHARS = 1 << 16
 
 
-def _text(pairs: Iterable[tuple[int, int]]) -> str:
-    """The "<index> <value>\n" lines of pairs as one string; ValueError
-    if a number is past the int/str digit limit."""
-    return "".join([f"{index} {value}\n" for index, value in pairs])
+def _text(indices: range, values: list[int]) -> str:
+    """The "<index> <value>\n" lines of two columns of equal length as
+    one string, with no pair built per line; ValueError if a number is
+    past the int/str digit limit.  %s, not %d, prints True as True."""
+    flat = [0] * (2 * len(values))
+    flat[0::2] = indices
+    flat[1::2] = values
+    return ("%s %s\n" * len(values)) % tuple(flat)
 
 
-def record_blocks(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
-    """The text of record_lines(pairs) in blocks of whole lines: up to
-    _WRITE_RECORDS records a block, each block's size set by the text
-    of the last.  A block with a number past the int/str digit limit
-    goes line by line through record_lines, and the next block is one
-    record."""
-    pairs = iter(pairs)
+def record_blocks(indices: range, values: Iterable[int]) -> Iterator[str]:
+    """The text of record_lines(zip(indices, values)) in blocks of whole
+    lines: up to _WRITE_RECORDS records a block, each block's size set
+    by the text of the last.  A block with a number past the int/str
+    digit limit goes line by line through record_lines, and the next
+    block is one record."""
+    values = iter(values)
     size = 1
-    while chunk := list(islice(pairs, size)):
+    while chunk := list(islice(values, len(indices[:size]))):
+        block, indices = indices[:len(chunk)], indices[len(chunk):]
         try:
-            text = _text(chunk)
+            text = _text(block, chunk)
         except ValueError:  # a number past the int/str digit limit
-            yield from record_lines(chunk)
+            yield from record_lines(zip(block, chunk))
             size = 1
             continue
         yield text
@@ -375,12 +379,10 @@ def read_records(stream: TextIO) -> Iterator[tuple[int, int]]:
     of any length are read, also past the interpreter's int/str digit
     limit.
 
-    The stream is read with .read() in blocks of whole lines, each read
-    by _block_records.  A block of canonical "<index> <value>" records
-    with consecutive indices, its lines all ended by "\n" or all by
-    "\r\n", is checked by one regex match and read by one split, at C
-    speed; any other block goes line by line, and only that path accepts
-    comments, tabs, signs and long fields, or raises BFileParseError.
+    The stream is read in blocks of whole lines by _block_records: only
+    a block that is not canonical goes line by line, and only that path
+    accepts comments, tabs, signs and long fields, or raises
+    BFileParseError.
     """
     expected = None
     line_no = 0
@@ -431,9 +433,9 @@ def compare_stream(sequence_id: str, stream: TextIO) -> BFileComparison:
     same result or BFileParseError, a block of text at a time.
 
     A block of L lines that ends in "\n" and holds no "\r" draws the
-    next L terms and renders them as "<index> <value>\n" lines, with
-    indices consecutive from the file's running index (from the first
-    line's own index in the first block).  If that text is the block,
+    next L terms and renders them by _text beside the L indices from the
+    file's running index (from the first line's own index in the first
+    block), with no pair built per record.  If that text is the block,
     all L records agree, with no parse.  Any other block is read by
     _block_records, as read_records reads it, and its values compared
     with the terms drawn for them; terms drawn for lines that held no
@@ -453,7 +455,8 @@ def compare_stream(sequence_id: str, stream: TextIO) -> BFileComparison:
             try:
                 first = (int(block[:block.find(" ")]) if expected is None
                          else expected)
-                agree = _text(zip(range(first, first + lines), drawn)) == block
+                agree = _text(range(first, first + lines),
+                              drawn[:lines]) == block
             except ValueError:  # no index first, or past the digit limit
                 agree = False
             if agree:
@@ -481,9 +484,6 @@ def compare_stream(sequence_id: str, stream: TextIO) -> BFileComparison:
 
 
 def compare_bfile(bfile: BFile) -> BFileComparison:
-    """Recompute every record of bfile and report the first disagreement.
-
-    The file's own offset says where its records start; the i-th record
-    is checked against the i-th locally generated term.
-    """
+    """Recompute every record of bfile and report the first disagreement:
+    the i-th record, whatever its offset, is checked against term i."""
     return compare_records(bfile.sequence_id, bfile.records)

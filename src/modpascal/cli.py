@@ -61,10 +61,12 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
-    records = bfile_mod.records(args.seq_id, args.max_index)
+    which, route = bfile_mod.SEQUENCES[args.seq_id]
+    blocks = bfile_mod.record_blocks(range(args.max_index + 1),
+                                     bfile_mod.ROUTES[which][route](0))
     try:
         with open(args.out_path, "w", newline="\n") as handle:
-            handle.writelines(bfile_mod.record_blocks(records))
+            handle.writelines(blocks)
     except BrokenPipeError as exc:  # not stdout's: the b-file is cut short
         raise OSError(f"{exc}: {args.out_path!r}") from None
     print(f"wrote {args.max_index + 1} records to {args.out_path}")

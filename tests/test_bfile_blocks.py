@@ -91,8 +91,19 @@ def _mutations(sid):
                        ("three fields", f"{index} {value} 1\n"),
                        ("past the digit limit", f"{index} {'7' * 5000}\n")]:
         yield name, "".join([*lines[:mid], line, *lines[mid + 1:]])
-    yield "from index 1", "".join(
-        f"{pos + 1} {line.split()[1]}\n" for pos, line in enumerate(lines))
+    for first in (1, 2**64 + 1):
+        yield f"from index {first}", "".join(
+            f"{first + pos} {line.split()[1]}\n"
+            for pos, line in enumerate(lines))
+    # Blocks whose rendered text differs from the file only in the index
+    # column: one index off at a read block's edge, and every index from
+    # there on.
+    yield "gap at the block edge", "".join(
+        [*lines[:edge], f"{edge + 1} {lines[edge].split()[1]}\n",
+         *lines[edge + 1:]])
+    yield "indices shifted from the block edge", "".join(
+        [*lines[:edge], *(f"{pos + 1} {line.split()[1]}\n"
+                          for pos, line in enumerate(lines[edge:], edge))])
     yield "no final newline", "".join(lines).removesuffix("\n")
     yield "empty", ""
     yield "only comments", "# nothing\n\n"
@@ -167,9 +178,51 @@ def test_compare_stream_is_compare_records_after_random_edits(
 
 @pytest.mark.parametrize("sid", SIZES)
 def test_record_blocks_is_record_lines(sid):
-    pairs = list(records(sid, SIZES[sid]))
-    assert "".join(record_blocks(pairs)) == "".join(LINES[sid])
-    assert list(record_blocks([])) == []
+    text = "".join(record_blocks(range(SIZES[sid] + 1), bfile._terms(sid)(0)))
+    assert text == "".join(LINES[sid])
+    assert list(record_blocks(range(0), bfile._terms(sid)(0))) == []
+    assert list(record_blocks(range(5), [])) == []
+    # The shorter column ends the text, as zip ends.
+    assert "".join(record_blocks(range(3), [7] * 5)) == "0 7\n1 7\n2 7\n"
+    assert "".join(record_blocks(range(5), [7] * 3)) == "0 7\n1 7\n2 7\n"
+
+
+# The int/str digit limit is 4300 digits: 10**4299 is the longest value
+# str() takes, and 10**4300 goes through record_lines' fallback.
+_LONG = st.builds(lambda digits, sign, low: sign * (10 ** (digits - 1) + low),
+                  st.sampled_from([4300, 4301]), st.sampled_from([1, -1]),
+                  st.integers(0, 10**6))
+_VALUES = st.lists(st.one_of(st.integers(), st.sampled_from([0, -1, True]),
+                             _LONG), max_size=40)
+
+
+@settings(deadline=None, max_examples=80)
+@given(first=st.one_of(st.just(0), st.integers(0, 10**9),
+                       st.integers(0, 1000).map(lambda k: 2**64 + k)),
+       head=_VALUES, filler=st.integers(0, 2500), tail=_VALUES)
+def test_record_blocks_is_record_lines_by_columns(first, head, filler, tail):
+    # True pins the format to %s: %d prints it as 1, record_lines as True.
+    values = [*head, *range(filler), *tail]
+    indices = range(first, first + len(values))
+    blocks = list(record_blocks(indices, values))
+    lines = list(record_lines(zip(indices, values)))
+    assert "".join(blocks) == "".join(lines)
+    # The block sizes: the first block is one record, each next one is
+    # sized by the last block's text to at most _WRITE_RECORDS, and a
+    # block with a field past the digit limit goes line by line and is
+    # followed by a one-record block.
+    want, size = [], 1
+    while lines:
+        chunk, lines = lines[:size], lines[size:]
+        if any(len(field.lstrip("-")) > 4300
+               for line in chunk for field in line.split()):
+            want += [1] * len(chunk)
+            size = 1
+            continue
+        want.append(len(chunk))
+        size = min(bfile._WRITE_RECORDS, max(
+            1, bfile._WRITE_CHARS * len(chunk) // len("".join(chunk))))
+    assert [block.count("\n") for block in blocks] == want
 
 
 @pytest.mark.parametrize("digits", [5000, 30_000])
@@ -177,20 +230,22 @@ def test_record_blocks_past_the_digit_limit(digits):
     # Long values among short ones, also negative and as the index.
     rng = random.Random(digits)
     big = [rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(6)]
-    pairs = [(0, big[0]), (1, 5), (2, -big[1]),
-             *((i, i) for i in range(3, 40)), (big[2], 7), (41, big[3]),
-             *((i, big[4] + i) for i in range(42, 46))]
-    assert "".join(record_blocks(pairs)) == "".join(record_lines(pairs))
+    values = [big[0], 5, -big[1], *range(3, 40), 7, big[3],
+              *(big[4] + i for i in range(42, 46))]
+    for first in (0, big[2]):
+        indices = range(first, first + len(values))
+        assert ("".join(record_blocks(indices, values))
+                == "".join(record_lines(zip(indices, values))))
 
 
 def test_record_blocks_memory_follows_the_text():
     # 300 lines of 30,000 digits take 9 MB; the writer holds a few.
     rng = random.Random(1)
-    pairs = [(i, rng.randrange(10**29_999, 10**30_000)) for i in range(300)]
+    values = [rng.randrange(10**29_999, 10**30_000) for _ in range(300)]
     line = len("299 \n") + 30_000
     tracemalloc.start()
     try:
-        blocks = sum(1 for _block in record_blocks(pairs))
+        blocks = sum(1 for _block in record_blocks(range(300), values))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -201,8 +256,8 @@ def test_record_blocks_memory_follows_the_text():
 def test_record_blocks_size_tracks_the_text():
     # 2,000-digit values: about 32 lines a block, not 1024.
     rng = random.Random(2)
-    pairs = [(i, rng.randrange(10**1999, 10**2000)) for i in range(300)]
-    sizes = [block.count("\n") for block in record_blocks(pairs)]
+    values = [rng.randrange(10**1999, 10**2000) for _ in range(300)]
+    sizes = [block.count("\n") for block in record_blocks(range(300), values)]
     assert sum(sizes) == 300
     assert max(sizes) <= bfile._WRITE_CHARS // 2000
 
