@@ -49,7 +49,7 @@ representation's sweep (see the regular module).
 """
 
 from collections.abc import Iterable
-from functools import cache, lru_cache, wraps
+from functools import lru_cache, wraps
 from itertools import chain, count, islice, tee, zip_longest
 from operator import add
 
@@ -150,7 +150,7 @@ def _doubled(table):
     """The 256 byte matrices from table, the one-bit matrices of bits 0
     and 1: each doubling pairs every entry (the high bits) with every
     entry (the low bits), so 4 + 16 + 256 products build it.  The
-    library's only byte table cache: keyed by content, so every scan
+    library's only cache: keyed by content, so every scan
     with the same one-bit matrices shares a table, and bounded, as d,
     Stern, _REP and one other representation need four."""
     for _ in range(3):
@@ -325,12 +325,11 @@ def _evens(sweep):
     return terms
 
 
-@cache
 def _d_columns():
     """The sums (A, C) of entries 0 + 1 and 2 + 3 of d's byte matrices
     of the low bytes m ^ (m >> 1) of t(j), m < 256: one pair for even
     j >> 8 and one for odd, whose low bit sets the 0x80 bit of that
-    byte.  Built on the first d block, not at import."""
+    byte.  Built at each sweep's call, from the byte table's cache."""
     table = _byte_table(_d_scan)
     entries = (zip(*(table[m ^ (m >> 1) ^ flip] for m in range(256)))
                for flip in (0, 0x80))

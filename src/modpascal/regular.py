@@ -17,20 +17,20 @@ identities on e(j) = d(2j), where they become
 
 so one step, _children, gives e(2i) and e(2i+1) from the pair
 (e(i), e(i // 2)) in O(1) big-int operations, and d(n) = e(n >> 1).
-diagonal_sum_recurrence carries the pair down the bits of n >> 1 from
-(e(0), e(0)) = (1, 1), d(0) = T(0, 0) = 1 being the one value in _BASE,
-so it takes O(log n) big-int additions and holds two ints.
+_pair(i) carries the pair down the bits of i from (e(0), e(0)) = (1, 1),
+d(0) = T(0, 0) = 1 being the one value in _BASE, so it takes O(log i)
+big-int additions and holds two ints, and diagonal_sum_recurrence(n) is
+its e(n >> 1).
 
 The scalar recurrence's sweep, d's `recurrence` route (_recurrence_terms),
 runs the same step over a tower of generators (_tower): each level
-yields the pairs (e(j), e(j // 2)) for consecutive j, reading the level
-above it, which runs at half its rate, so a window of W terms takes
-O(W) operations in all.  A level yields its first two pairs, or
-three, from seeds and makes the level above only when it needs its
-next pair, so the tower is at most about log2(W) + 2 levels high
-whatever the start, and it holds a few ints per level.  A level's
-seeds are one per-index diagonal_sum_recurrence, or three where its
-first index is odd.  Neither scalar evaluator reads the continuant,
+yields the pairs (e(j), e(j // 2)) for consecutive j, as the children of
+the pairs of the level above it, which runs at half its rate, so a
+window of W terms takes O(W) operations in all.  A level's first
+parent pair is one _pair, its seed, and it starts the level above only
+once the seed's two children are used, so the tower is at most about
+log2(W) + 2 levels high whatever the start, and it holds a few ints
+per level.  Neither scalar evaluator reads the continuant,
 Stern or matrix routes.
 
 The linear representation packs the same four identities into 2x2
@@ -64,6 +64,7 @@ continuant._evens repeats it into d.
 
 from collections import namedtuple
 from functools import partial
+from itertools import chain, islice
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -98,18 +99,22 @@ def _children(a, b, odd):
     return even, 3 * a - even
 
 
-def diagonal_sum_recurrence(n: int) -> int:
-    """d(n) = e(n >> 1), from e(0) = _BASE[0] by the scalar identities.
-
-    The pair (a, b) = (e(i), e(i // 2)) starts at i = 0 and steps from i
-    to 2i + bit by _children for each bit of n >> 1, most significant
-    first: O(log n) big-int additions, and memory linear in the bits of n.
-    """
-    _require_index("n", n)
+def _pair(i):
+    """(e(i), e(i // 2)), where e(j) = d(2j): the pair steps from
+    (e(0), e(0)) at i' = 0 to i' = 2i' + bit by _children for each bit
+    of i, most significant first."""
     a = b = _BASE[0]
     odd = 0
-    for bit in map(int, bin(n >> 1)[2:]):
+    for bit in map(int, bin(i)[2:]):
         a, b, odd = _children(a, b, odd)[bit], a, bit
+    return a, b
+
+
+def diagonal_sum_recurrence(n: int) -> int:
+    """d(n) = e(n >> 1), from d(0) = _BASE[0] by the scalar identities
+    (_pair): O(log n) big-int additions, memory linear in the bits of n."""
+    _require_index("n", n)
+    a = _pair(n >> 1)[0]
     if a < 0:
         raise RuntimeError(
             f"recurrence produced negative value {to_decimal(a)} "
@@ -118,37 +123,20 @@ def diagonal_sum_recurrence(n: int) -> int:
     return a
 
 
-def _tower(k, e_k):
-    """The pairs (e(j), e(j // 2)) for j = k, k + 1, ..., where e(j) =
-    d(2j) and e_k = e(k).
-
-    The seeds give the pairs up to j = 2i + 1, where 2i is the least
-    even j >= k: e(k // 2) by diagonal_sum_recurrence, and for odd k
-    also e(2i) = e(k + 1) and e(i) the same way, then
-    e(2i + 1) = 3 e(i) - e(2i).  The rest come two by two, by _children,
-    from the pairs of the level above, _tower(i, e(i)), past its first
-    pair, which the seeds already cover.  That level is made only once the
-    seeds, two or three pairs, run out, so a level that yields n > 3
-    pairs asks the level above for about n / 2 + 1: a window of W terms
-    makes at most about log2(W) + 2 levels, whatever the bits of k.
-    """
-    i = k // 2
-    half = diagonal_sum_recurrence(2 * i)
-    yield e_k, half
-    if k % 2 == 1:
-        i += 1
-        e_k = diagonal_sum_recurrence(4 * i)
-        half = diagonal_sum_recurrence(2 * i)
-        yield e_k, half
-    yield 3 * half - e_k, half
-    parent = _tower(i, half)
-    next(parent)
-    odd = i % 2 == 0  # the parity of the parent's next index
-    for a, b in parent:
+def _tower(i):
+    """The pairs (e(j), e(j // 2)) for j = 2i, 2i + 1, ..., where e(j) =
+    d(2j): the _children of the pair _pair(i), then of those of the
+    level above, _tower((i + 1) // 2), past its first for even i.  A
+    generator's body runs only at its first next, so that level, even
+    _tower(0) inside _tower(0), starts only once the seed's two children
+    are used."""
+    odd = i & 1
+    parents = islice(_tower((i + 1) // 2), odd ^ 1, None)
+    for a, b in chain((_pair(i),), parents):
         even, odd_child = _children(a, b, odd)
         yield even, a
         yield odd_child, a
-        odd = not odd
+        odd ^= 1
 
 
 @_evens
@@ -156,7 +144,7 @@ def _recurrence_terms(j):
     """e(j), e(j+1), ..., with e(j) = d(2j), by the tower of the scalar
     identities, O(1) big-int operations a value amortized and a few
     ints per level of the tower."""
-    return map(itemgetter(0), _tower(j, diagonal_sum_recurrence(2 * j)))
+    return map(itemgetter(0), islice(_tower(j >> 1), j & 1, None))
 
 
 class LinearRep(namedtuple("LinearRep", "v0 m0 m1")):

@@ -425,13 +425,61 @@ def test_recurrence_tower_height_follows_the_window(monkeypatch, start,
     # so counting those calls counts the levels a window makes.
     tower, levels = regular._tower, []
 
-    def counted(k, e_k):
-        levels.append(k)
-        return tower(k, e_k)
+    def counted(i):
+        levels.append(i)
+        return tower(i)
 
     monkeypatch.setattr(regular, "_tower", counted)
     deque(islice(regular._recurrence_terms(start), size), 0)
     assert len(levels) <= size.bit_length() + 2
+
+
+def _e(j):
+    """e(j) = d(2j) by the per-index continuant route."""
+    return diagonal_sum_fast(2 * j)
+
+
+def test_pair_is_e_at_i_and_i_halved():
+    for i in range(4096):
+        assert (regular._pair(i) == (_e(i), _e(i // 2))
+                == (diagonal_sum_recurrence(2 * i),
+                    diagonal_sum_recurrence(2 * (i // 2)))), i
+
+
+@settings(deadline=None, max_examples=50)
+@given(HUGE_STARTS)
+def test_pair_matches_the_continuant_route_to_2_4096(i):
+    assert regular._pair(i) == (_e(i), _e(i // 2))
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_self_nested_towers_give_every_pair(i):
+    # _tower(0) and _tower(1) read themselves as the level above.
+    got = list(islice(regular._tower(i), 4096))
+    assert got == [(_e(j), _e(j // 2)) for j in range(2 * i, 2 * i + 4096)]
+
+
+@pytest.mark.parametrize("start", [0, 1, 6, 2**64 - 1, 2**200 + 3,
+                                   2**4098 - 3, 2**4098 - 1])
+def test_recurrence_tower_seeds_each_level_by_one_pair(monkeypatch, start):
+    # A level is started at its body's first next, so wrapping _tower in
+    # a generator records each level as it starts: each start makes one
+    # _pair call, for the level's own first index, and no other.
+    tower, pair, started, seeds = regular._tower, regular._pair, [], []
+
+    def counted_tower(i):
+        started.append(i)
+        yield from tower(i)
+
+    def counted_pair(i):
+        seeds.append(i)
+        return pair(i)
+
+    monkeypatch.setattr(regular, "_tower", counted_tower)
+    monkeypatch.setattr(regular, "_pair", counted_pair)
+    deque(islice(regular._recurrence_terms(start), 1000), 0)
+    assert seeds == started
+    assert 2 < len(seeds) <= (1000).bit_length() + 2
 
 
 def test_recurrence_route_memory_is_logarithmic_in_the_window():

@@ -193,9 +193,9 @@ def test_recurrence_side_is_the_tower_from_base(monkeypatch, capsys):
 
 
 def test_thm1_reference_sides_are_sweeps(monkeypatch):
-    # The recurrence side seeds each level of its tower by one per-index
-    # call, about log2(2501) levels, and the matrix side runs one block
-    # per 512 indices, not one evaluation per index.
+    # The recurrence side seeds each level of its tower by one _pair,
+    # about log2(1251) levels for e(0..1250), and the matrix side runs
+    # one block per 512 indices, not one evaluation per index.
     calls = Counter()
 
     def counted(name, fn):
@@ -204,11 +204,11 @@ def test_thm1_reference_sides_are_sweeps(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    for name in ("diagonal_sum_recurrence", "_block", "linear_rep_eval"):
+    for name in ("_pair", "_block", "linear_rep_eval"):
         monkeypatch.setattr(regular, name,
                             counted(name, getattr(regular, name)))
     assert run_suite("thm1", 2500).passed
-    assert 0 < calls["diagonal_sum_recurrence"] <= (2500).bit_length() + 2
+    assert 0 < calls["_pair"] <= (1250).bit_length() + 2
     assert calls["_block"] == 5
     assert calls["linear_rep_eval"] == 0
 
