@@ -22,7 +22,8 @@ from .bfile import (
     parse_bfile,
     serialize_bfile,
 )
-from .continuant import continuant, diagonal_sum_fast, run_lengths, runs_to_int
+from .kernel import (continuant, diagonal_sum_fast, run_lengths, runs_to_int,
+                     stern)
 from .regular import (
     LinearRep,
     derive_linear_rep,
@@ -30,10 +31,10 @@ from .regular import (
     linear_rep_eval,
     linear_rep_state,
 )
-from .stern import carlitz_sum, stern
 from .triangle import (
     TriangleRow,
     binom_parity,
+    carlitz_sum,
     diagonal_sum_brute,
     iter_triangle_terms,
     row_sum_brute,

@@ -11,16 +11,16 @@ here, all indexed from 0:
 
 Each id is the stream of one route in ROUTES, the table of evaluation
 routes behind the `seq` command: an endless stream terms(start) that
-each reader cuts with its own range, so b-files stream line by line.
-Every route checks start at the call.  The fast routes of d, r and
-stern are sweeps: d and stern at O(1) big-int operations per term by
-Newman's successor rule (see the stern module), r at one multiply per
-term by blocks of the binary weight (see triangle._row_sum_terms).  The
-routes beside them, continuant, closed and scan, check them term for
-term: closed and scan per index.  Every route of d is a sweep of
-e(j) = d(2j) = d(2j + 1), repeated into d by continuant._evens: the
-continuant route a block of 256 values at a time from the continuant's
-byte table (continuant._d_block_terms), the brute route the parity
+each reader cuts with its own range, so b-files stream a block of
+records at a time.  Every route checks start at the call.  The fast
+routes of d, r and stern are sweeps: d and stern at O(1) big-int
+operations per term by Newman's successor rule (kernel._stern_terms), r
+at one multiply per term by blocks of the binary weight (see
+triangle._row_sum_terms).  The routes beside them, continuant, closed
+and scan, check them term for term: closed and scan per index.  Every
+route of d is a sweep of e(j) = d(2j) = d(2j + 1), repeated into d by
+kernel._evens: the continuant route a block of 256 values at a time
+from d's byte table (kernel._d_block_terms), the brute route the parity
 diagonals by Pascal's rule on bitsets (triangle._diagonal_sum_terms),
 and the recurrence route the 2-regular identities by a tower of
 half-rate streams (regular._recurrence_terms).
@@ -37,7 +37,7 @@ text itself: a block of the file that equals its rendered terms is
 never parsed.  Both readers take the text with .read() in blocks of
 whole lines, and _block_records parses a block: canonical records take
 one regex match and one split, any other block goes line by line under
-the grammar _RECORD.  Only to_decimal (from the continuant module) and
+the grammar _RECORD.  Only to_decimal (from the kernel module) and
 from_decimal convert ints to decimal text and back, at any length.  The
 whole-file functions (generate_bfile, parse_bfile, ...) are views over
 this stream.
@@ -55,21 +55,23 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import count, islice
 from types import MappingProxyType
-from typing import TextIO
 
-from .continuant import (
+from .kernel import (
     _d_block_terms,
+    _d_terms,
     _require_index,
     _require_int,
+    _stern_terms,
+    stern,
     to_decimal,
 )
 from .regular import _recurrence_terms
-from .stern import _d_terms, _stern_terms, carlitz_sum, stern
 from .triangle import (
     _ROWS,
     _diagonal_sum_terms,
     _row_sum_terms,
     _triangle_terms,
+    carlitz_sum,
     row_sum_brute,
     row_sum_closed,
 )
@@ -294,7 +296,7 @@ _BLOCK = 8192
 _CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*|(?:[0-9]+ [0-9]+\r\n)*")
 
 
-def _blocks(stream: TextIO) -> Iterator[str]:
+def _blocks(stream: io.TextIOBase) -> Iterator[str]:
     r"""The text of stream.read() in blocks of whole lines: each read of
     _BLOCK characters is cut after its last "\n" and the rest carried to
     the next, so a line longer than a read is gathered whole.  The text
@@ -369,7 +371,7 @@ def _block_records(
     return indices, values
 
 
-def read_records(stream: TextIO) -> Iterator[tuple[int, int]]:
+def read_records(stream: io.TextIOBase) -> Iterator[tuple[int, int]]:
     r"""The (index, value) records of a text stream, whose text is split
     into lines at "\n" only, whatever the stream's newline mode.
 
@@ -428,7 +430,7 @@ def compare_records(sequence_id: str, records: Iterable) -> BFileComparison:
     return BFileComparison(sequence_id, checked, mismatch)
 
 
-def compare_stream(sequence_id: str, stream: TextIO) -> BFileComparison:
+def compare_stream(sequence_id: str, stream: io.TextIOBase) -> BFileComparison:
     r"""compare_records(sequence_id, read_records(stream)), with the
     same result or BFileParseError, a block of text at a time.
 

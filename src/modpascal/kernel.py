@@ -1,4 +1,4 @@
-"""Binary run lengths and continuants: the fast route to the diagonal sums.
+"""Run lengths, continuants and Stern's sequence: the fast routes' kernel.
 
 The run lengths of a binary string are the lengths of its maximal blocks
 of equal symbols, e.g. 111000011111 -> (3, 4, 5).  For an integer n >= 1
@@ -23,11 +23,24 @@ triangle diagonal into O(log n) big-int operations.  The empty-sequence
 convention K() = 1 makes this hold at n = 0 as well, where the diagonal
 is the single entry T(0, 0) = 1.
 
-This module also holds the kernel under all three fast routes (d here,
-Stern's scan and the matrix representation).  Each route states its
-recurrence once, as a scan that carries a row (x, y) through part of
-its sequence.  Up to _LEAF items the scan is the whole computation.
-Past that, the bit routes read n a byte at a time: _byte_table turns a
+Stern's diatomic sequence is defined by s(0) = 0, s(1) = 1, s(2n) = s(n),
+s(2n+1) = s(n) + s(n+1).  It ties the diagonal sums to the ordinary
+Pascal triangle mod 2: d(2n) = d(2n+1) = s(2n+1), and by a result of
+Carlitz
+
+    s(n+1) = sum over k <= n/2 of (C(n - k, k) mod 2),
+
+the parity diagonal of Pascal's triangle (triangle.carlitz_sum).  For
+odd n, s(n) also equals the continuant of the binary run lengths of n,
+but stern never goes through continuant(): its scan, _stern_scan, is
+its own recurrence, so the two stay independent routes to the same
+values.
+
+The kernel under all three fast routes (d and Stern here, and the
+matrix representation in the regular module) is _bits_product.  Each
+route states its recurrence once, as a scan that carries a row (x, y)
+through part of its sequence.  Up to _LEAF items the scan is the whole
+computation.  Past that, the bit routes read n a byte at a time: _byte_table turns a
 route's scan into one 2x2 matrix per byte value, built the first time
 a route's n passes one leaf and kept in one small cache keyed by the
 scan's two one-bit matrices, and _bits_product multiplies the start row
@@ -46,11 +59,19 @@ over the top bits of j, and gives each value as two C-level multiplies
 and one addition against two columns of d's table.  That block
 evaluation (_block) and cut (_blocks) also run the matrix
 representation's sweep (see the regular module).
+
+A range of Stern costs O(1) big-int operations per term: _stern_terms
+seeds itself with one scan, then steps by Newman's successor rule
+
+    s(m+2) = s(m) + s(m+1) - 2 (s(m) mod s(m+1))
+
+(Calkin & Wilf, 2000), and _d_terms sums adjacent terms of that sweep
+into e(j): the fast streams of bfile.ROUTES.
 """
 
 from collections.abc import Iterable
 from functools import lru_cache, wraps
-from itertools import chain, count, islice, tee, zip_longest
+from itertools import chain, count, islice, pairwise, starmap, tee, zip_longest
 from operator import add
 
 __all__ = [
@@ -58,6 +79,7 @@ __all__ = [
     "diagonal_sum_fast",
     "run_lengths",
     "runs_to_int",
+    "stern",
     "to_decimal",
 ]
 
@@ -374,3 +396,49 @@ def _d_block_terms(j):
     columns = _d_columns()
     return _blocks(j, lambda c: _block((1, 0), c ^ (c >> 1), _d_scan,
                                        columns[c & 1]))
+
+
+def _stern_scan(bits, a, b):
+    """The row (s(m), s(m+1)) after appending bits to the prefix m.
+
+    A 0 bit maps it to (s(2m), s(2m+1)) = (a, a+b) and a 1 bit to
+    (s(2m+1), s(2m+2)) = (a+b, b): the Stern-Brocot matrices
+    L = [[1,0],[1,1]] and R = [[1,1],[0,1]] acting on the pair.
+    """
+    for ch in bits:
+        if ch == "1":
+            a += b
+        else:
+            b += a
+    return a, b
+
+
+def stern(n: int) -> int:
+    """s(n) in O(log n) big-int operations, scanning the bits of n
+    most-significant-first from (s(0), s(1)) = (0, 1).  No recursion,
+    no memo table."""
+    _require_index("n", n)
+    return _bits_product((0, 1), n, _stern_scan)[0]
+
+
+def _newman(a, b):
+    """s(m), s(m+1), ... from (a, b) = (s(m), s(m+1)), by Newman's rule;
+    s(m+1) >= 1 for every m >= 0, so the remainder is defined."""
+    while True:
+        yield a
+        a, b = b, a + b - 2 * (a % b)
+
+
+def _stern_terms(start: int):
+    """The endless stream s(start), s(start+1), ...; start is checked at
+    the call, not at the first term.  One scan of start gives the whole
+    row (s(start), s(start+1))."""
+    _require_index("start", start)
+    return _newman(*_bits_product((0, 1), start, _stern_scan, readout=False))
+
+
+@_evens
+def _d_terms(j):
+    """e(j), e(j+1), ..., with e(j) = d(2j) = s(2j+1) = s(j) + s(j+1):
+    the sums of adjacent terms of the Stern sweep from j."""
+    return starmap(add, pairwise(_stern_terms(j)))

@@ -46,10 +46,10 @@ immediate for even n and exactly the first identity for odd n -- so
 d(n) is component 0 of v(floor(n/2)).
 
 The state is carried by one scan over the bits of n, one matrix-vector
-product per bit, and continuant._bits_product either runs it over all
+product per bit, and kernel._bits_product either runs it over all
 the bits or, past one leaf, multiplies v0 by the matrices of the bytes
 of n as a balanced tree.  That is O(log n) big-int operations at a
-subquadratic bit cost (see the continuant module).  A rep's byte table
+subquadratic bit cost (see the kernel module).  A rep's byte table
 is built the first time its state passes one leaf, in the kernel's
 bounded cache keyed by m0 and m1, so every rep, _REP or another, gets
 the table of its own matrices.  n = 0 has no bits, so v(0) is v0.
@@ -58,8 +58,8 @@ A range of states needs no product per state: _rep_terms, the matrix
 side of `verify thm1`, runs one _bits_product per block of 256 states
 and gives each state's component 0, e(s) = d(2s), from two columns of
 the byte table, by the block evaluation and cut of d's continuant route
-(continuant._block and _blocks).  Both sweeps stream e alone, and
-continuant._evens repeats it into d.
+(kernel._block and _blocks).  Both sweeps stream e alone, and
+kernel._evens repeats it into d.
 """
 
 from collections import namedtuple
@@ -68,7 +68,7 @@ from itertools import chain, islice
 from operator import itemgetter
 from types import MappingProxyType
 
-from .continuant import (
+from .kernel import (
     _bits_product,
     _block,
     _blocks,
@@ -215,7 +215,7 @@ def _rep_terms(j):
     The state index s = 256c + m has the bits of c, then the byte m, so
     component 0 of v(s) is entry 0 of the row after c, v0 times the
     matrices of its bits, times the byte table's matrix of m
-    (continuant._block over the table's entries 0 and 2).  _REP and
+    (kernel._block over the table's entries 0 and 2).  _REP and
     _rep_scan are read here, at the call, so a rep or scan put in their
     place is what the stream runs.
     """

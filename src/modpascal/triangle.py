@@ -45,9 +45,10 @@ subset test by Lucas' congruence.  That reduction is what makes the
 parity row sums and diagonal sums tractable at large n; this module
 keeps both routes so they can be checked against each other.  One
 diagonal sum counts Kummer's carry test along its diagonal
-(diagonal_sum_brute); a range of them sweeps the diagonals as bitsets
-by Pascal's rule, D_t = D_(t-1) ^ (D_(t-2) << 1), one shift and xor
-per diagonal (_diagonal_sum_terms).
+(diagonal_sum_brute, and carlitz_sum, Stern's reference, along
+Pascal's own); a range of them sweeps the diagonals as bitsets by
+Pascal's rule, D_t = D_(t-1) ^ (D_(t-2) << 1), one shift and xor per
+diagonal (_diagonal_sum_terms).
 
 Everything here is a pure function of its arguments (no shared state),
 safe to call from any number of threads.  Values are plain Python ints,
@@ -63,11 +64,12 @@ from math import isqrt
 from operator import add, and_, countOf, eq, not_, sub
 from types import MappingProxyType
 
-from .continuant import _evens, _require_index, to_decimal
+from .kernel import _evens, _require_index, to_decimal
 
 __all__ = [
     "TriangleRow",
     "binom_parity",
+    "carlitz_sum",
     "diagonal_sum_brute",
     "iter_triangle_terms",
     "row_sum_brute",
@@ -432,6 +434,17 @@ def diagonal_sum_brute(n: int) -> int:
     _require_index("n", n)
     # (n - k) + k = n, so T(n - k, k) is C(top - k, k) mod 2 for every k
     return _odd_diagonal(n - n % 2)
+
+
+def carlitz_sum(n: int) -> int:
+    """Sum of C(n - k, k) mod 2 for k <= n/2, the parity diagonal of
+    Pascal's triangle: n/2 + 1 carry tests, streamed in O(1) memory.
+
+    By a result of Carlitz it equals s(n+1), Stern's sequence, so it is
+    the reference route for kernel.stern's scan.
+    """
+    _require_index("n", n)
+    return _odd_diagonal(n)
 
 
 # _diagonal_bits reads Kummer's carry test as binary text this many

@@ -33,9 +33,7 @@ from types import MappingProxyType
 
 from . import regular, triangle
 from .bfile import ROUTES
-from .continuant import _require_int, to_decimal
-from .continuant import diagonal_sum_fast as _d
-from .stern import carlitz_sum, stern
+from .kernel import _require_int, diagonal_sum_fast as _d, stern, to_decimal
 
 __all__ = [
     "Counterexample",
@@ -157,7 +155,7 @@ def _linear(nk):
 _exact_stream = _route(ROUTES["t-row"]["exact"], at=_linear)
 
 # s(2n+1) for consecutive n: every second term of the Stern sweep, which
-# steps by Newman's rule (stern._stern_terms)
+# steps by Newman's rule (kernel._stern_terms)
 _odd_stern = _route(ROUTES["stern"]["fast"], at=lambda n: 2 * n + 1, step=2)
 
 
@@ -205,7 +203,7 @@ _SUITES = MappingProxyType({
          partial(map, lambda n: _d(2 * n + 1))),
     )),
     "eq3": _Suite((
-        # d by the continuant's byte table, a block of 256 d(2j) at a time
+        # d by its byte table in the kernel, a block of 256 d(2j) at a time
         ("d(2n) = s(2n+1)", _upto,
          _route(ROUTES["d"]["continuant"], at=lambda n: 2 * n, step=2),
          _odd_stern),
@@ -215,7 +213,8 @@ _SUITES = MappingProxyType({
     )),
     "carlitz": _Suite((
         ("binomial-parity diagonal = s(n+1)", _upto,
-         partial(map, carlitz_sum), partial(map, lambda n: stern(n + 1))),
+         partial(map, triangle.carlitz_sum),
+         partial(map, lambda n: stern(n + 1))),
     )),
     "remark": _Suite((
         ("d(2n+1) = d(2n)", _upto,

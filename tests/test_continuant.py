@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -31,9 +30,8 @@ from modpascal import (
     triangle_row,
     triangle_row_parity,
 )
-from modpascal import regular
-from modpascal.continuant import _CHUNK, _LEAF, _byte_table, _d_scan
-from modpascal.stern import _stern_scan
+from modpascal import kernel, regular
+from modpascal.kernel import _CHUNK, _LEAF, _byte_table, _d_scan, _stern_scan
 from oracles import (
     binary_run_lengths,
     cf_numerator,
@@ -149,8 +147,7 @@ def test_diagonal_sum_fast_skips_the_term_type_check(monkeypatch):
     # sequences only.
     def refuse(name, values):
         raise AssertionError("diagonal_sum_fast checked its run lengths")
-    monkeypatch.setattr(import_module("modpascal.continuant"),
-                        "_require_ints", refuse)
+    monkeypatch.setattr(kernel, "_require_ints", refuse)
     for n in [*range(64), int("110" * 50, 2)]:  # 100 runs: past _LEAF
         assert diagonal_sum_fast(n) == cf_numerator(binary_run_lengths(n))
 
@@ -271,15 +268,13 @@ def test_byte_table_is_the_scan_of_each_byte(scan):
 # CLI builds none, n of one leaf (64 bits) still none, and 65 bits one
 # table each for d, Stern and the matrix route, in the one cache.
 BUILT_PAST_ONE_LEAF = """
-from importlib import import_module
 import modpascal.cli
-continuant, regular, stern = map(import_module, (
-    "modpascal.continuant", "modpascal.regular", "modpascal.stern"))
-built = lambda: continuant._doubled.cache_info().currsize
+from modpascal import kernel, regular
+built = lambda: kernel._doubled.cache_info().currsize
 print(built())
 for n in ((1 << 64) - 1, 1 << 64):
-    continuant.diagonal_sum_fast(n)
-    stern.stern(n)
+    kernel.diagonal_sum_fast(n)
+    kernel.stern(n)
     regular.linear_rep_state(regular._REP, n)
     print(built())
 """

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
-from importlib import import_module
 from itertools import islice
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modpascal
-from modpascal import regular
+from modpascal import kernel, regular
 from modpascal import (
     LinearRep,
     derive_linear_rep,
@@ -26,8 +25,7 @@ from modpascal import (
     stern,
 )
 from modpascal.bfile import ROUTES
-from modpascal.continuant import _bits_product, _d_scan, _doubled
-from modpascal.stern import _stern_scan
+from modpascal.kernel import _bits_product, _d_scan, _doubled, _stern_scan
 from oracles import binary_run_lengths, cf_numerator, rep_state_bits
 from test_stern import BIG_N, alternating
 
@@ -138,11 +136,9 @@ def without_other_routes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scalar recurrence read another route")
 
-    continuant = import_module("modpascal.continuant")
     for module, name in ((regular, "diagonal_sum_fast"),
                          (regular, "_bits_product"), (regular, "_block"),
-                         (continuant, "_bits_product"),
-                         (continuant, "_block")):
+                         (kernel, "_bits_product"), (kernel, "_block")):
         monkeypatch.setattr(module, name, refuse)
 
 

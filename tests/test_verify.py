@@ -1,11 +1,10 @@
 from collections import Counter
 from functools import partial
-from importlib import import_module
 from itertools import count, islice
 
 import pytest
 
-from modpascal import regular, run_suite, triangle, verify
+from modpascal import kernel, regular, run_suite, triangle, verify
 from modpascal.cli import main
 from modpascal.verify import (
     Counterexample,
@@ -217,14 +216,14 @@ def test_eq3_builds_each_row_once_over_e(monkeypatch):
     # Each eq3 row reads d(0..80001) from d's continuant route, which
     # sweeps e(j) = d(2j) for j <= 40000: 157 blocks of 256 per row.  A
     # sweep that built d itself, each value twice, would make 313.
-    continuant, calls = import_module("modpascal.continuant"), []
-    block = continuant._block
+    calls = []
+    block = kernel._block
 
     def counted(*args):
         calls.append(args)
         return block(*args)
 
-    monkeypatch.setattr(continuant, "_block", counted)
+    monkeypatch.setattr(kernel, "_block", counted)
     assert run_suite("eq3", 40000).passed
     assert len(calls) == 2 * 157
 
