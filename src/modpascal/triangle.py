@@ -11,7 +11,8 @@ form A114214.
 
 Each mode of the triangle, "exact" or "parity", is one rows function in
 the table _ROWS, and _triangle_terms, and so iter_triangle_terms and the
-t-row route of the b-files, reads its entries from that function.
+t-row route of the b-files, reads its entries from that function: a
+row at a time for "exact", a window of a row at a time for "parity".
 
 Exact rows have two routes.  The generating function of T, with u
 marking k and v marking n - k, splits as
@@ -43,7 +44,11 @@ the parity of a single ordinary binomial coefficient (C(n, k) when n + k
 is even, C(n - 1, k) otherwise), and binomial parity itself is a bitwise
 subset test by Lucas' congruence.  That reduction is what makes the
 parity row sums and diagonal sums tractable at large n; this module
-keeps both routes so they can be checked against each other.  One
+keeps both routes so they can be checked against each other.  A row
+alone (_parity_row) runs the subset test as maps over its entries; the
+parity stream (_parity_rows) reads each row as bitsets, a window of
+4096 entries at a time, by Lucas' theorem on the window's position and
+the low bits of n, with no Python step per entry.  One
 diagonal sum counts Kummer's carry test along its diagonal
 (diagonal_sum_brute, and carlitz_sum, Stern's reference, along
 Pascal's own); a range of them sweeps the diagonals as bitsets by
@@ -59,7 +64,7 @@ middle of a row, so fixed-width types are not an option.
 import os
 import sys
 from collections import namedtuple
-from itertools import chain, count, cycle, islice, repeat
+from itertools import chain, count, cycle, islice
 from math import isqrt
 from operator import add, and_, countOf, eq, not_, sub
 from types import MappingProxyType
@@ -325,15 +330,69 @@ def _parity_row(n, k):
     return map(int, _odd_binomials(cycle(tops), range(k, n + 1)))
 
 
+# _parity_rows cuts each row into windows of _WINDOW entries, so that it
+# holds one window at any n.  A power of two, for Lucas' theorem.
+_WINDOW_BITS = 12
+_WINDOW = 1 << _WINDOW_BITS
+_LOW = _WINDOW - 1
+
+# A window's bits at its even and at its odd positions.
+_EVEN = int("01" * (_WINDOW // 2), 2)
+_ODD = _EVEN << 1
+
+# binary digits to bytes that iterate as the ints 0 and 1
+_ENTRIES = bytes.maketrans(b"01", b"\0\1")
+_ZEROS = bytes(_WINDOW)
+
+
+def _lucas(m):
+    """The int whose bit j is C(m, j) mod 2, for m >= 0: by Lucas, bit j
+    is set iff j is a binary subset of m, so one shift and or per set
+    bit b of m adds the subsets that hold b."""
+    bits = 1
+    while m:
+        low = m & -m
+        bits |= bits << low
+        m ^= low
+    return bits
+
+
 def _parity_rows(n, k):
-    """The mod-2 rows n (from entry k on), n + 1, ..., each by _parity_row."""
-    return chain((_parity_row(n, k),),
-                 map(_parity_row, count(n + 1), repeat(0)))
+    """The mod-2 entries of row n from T(n, k) on and of every row after
+    it, as bytes that iterate as the ints 0 and 1, a window of at most
+    _WINDOW = W entries at a time, with no Python step per entry.
+
+    By Lucas' theorem, with n = hW + m and m < W, window c of Pascal's
+    row n mod 2 (entries cW to cW + W - 1) is _lucas(m) when c & ~h is
+    0, and 0 otherwise.  T(n, i) mod 2 reads Pascal's row n at the i of
+    n's parity and row n - 1 at the others, so each window mixes the two
+    rows' windows by one alternating mask.  The first row starts at
+    window k // W, and each row's last window ends at entry n.  The
+    stream holds one window and two ints below 2^W at any n; _parity_row
+    is the per-row reference it is tested against.
+    """
+    bits = _lucas((n - 1) & _LOW) if n else 0
+    skip = k & _LOW  # entries of the first window before T(n, k)
+    for n in count(n):
+        prev, bits = bits, _lucas(n & _LOW)
+        mine, other = (_EVEN, _ODD) if n % 2 == 0 else (_ODD, _EVEN)
+        here, before = bits & mine, prev & other
+        high, high_prev = n >> _WINDOW_BITS, (n - 1) >> _WINDOW_BITS
+        for c in range(k >> _WINDOW_BITS, high + 1):
+            window = ((here if c & ~high == 0 else 0)
+                      | (before if c & ~high_prev == 0 else 0))
+            width = (_WINDOW if c < high else (n & _LOW) + 1) - skip
+            yield (f"{window >> skip:0{width}b}"[::-1].encode()
+                   .translate(_ENTRIES) if window else _ZEROS[:width])
+            skip = 0
+        k = 0
 
 
 # Each mode of the triangle and its rows function rows(n, k), which
-# streams row n from T(n, k) on and every row after it, each row an
-# iterable: the one place that maps a mode to code.
+# streams the entries of row n from T(n, k) on and of every row after
+# it, as iterables of consecutive entries: one per row for "exact", one
+# per window of a row for "parity".  The one place that maps a mode to
+# code.
 _ROWS = MappingProxyType({"exact": _exact_rows, "parity": _parity_rows})
 
 
@@ -513,15 +572,21 @@ def _diagonal_sum_terms(start: int):
     return _diagonal_sums(start)
 
 
+def _entry_at(index):
+    """The (n, k) of linear index index: index 0 is T(0, 0), and row n
+    occupies indices n(n+1)/2 .. n(n+1)/2 + n."""
+    # largest n with n(n+1)/2 <= index; isqrt is exact, so no correction
+    n = (isqrt(8 * index + 1) - 1) // 2
+    return n, index - n * (n + 1) // 2
+
+
 def _triangle_terms(start: int, mode: str):
     """The endless stream of triangle entries read by rows, from linear
-    index start on: index 0 is T(0, 0), and row n occupies indices
-    n(n+1)/2 .. n(n+1)/2 + n, the rows from the mode's rows function."""
+    index start on (see _entry_at), the rows from the mode's rows
+    function."""
     _require_index("start", start)
     rows = _row_fn(mode)
-    # largest n with n(n+1)/2 <= start; isqrt is exact, so no correction
-    n = (isqrt(8 * start + 1) - 1) // 2
-    return chain.from_iterable(rows(n, start - n * (n + 1) // 2))
+    return chain.from_iterable(rows(*_entry_at(start)))
 
 
 def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
@@ -531,7 +596,8 @@ def iter_triangle_terms(start: int, stop: int, mode: str = "exact"):
     Bad arguments raise at the call.  This is _triangle_terms cut at
     stop: the first two exact rows cost O(n) big-int operations each,
     with a term at either end of the first row O(1), and each later row
-    O(n) big-int additions; parity terms cost O(1) memory each.
+    O(n) big-int additions; parity terms come a window of 4096 at a
+    time, in O(1) memory at any n.
     """
     _require_index("start", start)
     _require_index("stop", stop)

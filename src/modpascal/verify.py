@@ -154,6 +154,12 @@ def _linear(nk):
 # (triangle._exact_rows).
 _exact_stream = _route(ROUTES["t-row"]["exact"], at=_linear)
 
+
+def _parity_entry(index):
+    """T(n, k) mod 2 by Lucas' reduction, at the linear index of (n, k)."""
+    return triangle.triangle_entry_parity(*triangle._entry_at(index))
+
+
 # s(2n+1) for consecutive n: every second term of the Stern sweep, which
 # steps by Newman's rule (kernel._stern_terms)
 _odd_stern = _route(ROUTES["stern"]["fast"], at=lambda n: 2 * n + 1, step=2)
@@ -253,12 +259,17 @@ _SUITES = MappingProxyType({
              map(triangle._exact_row, count(0), repeat(0)))),
     ), in_all=False),
     # each sweep of bfile.ROUTES against its per-index kernel, from 0 and
-    # from 2^64, where the kernels read n a byte at a time
+    # from 2^64, where the kernels read n a byte at a time and the parity
+    # triangle is in row 6,074,000,999, of about 1.5 million windows
     "sweeps": _Suite(tuple(
-        (f"{which} fast = {kernel} from {where}", indices,
-         _route(ROUTES[which]["fast"]), _route(ROUTES[which][kernel]))
-        for which, kernel in (("d", "continuant"), ("r", "closed"),
-                              ("stern", "scan"))
+        (f"{name} from {where}", indices, _route(stream), per_index)
+        for name, stream, per_index in (
+            *((f"{which} fast = {kernel}", ROUTES[which]["fast"],
+               _route(ROUTES[which][kernel]))
+              for which, kernel in (("d", "continuant"), ("r", "closed"),
+                                    ("stern", "scan"))),
+            ("t-row parity stream = Lucas per entry",
+             ROUTES["t-row"]["parity"], partial(map, _parity_entry)))
         for where, indices in (("0", _upto), ("2^64", _past_2_64))
     ), in_all=False),
 })

@@ -91,7 +91,11 @@ def _mutations(sid):
                        ("three fields", f"{index} {value} 1\n"),
                        ("past the digit limit", f"{index} {'7' * 5000}\n")]:
         yield name, "".join([*lines[:mid], line, *lines[mid + 1:]])
-    for first in (1, 2**64 + 1):
+    # Files from other first indices: where _text's thousands begin and
+    # end (999, and 10^40 - 1500, whose index text grows a digit midway),
+    # from a negative index, which _text formats beside its values, and
+    # past 2^64.
+    for first in (1, 999, -2, 2**64 + 1, 10**40 - 1500):
         yield f"from index {first}", "".join(
             f"{first + pos} {line.split()[1]}\n"
             for pos, line in enumerate(lines))
@@ -196,26 +200,42 @@ _VALUES = st.lists(st.one_of(st.integers(), st.sampled_from([0, -1, True]),
                              _LONG), max_size=40)
 
 
+# 10**4300 has 4301 digits, one past the limit, and is a multiple of 1000.
+_PAST_THE_LIMIT = 10**4300
+_PAST_THE_LIMIT_STARTS = st.integers(-200, 200).map(
+    lambda k: _PAST_THE_LIMIT + k)
+
+
+def _columns(first, head, filler, tail):
+    """The index range and values of a test file.  record_lines takes
+    about 0.4 ms a line for an index past the digit limit, so a file
+    from there keeps its filler below 200 lines."""
+    if abs(first) >= _PAST_THE_LIMIT // 2:
+        filler %= 200
+    values = [*head, *range(filler), *tail]
+    return range(first, first + len(values)), values
+
+
 @settings(deadline=None, max_examples=80)
 @given(first=st.one_of(st.just(0), st.integers(0, 10**9),
-                       st.integers(0, 1000).map(lambda k: 2**64 + k)),
+                       st.integers(0, 1000).map(lambda k: 2**64 + k),
+                       _PAST_THE_LIMIT_STARTS),
        head=_VALUES, filler=st.integers(0, 2500), tail=_VALUES)
 def test_record_blocks_is_record_lines_by_columns(first, head, filler, tail):
     # True pins the format to %s: %d prints it as 1, record_lines as True.
-    values = [*head, *range(filler), *tail]
-    indices = range(first, first + len(values))
+    indices, values = _columns(first, head, filler, tail)
     blocks = list(record_blocks(indices, values))
     lines = list(record_lines(zip(indices, values)))
     assert "".join(blocks) == "".join(lines)
     # The block sizes: the first block is one record, each next one is
     # sized by the last block's text to at most _WRITE_RECORDS, and a
-    # block with a field past the digit limit goes line by line and is
-    # followed by a one-record block.
+    # block with a value past the digit limit goes line by line and is
+    # followed by a one-record block.  An index past the limit takes
+    # its text from _text's template like any other.
     want, size = [], 1
     while lines:
         chunk, lines = lines[:size], lines[size:]
-        if any(len(field.lstrip("-")) > 4300
-               for line in chunk for field in line.split()):
+        if any(len(line.split()[1].lstrip("-")) > 4300 for line in chunk):
             want += [1] * len(chunk)
             size = 1
             continue
@@ -223,6 +243,34 @@ def test_record_blocks_is_record_lines_by_columns(first, head, filler, tail):
         size = min(bfile._WRITE_RECORDS, max(
             1, bfile._WRITE_CHARS * len(chunk) // len("".join(chunk))))
     assert [block.count("\n") for block in blocks] == want
+
+
+# Starts where _text changes how it renders an index: negative starts
+# and 0, which it formats beside the values (a naive divmod would render
+# -3 as "-1997"); 998 to 1001, where the first template thousand begins;
+# a power of ten less one, past which the index text grows a digit;
+# past 2^64; and past the digit limit, on both sides of 0.
+_EDGE_STARTS = st.one_of(
+    st.integers(-5, 0), st.integers(998, 1001), st.just(-1005),
+    st.integers(1, 40).map(lambda k: 10**k - 1),
+    st.integers(0, 2000).map(lambda k: 2**64 + k),
+    _PAST_THE_LIMIT_STARTS, _PAST_THE_LIMIT_STARTS.map(lambda k: -k))
+
+
+@settings(deadline=None, max_examples=150)
+@given(first=_EDGE_STARTS, head=_VALUES, filler=st.integers(0, 2500),
+       tail=_VALUES)
+def test_text_is_record_lines_at_index_edges(first, head, filler, tail):
+    indices, values = _columns(first, head, filler, tail)
+    want = "".join(record_lines(zip(indices, values)))
+    assert "".join(record_blocks(indices, values)) == want
+    # Only a value, or a negative index, past the limit stops _text.
+    if (any(abs(value) >= _PAST_THE_LIMIT for value in values)
+            or values and first <= -_PAST_THE_LIMIT):
+        with pytest.raises(ValueError):
+            bfile._text(indices, values)
+    else:
+        assert bfile._text(indices, values) == want
 
 
 @pytest.mark.parametrize("digits", [5000, 30_000])

@@ -331,6 +331,63 @@ def test_one_term_builds_no_row():
     assert peak < 2**20
 
 
+def _parity_by_entry(n, k, size):
+    """size entries of the parity triangle read by rows from T(n, k),
+    each by triangle_entry_parity."""
+    want = []
+    for _ in range(size):
+        want.append(triangle_entry_parity(n, k))
+        n, k = (n + 1, 0) if k == n else (n, k + 1)
+    return want
+
+
+_W = triangle._WINDOW
+
+
+@pytest.mark.parametrize("n", [_W - 1, _W, _W + 1, 2 * _W])
+def test_parity_stream_at_window_edges(n):
+    # Starts at the edges of the first two windows and at the row's end,
+    # read on through row n + 1 into row n + 2; every piece is one
+    # window or less.
+    for k in sorted({0, 1, _W - 1, _W, _W + 1, n - 1, n} & set(range(n + 1))):
+        size = n + 1 - k + n + 2 + 2
+        pieces = triangle._parity_rows(n, k)
+        got = []
+        while len(got) < size:
+            piece = next(pieces)
+            assert 0 < len(piece) <= _W
+            got += piece
+        assert got[:size] == _parity_by_entry(n, k, size), (n, k)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.one_of(st.integers(0, 4 * _W), st.integers(0, 2**70)),
+       data=st.data())
+def test_parity_stream_matches_entries_in_deep_rows(n, data):
+    # 40 terms from a start near either end of a row, or anywhere in it
+    k = data.draw(st.one_of(st.integers(0, min(n, 50)),
+                            st.integers(max(n - 50, 0), n),
+                            st.integers(0, n)), label="k")
+    start = n * (n + 1) // 2 + k
+    assert (list(islice(triangle._triangle_terms(start, "parity"), 40))
+            == _parity_by_entry(n, k, 40))
+
+
+def test_parity_terms_across_a_deep_row_end_hold_one_window():
+    # The last three entries of row 6*10^9 and the first two of the next:
+    # the stream holds one window, not a row of 6*10^9 bits.
+    n = 6 * 10**9
+    last = n * (n + 1) // 2 + n
+    tracemalloc.start()
+    try:
+        terms = list(iter_triangle_terms(last - 2, last + 3, "parity"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms == _parity_by_entry(n, n - 2, 5)
+    assert peak < 2**20
+
+
 @lru_cache(maxsize=None)
 def _flat_rows(mode):
     row = triangle_row if mode == "exact" else triangle_row_parity

@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import partial
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import pytest
 
@@ -76,11 +76,27 @@ def test_rows_and_sweeps_reports():
     sweeps = run_suite("sweeps", 40)
     assert sweeps.passed
     assert [(r.name, r.checked) for r in sweeps.results] == [
-        (f"{which} fast = {kernel} from {where}", 41)
-        for which, kernel in (("d", "continuant"), ("r", "closed"),
-                              ("stern", "scan"))
+        (f"{name} from {where}", 41)
+        for name in ("d fast = continuant", "r fast = closed",
+                     "stern fast = scan",
+                     "t-row parity stream = Lucas per entry")
         for where in ("0", "2^64")
     ]
+
+
+def test_sweeps_catch_a_corrupt_parity_stream(monkeypatch):
+    # T(6, 3) (linear index 24) flipped in the parity stream: the sweeps
+    # row from 0 names that index, the one from 2^64 still passes.
+    def rows(n, k):
+        terms = chain.from_iterable(triangle._parity_rows(n, k))
+        yield (t ^ (i == 24) for i, t in enumerate(terms, n * (n + 1) // 2 + k))
+
+    monkeypatch.setattr(triangle, "_ROWS", {**triangle._ROWS, "parity": rows})
+    results = {r.name: r for r in run_suite("sweeps", 40).results}
+    flipped = results["t-row parity stream = Lucas per entry from 0"]
+    parity = triangle.triangle_entry_parity(6, 3)
+    assert flipped.counterexample == (24, 1 - parity, parity)
+    assert results["t-row parity stream = Lucas per entry from 2^64"].passed
 
 
 def _exact_rows_off_by_one_at(n0, k0):
