@@ -40,11 +40,26 @@ The kernel under all three fast routes (d and Stern here, and the
 matrix representation in the regular module) is _bits_product.  Each
 route states its recurrence once, as a scan that carries a row (x, y)
 through part of its sequence.  Up to _LEAF items the scan is the whole
-computation.  Past that, the bit routes read n a byte at a time: _byte_table turns a
-route's scan into one 2x2 matrix per byte value, built the first time
-a route's n passes one leaf and kept in one small cache keyed by the
-scan's two one-bit matrices, and _bits_product multiplies the start row
-by the matrices of the bytes of n as a balanced tree (_row_product).
+computation.  Past that, _bits_product multiplies the start row by the
+matrices of the leaves of n, 64 bits each, as a balanced tree
+(_row_product), and finds those matrices in one of two ways:
+
+  - by bytes: _byte_table turns a route's scan into one 2x2 matrix per
+    byte value, built the first time a route's n passes one leaf and
+    kept in one small cache keyed by the scan's two one-bit matrices,
+    and the matrices of each leaf's eight bytes are multiplied;
+  - by lanes, past _LANE_LEAVES leaves: leaf i is lane i, 64 bits wide,
+    of four big ints that hold its matrix, and 64 broadword steps, one
+    per bit position, apply M0 or M1 in every lane at once
+    (_lane_leaves).  The step is derived from the scan's two one-bit
+    matrices, as the byte table is.  A lane holds every partial product
+    only if both matrices are nonnegative and
+    max(N8**8, N8**7 * N1**7) < 2**64, where N8 and N1 are the largest
+    row sums of the byte table and of the one-bit matrices
+    (_lanes_fit).  N8 is 55 for d and for Stern, so both take lanes;
+    _REP has negative entries and N8 = 233, so it keeps the bytes, as
+    does every representation that fails the test.
+
 The term route, continuant(), cuts its terms into leaves of _LEAF and
 takes each leaf's matrix from two scans.
 Folding left to right multiplies an ever-growing accumulator by a small
@@ -69,6 +84,7 @@ seeds itself with one scan, then steps by Newman's successor rule
 into e(j): the fast streams of bfile.ROUTES.
 """
 
+import sys
 from collections.abc import Iterable
 from functools import lru_cache, wraps
 from itertools import chain, count, islice, pairwise, starmap, tee, zip_longest
@@ -91,8 +107,21 @@ _plus_one = (1).__add__
 
 # Terms, or bits, per leaf of the product tree: sequences up to this
 # long are scanned in one pass.  For bits it must be 8 times a power of
-# two, so that pairing byte matrices ends at one matrix per leaf.
+# two, so that pairing byte matrices ends at one matrix per leaf, and it
+# is the width of a lane of _lane_leaves, read back as a C uint64.
 _LEAF = 64
+
+# Leaves of n past which _bits_product finds every leaf's matrix at once
+# in 64-bit lanes (_lane_leaves), not from byte tables.  Measured in
+# process on CPython 3.11 (x86-64), the time of a _bits_product call by
+# lanes over its time by bytes, min of 15, random and alternating n:
+# d 1.00-1.06 at 32 leaves, 0.82-0.88 at 48 and 0.77-0.83 at 56;
+# Stern 1.13-1.22, 0.95-1.02 and 0.90-0.98.
+_LANE_LEAVES = 48
+
+# The step that reads the lanes of a to_bytes in the host's byte order
+# from the most significant one.
+_FIRST = -1 if sys.byteorder == "little" else 1
 
 _ONE = (1, 0, 0, 1)  # the identity matrix, as (a, b, c, d) = [[a, b], [c, d]]
 
@@ -168,23 +197,116 @@ def _row_product(row, mats):
 
 
 @lru_cache(maxsize=4)
-def _doubled(table):
-    """The 256 byte matrices from table, the one-bit matrices of bits 0
-    and 1: each doubling pairs every entry (the high bits) with every
-    entry (the low bits), so 4 + 16 + 256 products build it.  The
-    library's only cache: keyed by content, so every scan
-    with the same one-bit matrices shares a table, and bounded, as d,
-    Stern, _REP and one other representation need four."""
+def _doubled(ones):
+    """The 256 byte matrices from ones, the one-bit matrices of bits 0
+    and 1, and whether their leaves fit 64-bit lanes (_lanes_fit).  Each
+    doubling pairs every entry (the high bits) with every entry (the low
+    bits), so 4 + 16 + 256 products build the table.  The library's only
+    cache: keyed by content, so every scan with the same one-bit
+    matrices shares a table, and bounded, as d, Stern, _REP and one
+    other representation need four."""
+    table = ones
     for _ in range(3):
         table = tuple(_mul(high, low) for high in table for low in table)
-    return table
+    return table, _lanes_fit(ones, table)
+
+
+def _one_bit(scan):
+    """The one-bit matrices (M0, M1) of a bit scan, each from its rows
+    scan(bit, 1, 0) and scan(bit, 0, 1)."""
+    return tuple(scan(bit, 1, 0) + scan(bit, 0, 1) for bit in "01")
 
 
 def _byte_table(scan):
     """The matrices of a bit scan for the 256 bytes, indexed by byte
-    value, bits most significant first, from the rows scan(bit, 1, 0)
-    and scan(bit, 0, 1) of its two one-bit matrices."""
-    return _doubled(tuple(scan(bit, 1, 0) + scan(bit, 0, 1) for bit in "01"))
+    value, bits most significant first, from its two one-bit matrices."""
+    return _doubled(_one_bit(scan))[0]
+
+
+def _row_sum(mats):
+    """The largest row sum of the matrices mats: their entries in pairs."""
+    entries = chain.from_iterable(mats)
+    return max(map(add, entries, entries))
+
+
+def _lanes_fit(ones, table):
+    """Whether a leaf's lanes hold every partial product of its one-bit
+    matrices, and every candidate a step discards: both one-bit matrices
+    are nonnegative, and with N1 and N8 the largest row sums of those
+    and of the byte table, max(N8**8, N8**7 * N1**7) < 2**64."""
+    if min(chain.from_iterable(ones)) < 0:
+        return False
+    n1, n8 = _row_sum(ones), _row_sum(table)
+    return max(n8**8, n8**7 * n1**7) < 2**_LEAF
+
+
+def _combo(p, q):
+    """The function (x, y) -> p x + q y, for ints p, q >= 0: x, y and
+    x + y take no multiply."""
+    if (p, q) == (1, 1):
+        return add
+    if (p, q) == (1, 0):
+        return lambda x, y: x
+    if (p, q) == (0, 1):
+        return lambda x, y: y
+    return lambda x, y: p * x + q * y
+
+
+def _lane_column(col0, col1):
+    """One output column of the lane step, from its coefficients (p, q)
+    of x and y in M0 and in M1, as (f, i): f(x, y, masks) is the column
+    in every lane at once, where masks = (~m, m) and m has the 64 bits
+    of each lane whose bit is 1 set, and i is the index of the mask f
+    reads, or None.
+
+    Where M0 and M1 agree the column is one linear combination.  Where
+    one matrix's column dominates the other's, it is the smaller plus
+    the nonnegative difference in the lanes of the larger's bit.
+    Otherwise each lane keeps one of two candidates by a select."""
+    if col0 == col1:
+        f = _combo(*col0)
+        return (lambda x, y, masks: f(x, y)), None
+    for i, (lo, hi) in enumerate(((col1, col0), (col0, col1))):
+        if lo[0] <= hi[0] and lo[1] <= hi[1]:
+            base, delta = _combo(*lo), _combo(hi[0] - lo[0], hi[1] - lo[1])
+            return (lambda x, y, masks:
+                    base(x, y) + (delta(x, y) & masks[i])), i
+    v0, v1 = _combo(*col0), _combo(*col1)
+
+    def select(x, y, masks):
+        a = v0(x, y)
+        return a ^ ((a ^ v1(x, y)) & masks[1])
+    return select, 1
+
+
+def _lane_leaves(n, leaves, ones):
+    """The matrices of the low leaves of n, most significant first,
+    from one scan of their bits in 64-bit lanes (broadword arithmetic,
+    Knuth, TAOCP 4A, 7.1.3).
+
+    Leaf i, bits 64i..64i+63 of n, is lane i of four ints: the rows of
+    its matrix from (1, 0) and from (0, 1).  Step j = 63..0 reads bit j
+    of every lane into one mask and applies M0 or M1 to every lane at
+    once, by the columns of _lane_column, so each step is a few big-int
+    operations whatever the number of leaves.  The lanes are read back
+    with one to_bytes each, in the host's byte order.
+    """
+    m0, m1 = ones
+    (col_x, i_x), (col_y, i_y) = (_lane_column(m0[k::2], m1[k::2])
+                                  for k in (0, 1))
+    one = int.from_bytes(b"\1\0\0\0\0\0\0\0" * leaves, "little")  # 1 a lane
+    every = (1 << leaves * _LEAF) - 1 if 0 in (i_x, i_y) else 0  # for ~m
+    x1 = y2 = one
+    y1 = x2 = 0
+    for j in range(_LEAF - 1, -1, -1):
+        m = (n >> j) & one
+        m = (m << _LEAF) - m  # m * (2**64 - 1), a shift being cheaper
+        masks = (m ^ every if every else None, m)
+        x1, y1 = col_x(x1, y1, masks), col_y(x1, y1, masks)
+        x2, y2 = col_x(x2, y2, masks), col_y(x2, y2, masks)
+    lanes = (memoryview(v.to_bytes(leaves * 8, sys.byteorder)).cast("Q")
+             for v in (x1, y1, x2, y2))
+    return zip(*(v[::_FIRST] for v in lanes))
 
 
 def _bits_product(row, n, scan, readout=True):
@@ -197,11 +319,15 @@ def _bits_product(row, n, scan, readout=True):
     _LEAF bits it is the whole computation, and n = 0 has no bits, so
     its row is row itself.  Past that, the top n.bit_length() % _LEAF
     bits are scanned, since a start row need not be fixed by the 0-bit
-    matrix, and each byte of n after them is looked up in _byte_table,
-    with no Python step per bit.  The byte matrices are paired as they
-    arrive, up to one per leaf of _LEAF bits, so only the leaves' level
-    is ever held as a list, and _row_product multiplies the leaves as a
-    product tree, with _READOUT last for a readout.
+    matrix, and the bits after them make whole leaves of _LEAF bits.
+    _row_product multiplies the leaves' matrices as a product tree, with
+    _READOUT last for a readout.  Up to _LANE_LEAVES leaves, and for a
+    scan whose leaves do not fit 64-bit lanes (_lanes_fit), each byte of
+    n is looked up in _byte_table, and the byte matrices are paired as
+    they arrive, up to one per leaf, so only the leaves' level is ever
+    held as a list.  Past that, _lane_leaves gives every leaf's matrix
+    from 64 big-int steps, one per bit position of a leaf, which beats
+    the 7 small products per leaf of the byte pairing.
     """
     size = n.bit_length()
     if size <= _LEAF:
@@ -210,14 +336,19 @@ def _bits_product(row, n, scan, readout=True):
     body = size - size % _LEAF  # the bits of the whole leaves
     if body < size:
         row = scan(bin(n >> body)[2:], *row)
-    table = _byte_table(scan)
-    # byteorder is passed, as Python 3.10 requires
-    data = (n & ((1 << body) - 1)).to_bytes(body // 8, "big")
-    mats = map(table.__getitem__, data)
-    width = 8  # bits per matrix
-    while width < _LEAF:  # the same iterator twice: adjacent pairs
-        mats = map(_mul, mats, mats)
-        width *= 2
+    ones = _one_bit(scan)
+    table, lanes = _doubled(ones)
+    leaves = body // _LEAF
+    if lanes and leaves > _LANE_LEAVES:
+        mats = _lane_leaves(n, leaves, ones)
+    else:
+        # byteorder is passed, as Python 3.10 requires
+        data = (n & ((1 << body) - 1)).to_bytes(body // 8, "big")
+        mats = map(table.__getitem__, data)
+        width = 8  # bits per matrix
+        while width < _LEAF:  # the same iterator twice: adjacent pairs
+            mats = map(_mul, mats, mats)
+            width *= 2
     return _row_product(row, chain(mats, (_READOUT,) if readout else ()))
 
 

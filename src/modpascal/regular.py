@@ -52,7 +52,10 @@ of n as a balanced tree.  That is O(log n) big-int operations at a
 subquadratic bit cost (see the kernel module).  A rep's byte table
 is built the first time its state passes one leaf, in the kernel's
 bounded cache keyed by m0 and m1, so every rep, _REP or another, gets
-the table of its own matrices.  n = 0 has no bits, so v(0) is v0.
+the table of its own matrices.  _REP's matrices have negative entries,
+so its leaves always come from that table; a rep with small enough
+nonnegative matrices takes the kernel's 64-bit lanes past their
+crossover, as d and Stern do.  n = 0 has no bits, so v(0) is v0.
 
 A range of states needs no product per state: _rep_terms, the matrix
 side of `verify thm1`, runs one _bits_product per block of 256 states
@@ -75,6 +78,7 @@ from .kernel import (
     _byte_table,
     _evens,
     _require_index,
+    _require_ints,
     diagonal_sum_fast,
     to_decimal,
 )
@@ -152,10 +156,22 @@ class LinearRep(namedtuple("LinearRep", "v0 m0 m1")):
 
     State vector at n is (d(2n), d(4n)), the pair v0 at n = 0; m0/m1,
     pairs of rows, append a 0/1 bit to n; d(n) is component 0 of the
-    state at floor(n/2).
+    state at floor(n/2).  Every entry must be an int (bool is not),
+    checked when built, also by _make and _replace.
     """
 
     __slots__ = ()
+
+    def __new__(cls, v0, m0, m1):
+        _require_ints("v0 entry", tuple(v0))
+        for name, rows in (("m0", m0), ("m1", m1)):
+            for pos, row in enumerate(rows):
+                _require_ints(f"{name} row {pos} entry", tuple(row))
+        return super().__new__(cls, v0, m0, m1)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # verify's thm1 suite reads this directly, so a wrong representation shows

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import modpascal
 from modpascal import (
+    LinearRep,
     TriangleRow,
     carlitz_sum,
     continuant,
@@ -31,7 +32,17 @@ from modpascal import (
     triangle_row_parity,
 )
 from modpascal import kernel, regular
-from modpascal.kernel import _CHUNK, _LEAF, _byte_table, _d_scan, _stern_scan
+from modpascal.kernel import (
+    _CHUNK,
+    _LANE_LEAVES,
+    _LEAF,
+    _bits_product,
+    _byte_table,
+    _d_scan,
+    _doubled,
+    _one_bit,
+    _stern_scan,
+)
 from oracles import (
     binary_run_lengths,
     cf_numerator,
@@ -323,6 +334,110 @@ def test_bit_routes_at_every_bit_length(bits):
 ))
 def test_bit_routes_match_their_references(n):
     _check_bit_routes(n)
+
+
+# Past _LANE_LEAVES leaves, _bits_product finds the leaves' matrices in
+# 64-bit lanes, by a step derived from the scan's one-bit matrices.
+# These scans fit the lanes: d, Stern, Stern's matrices as a LinearRep,
+# and two reps whose steps add 2y under a mask and select between 2y and
+# x, the column forms that d and Stern do not use.
+LANE_SCANS = [
+    pytest.param(_d_scan, id="d"),
+    pytest.param(_stern_scan, id="stern"),
+    pytest.param(regular._rep_scan(LinearRep(
+        v0=(0, 1), m0=((1, 0), (1, 1)), m1=((1, 1), (0, 1)))), id="stern-rep"),
+    pytest.param(regular._rep_scan(LinearRep(
+        v0=(1, 1), m0=((1, 0), (0, 1)), m1=((1, 2), (0, 1)))), id="add-2y"),
+    pytest.param(regular._rep_scan(LinearRep(
+        v0=(1, 1), m0=((0, 2), (1, 0)), m1=((1, 0), (0, 1)))), id="select-2y"),
+]
+
+# These do not: _REP has negative entries, and 3I's byte table has row
+# sums of 3^8.
+BYTE_SCANS = [
+    pytest.param(regular._rep_scan(regular._REP), id="matrix"),
+    pytest.param(regular._rep_scan(LinearRep(
+        v0=(1, 1), m0=((3, 0), (0, 3)), m1=((3, 0), (0, 3)))), id="3I"),
+]
+
+
+@st.composite
+def lane_inputs(draw):
+    """n of one leaf below the lane crossover to several above it, with
+    0, 1, 7 or 63 bits over its whole leaves: random, all ones, a power
+    of two, alternating, or with every leaf distinct, so that leaves
+    read in the wrong order give a wrong product."""
+    leaves = draw(st.integers(_LANE_LEAVES - 1, _LANE_LEAVES + 6))
+    bits = _LEAF * leaves + draw(st.sampled_from([0, 1, 7, 63]))
+    shape = draw(st.sampled_from(
+        ["random", "ones", "power", "alternating", "distinct"]))
+    if shape == "random":
+        return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    if shape == "ones":
+        return (1 << bits) - 1
+    if shape == "power":
+        return 1 << (bits - 1)
+    if shape == "alternating":
+        return alternating(bits)
+    start = draw(st.integers(0, 2**64 - 1))  # leaf i is (start + i) K
+    words = (((start + i) * 0x9E3779B97F4A7C15) % 2**64 for i in range(leaves))
+    low = int.from_bytes(b"".join(w.to_bytes(8, "little") for w in words),
+                         "little")
+    return low | 1 << (bits - 1)
+
+
+def _check_bits_product(scan, n):
+    for row in ((1, 0), (0, 1), (2, 3)):
+        want = scan(bin(n)[2:], *row)
+        assert _bits_product(row, n, scan, readout=False) == want
+        assert _bits_product(row, n, scan)[0] == want[0]
+
+
+@pytest.mark.parametrize("scan", LANE_SCANS + BYTE_SCANS)
+@settings(deadline=None, max_examples=60)
+@given(lane_inputs())
+def test_bits_product_is_the_scan_at_the_lane_crossover(scan, n):
+    _check_bits_product(scan, n)
+
+
+def _count_lane_calls(monkeypatch):
+    calls = []
+    lanes = kernel._lane_leaves
+
+    def counted(n, leaves, ones):
+        calls.append(leaves)
+        return lanes(n, leaves, ones)
+    monkeypatch.setattr(kernel, "_lane_leaves", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scan", LANE_SCANS)
+def test_lanes_are_taken_past_the_crossover(scan, monkeypatch):
+    assert _doubled(_one_bit(scan))[1]
+    calls = _count_lane_calls(monkeypatch)
+    rng = random.Random(41)
+    for leaves in (_LANE_LEAVES, _LANE_LEAVES + 1, 3 * _LANE_LEAVES):
+        n = rng.getrandbits(_LEAF * leaves) | 1 << (_LEAF * leaves - 1)
+        _check_bits_product(scan, n)
+    assert calls == [_LANE_LEAVES + 1] * 6 + [3 * _LANE_LEAVES] * 6
+
+
+def test_stern_as_a_linear_rep_past_the_crossover():
+    rep = LinearRep(v0=(0, 1), m0=((1, 0), (1, 1)), m1=((1, 1), (0, 1)))
+    rng = random.Random(43)
+    for bits in (_LEAF * (_LANE_LEAVES + 1), 5000):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert linear_rep_state(rep, n) == (stern(n), stern_bits(n + 1))
+
+
+@pytest.mark.parametrize("scan", BYTE_SCANS)
+def test_scans_that_do_not_fit_lanes_keep_the_byte_tables(scan, monkeypatch):
+    assert not _doubled(_one_bit(scan))[1]
+    calls = _count_lane_calls(monkeypatch)
+    rng = random.Random(42)
+    for bits in (_LEAF * (_LANE_LEAVES + 1), _LEAF * 3 * _LANE_LEAVES + 5):
+        _check_bits_product(scan, rng.getrandbits(bits) | 1 << (bits - 1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("at", [_LEAF, _LEAF + 1, 3 * _LEAF + 7, 5 * _LEAF - 1])

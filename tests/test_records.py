@@ -60,7 +60,8 @@ def test_equality_and_hash_by_value(cls, values, text):
     assert record == twin and hash(record) == hash(twin)
     assert record == values and hash(record) == hash(values)
     # Another valid value of the last field.
-    last = {TriangleRow: "parity", BFile: ()}.get(cls)
+    last = {TriangleRow: "parity", BFile: (),
+            LinearRep: ((3, -1), (4, 0))}.get(cls)
     assert record != cls(*values[:-1], last)
 
 
@@ -92,6 +93,18 @@ def test_identity_result_counterexample_defaults_to_none():
      ValueError, "record 0 has index 0, expected 1"),
     (lambda: BFile("A114214", 0, ((0, 1),))._replace(offset=5), ValueError,
      "record 0 has index 0, expected 5"),
+    (lambda: LinearRep((1.5, 1), ((0, 1), (-1, 2)), ((3, -1), (4, -1))),
+     TypeError, "v0 entry 0 must be an int, got float"),
+    (lambda: LinearRep((1, 1), ((0, True), (-1, 2)), ((3, -1), (4, -1))),
+     TypeError, "m0 row 0 entry 1 must be an int, got bool"),
+    (lambda: LinearRep((1, 1), ((0, 1), (-1, 2)), ((3, -1), ("x", -1))),
+     TypeError, "m1 row 1 entry 0 must be an int, got str"),
+    (lambda: LinearRep((1, 1), ((0, 1), (-1, 2)),
+                       ((3, -1), (4, -1)))._replace(v0=(1, 1.0)),
+     TypeError, "v0 entry 1 must be an int, got float"),
+    (lambda: LinearRep._make(
+        ((1, 1), ((0, 1), (-1, 2.0)), ((3, -1), (4, -1)))),
+     TypeError, "m0 row 1 entry 1 must be an int, got float"),
 ])
 def test_validation_errors(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
