@@ -45,20 +45,21 @@ matrices of the leaves of n, 64 bits each, as a balanced tree
 (_row_product), and finds those matrices in one of two ways:
 
   - by bytes: _byte_table turns a route's scan into one 2x2 matrix per
-    byte value, built the first time a route's n passes one leaf and
-    kept in one small cache keyed by the scan's two one-bit matrices,
+    byte value, built the first time a route's n passes one leaf or
+    one of its block sweeps is called, and kept in one small cache
+    keyed by the scan's two one-bit matrices,
     and the matrices of each leaf's eight bytes are multiplied;
   - by lanes, past _LANE_LEAVES leaves: leaf i is lane i, 64 bits wide,
     of four big ints that hold its matrix, and 64 broadword steps, one
     per bit position, apply M0 or M1 in every lane at once
-    (_lane_leaves).  The step is derived from the scan's two one-bit
-    matrices, as the byte table is.  A lane holds every partial product
-    only if both matrices are nonnegative and
-    max(N8**8, N8**7 * N1**7) < 2**64, where N8 and N1 are the largest
-    row sums of the byte table and of the one-bit matrices
-    (_lanes_fit).  N8 is 55 for d and for Stern, so both take lanes;
-    _REP has negative entries and N8 = 233, so it keeps the bytes, as
-    does every representation that fails the test.
+    (_lane_leaves).  The step is one function compiled from the scan's
+    two one-bit matrices, kept beside the byte table (_lane_step).  A
+    lane holds every partial product only if both matrices are
+    nonnegative and max(N8**8, N8**7 * N1**7) < 2**64, where N8 and N1
+    are the largest row sums of the byte table and of the one-bit
+    matrices (_lanes_fit).  N8 is 55 for d and for Stern, so both take
+    lanes; _REP has negative entries and N8 = 233, so it keeps the
+    bytes, as does every representation that fails the test.
 
 The term route, continuant(), cuts its terms into leaves of _LEAF and
 takes each leaf's matrix from two scans.
@@ -67,27 +68,40 @@ term each time, a cost quadratic in the bit length b of the result; the
 tree multiplies operands of equal size, so CPython's Karatsuba multiply
 brings it down to O(b^1.585).
 
-A range of d needs no product per term.  Every d sweep streams
-e(j) = d(2j) = d(2j + 1), and _evens alone repeats it into d.
-_d_block_terms runs _bits_product once per block of 256 values of e,
-over the top bits of j, and gives each value as two C-level multiplies
-and one addition against two columns of d's table.  That block
-evaluation (_block) and cut (_blocks) also run the matrix
-representation's sweep (see the regular module).
+A range costs no product per term.  Every sweep of d, Stern and the
+matrix representation runs by blocks of 256 values: with c = j >> 8,
+value j is entry 0 of the row after the bits of c and then the byte
+j & 255, that is x A(m) + y C(m) for the row (x, y) after c and two
+columns A, C of the route's byte table (the 2-regular block evaluation,
+Allouche & Shallit, Automatic Sequences, 2003, ch. 16).  _values
+evaluates a block.  Each sweep packs its columns at its call, entry m
+in 64-bit slot m of one int each (_columns), and while
+|x| max|A| + |y| max|C| < 2**63 a block is x PA + y PC, two big-int
+multiplies, read back as 256 signed C int64s through one bias constant
+(_BIAS), negative values included.  Past that bound, which d's and
+Stern's rows reach at starts of about 2**88, and for columns whose
+entries do not fit a slot, each value is two C-level multiplies and an
+addition, exact at any size.
 
-A range of Stern costs O(1) big-int operations per term: _stern_terms
-seeds itself with one scan, then steps by Newman's successor rule
+The rows come from one of two places.  d's continuant route
+(_d_block_terms) and the matrix representation's sweep
+(regular._rep_terms) run one _bits_product per block (_block).  Stern's
+route (_stern_terms) runs one _bits_product for its first row
+(s(c), s(c+1)) and carries it to the next block by Newman's rule
 
-    s(m+2) = s(m) + s(m+1) - 2 (s(m) mod s(m+1))
+    s(c+2) = s(c) + s(c+1) - 2 (s(c) mod s(c+1))
 
-(Calkin & Wilf, 2000), and _d_terms sums adjacent terms of that sweep
-into e(j): the fast streams of bfile.ROUTES.
+(Calkin & Wilf, 2000), one step per block (_stern_blocks).  d's fast
+route (_d_terms) reads the same rows, as e(j) = d(2j) = s(j) + s(j+1),
+the sum of the entries of the row after j, so its columns are entries
+0 + 1 and 2 + 3 of Stern's table.  Every d sweep streams e, and _evens
+alone repeats it into d: the fast streams of bfile.ROUTES.
 """
 
 import sys
 from collections.abc import Iterable
 from functools import lru_cache, wraps
-from itertools import chain, count, islice, pairwise, starmap, tee, zip_longest
+from itertools import chain, count, islice, tee, zip_longest
 from operator import add
 
 __all__ = [
@@ -115,13 +129,17 @@ _LEAF = 64
 # in 64-bit lanes (_lane_leaves), not from byte tables.  Measured in
 # process on CPython 3.11 (x86-64), the time of a _bits_product call by
 # lanes over its time by bytes, min of 15, random and alternating n:
-# d 1.00-1.06 at 32 leaves, 0.82-0.88 at 48 and 0.77-0.83 at 56;
-# Stern 1.13-1.22, 0.95-1.02 and 0.90-0.98.
-_LANE_LEAVES = 48
+# d 1.18-1.22 at 12 leaves, 0.98-1.14 at 16, 0.95-1.00 at 20, 0.88-0.92
+# at 24 and 0.80 at 32; Stern 1.25-1.31, 1.04-1.09, 0.99-1.00,
+# 0.88-0.91 and 0.80-0.85.
+_LANE_LEAVES = 24
 
 # The step that reads the lanes of a to_bytes in the host's byte order
 # from the most significant one.
 _FIRST = -1 if sys.byteorder == "little" else 1
+
+# 2**63 in each of the 256 64-bit slots of a packed block (_values).
+_BIAS = int.from_bytes(b"\x80\0\0\0\0\0\0\0" * 256, "big")
 
 _ONE = (1, 0, 0, 1)  # the identity matrix, as (a, b, c, d) = [[a, b], [c, d]]
 
@@ -199,16 +217,17 @@ def _row_product(row, mats):
 @lru_cache(maxsize=4)
 def _doubled(ones):
     """The 256 byte matrices from ones, the one-bit matrices of bits 0
-    and 1, and whether their leaves fit 64-bit lanes (_lanes_fit).  Each
-    doubling pairs every entry (the high bits) with every entry (the low
-    bits), so 4 + 16 + 256 products build the table.  The library's only
-    cache: keyed by content, so every scan with the same one-bit
-    matrices shares a table, and bounded, as d, Stern, _REP and one
+    and 1, and their lane step (_lane_step), or None where their leaves
+    do not fit 64-bit lanes (_lanes_fit).  Each doubling pairs every
+    entry (the high bits) with every entry (the low bits), so
+    4 + 16 + 256 products build the table.  The library's only cache:
+    keyed by content, so every scan with the same one-bit matrices
+    shares a table and a step, and bounded, as d, Stern, _REP and one
     other representation need four."""
     table = ones
     for _ in range(3):
         table = tuple(_mul(high, low) for high in table for low in table)
-    return table, _lanes_fit(ones, table)
+    return table, _lane_step(ones) if _lanes_fit(ones, table) else None
 
 
 def _one_bit(scan):
@@ -240,46 +259,51 @@ def _lanes_fit(ones, table):
     return max(n8**8, n8**7 * n1**7) < 2**_LEAF
 
 
-def _combo(p, q):
-    """The function (x, y) -> p x + q y, for ints p, q >= 0: x, y and
-    x + y take no multiply."""
-    if (p, q) == (1, 1):
-        return add
-    if (p, q) == (1, 0):
-        return lambda x, y: x
-    if (p, q) == (0, 1):
-        return lambda x, y: y
-    return lambda x, y: p * x + q * y
+def _term(p, q, x, y):
+    """The source text of p x + q y for ints p, q >= 0 and the names x
+    and y: a coefficient 0 drops its name and 1 takes no multiply."""
+    parts = [v if k == 1 else f"{k} * {v}" for k, v in ((p, x), (q, y)) if k]
+    return f"({' + '.join(parts)})" if parts else "0"
 
 
-def _lane_column(col0, col1):
-    """One output column of the lane step, from its coefficients (p, q)
-    of x and y in M0 and in M1, as (f, i): f(x, y, masks) is the column
-    in every lane at once, where masks = (~m, m) and m has the 64 bits
-    of each lane whose bit is 1 set, and i is the index of the mask f
-    reads, or None.
+def _lane_column(col0, col1, x, y, temp):
+    """The source text of one output column of the lane step in every
+    lane at once, from its coefficients (p, q) of x and y in M0 and in
+    M1, and whether it reads not1, the mask of the lanes whose bit is 0.
+    one1 has the 64 bits set of each lane whose bit is 1.
 
     Where M0 and M1 agree the column is one linear combination.  Where
     one matrix's column dominates the other's, it is the smaller plus
     the nonnegative difference in the lanes of the larger's bit.
-    Otherwise each lane keeps one of two candidates by a select."""
+    Otherwise each lane keeps one of two candidates by a select, through
+    the name temp."""
     if col0 == col1:
-        f = _combo(*col0)
-        return (lambda x, y, masks: f(x, y)), None
-    for i, (lo, hi) in enumerate(((col1, col0), (col0, col1))):
+        return _term(*col0, x, y), False
+    for mask, (lo, hi) in (("not1", (col1, col0)), ("one1", (col0, col1))):
         if lo[0] <= hi[0] and lo[1] <= hi[1]:
-            base, delta = _combo(*lo), _combo(hi[0] - lo[0], hi[1] - lo[1])
-            return (lambda x, y, masks:
-                    base(x, y) + (delta(x, y) & masks[i])), i
-    v0, v1 = _combo(*col0), _combo(*col1)
-
-    def select(x, y, masks):
-        a = v0(x, y)
-        return a ^ ((a ^ v1(x, y)) & masks[1])
-    return select, 1
+            delta = _term(hi[0] - lo[0], hi[1] - lo[1], x, y)
+            return f"{_term(*lo, x, y)} + ({delta} & {mask})", mask == "not1"
+    v0, v1 = _term(*col0, x, y), _term(*col1, x, y)
+    return f"({temp} := {v0}) ^ (({temp} ^ {v1}) & one1)", False
 
 
-def _lane_leaves(n, leaves, ones):
+def _lane_step(ones):
+    """The lane step of the one-bit matrices ones = (M0, M1), and whether
+    it reads not1: step(x1, y1, x2, y2, one1, not1) applies M0 or M1 to
+    both rows of every lane, by the columns of _lane_column.  The step is
+    one function, compiled from their source text with every coefficient
+    in place, so a step makes one Python call."""
+    m0, m1 = ones
+    columns = [_lane_column(m0[k::2], m1[k::2], f"x{row}", f"y{row}",
+                            f"t{row}{k}")
+               for row in (1, 2) for k in (0, 1)]
+    text = ", ".join(source for source, _ in columns)
+    # the text holds only ints and the names above
+    step = eval(f"lambda x1, y1, x2, y2, one1, not1: ({text})", {})
+    return step, any(reads for _, reads in columns)
+
+
+def _lane_leaves(n, leaves, lanes):
     """The matrices of the low leaves of n, most significant first,
     from one scan of their bits in 64-bit lanes (broadword arithmetic,
     Knuth, TAOCP 4A, 7.1.3).
@@ -287,26 +311,22 @@ def _lane_leaves(n, leaves, ones):
     Leaf i, bits 64i..64i+63 of n, is lane i of four ints: the rows of
     its matrix from (1, 0) and from (0, 1).  Step j = 63..0 reads bit j
     of every lane into one mask and applies M0 or M1 to every lane at
-    once, by the columns of _lane_column, so each step is a few big-int
-    operations whatever the number of leaves.  The lanes are read back
-    with one to_bytes each, in the host's byte order.
+    once, by the step of lanes = _lane_step(ones), so each step is a few
+    big-int operations whatever the number of leaves.  The lanes are
+    read back with one to_bytes each, in the host's byte order.
     """
-    m0, m1 = ones
-    (col_x, i_x), (col_y, i_y) = (_lane_column(m0[k::2], m1[k::2])
-                                  for k in (0, 1))
+    step, reads_not1 = lanes
     one = int.from_bytes(b"\1\0\0\0\0\0\0\0" * leaves, "little")  # 1 a lane
-    every = (1 << leaves * _LEAF) - 1 if 0 in (i_x, i_y) else 0  # for ~m
+    every = (1 << leaves * _LEAF) - 1 if reads_not1 else 0  # for not1
     x1 = y2 = one
     y1 = x2 = 0
     for j in range(_LEAF - 1, -1, -1):
         m = (n >> j) & one
         m = (m << _LEAF) - m  # m * (2**64 - 1), a shift being cheaper
-        masks = (m ^ every if every else None, m)
-        x1, y1 = col_x(x1, y1, masks), col_y(x1, y1, masks)
-        x2, y2 = col_x(x2, y2, masks), col_y(x2, y2, masks)
-    lanes = (memoryview(v.to_bytes(leaves * 8, sys.byteorder)).cast("Q")
+        x1, y1, x2, y2 = step(x1, y1, x2, y2, m, m ^ every if every else None)
+    views = (memoryview(v.to_bytes(leaves * 8, sys.byteorder)).cast("Q")
              for v in (x1, y1, x2, y2))
-    return zip(*(v[::_FIRST] for v in lanes))
+    return zip(*(v[::_FIRST] for v in views))
 
 
 def _bits_product(row, n, scan, readout=True):
@@ -336,11 +356,10 @@ def _bits_product(row, n, scan, readout=True):
     body = size - size % _LEAF  # the bits of the whole leaves
     if body < size:
         row = scan(bin(n >> body)[2:], *row)
-    ones = _one_bit(scan)
-    table, lanes = _doubled(ones)
+    table, lanes = _doubled(_one_bit(scan))
     leaves = body // _LEAF
     if lanes and leaves > _LANE_LEAVES:
-        mats = _lane_leaves(n, leaves, ones)
+        mats = _lane_leaves(n, leaves, lanes)
     else:
         # byteorder is passed, as Python 3.10 requires
         data = (n & ((1 << body) - 1)).to_bytes(body // 8, "big")
@@ -479,32 +498,76 @@ def _evens(sweep):
 
 
 def _d_columns():
-    """The sums (A, C) of entries 0 + 1 and 2 + 3 of d's byte matrices
-    of the low bytes m ^ (m >> 1) of t(j), m < 256: one pair for even
-    j >> 8 and one for odd, whose low bit sets the 0x80 bit of that
-    byte.  Built at each sweep's call, from the byte table's cache."""
+    """The block columns (_columns) of the sums (A, C) of entries 0 + 1
+    and 2 + 3 of d's byte matrices of the low bytes m ^ (m >> 1) of
+    t(j), m < 256: one pair for even j >> 8 and one for odd, whose low
+    bit sets the 0x80 bit of that byte.  Built at each sweep's call,
+    from the byte table's cache."""
     table = _byte_table(_d_scan)
     entries = (zip(*(table[m ^ (m >> 1) ^ flip] for m in range(256)))
                for flip in (0, 0x80))
-    return tuple((tuple(map(add, a, b)), tuple(map(add, c, d)))
+    return tuple(_columns(tuple(map(add, a, b)), tuple(map(add, c, d)))
                  for a, b, c, d in entries)
 
 
+def _pack(column):
+    """The ints of column, each below 2**63 in size, as one int with
+    entry i in 64-bit slot i in the order that to_bytes in the host's
+    byte order reads back.  array("q") holds each entry in two's
+    complement; XOR with _BIAS makes slot i entry i + 2**63, with no
+    borrow between slots, and subtracting _BIAS leaves the signed sum
+    of entry i times 2**(64 i).  array is imported here, so that
+    importing the CLI does not load it."""
+    from array import array
+    return (int.from_bytes(array("q", column), sys.byteorder) ^ _BIAS) - _BIAS
+
+
+def _columns(a, c):
+    """The columns (A, C) of a block sweep, as _values reads them: with
+    each packed (_pack) and the largest size of its entries, or with
+    None in their place if an entry does not fit a 64-bit slot."""
+    sizes = [max(max(column), -min(column)) for column in (a, c)]
+    if max(sizes) >= 2**63:
+        return a, c, None
+    return a, c, (_pack(a), _pack(c), *sizes)
+
+
+def _values(x, y, columns):
+    """The list or iterator of x A + y C for the block columns (A, C)
+    (_columns).
+
+    If |x| max|A| + |y| max|C| < 2**63, every value fits a signed 64-bit
+    slot, and the block is x PA + y PC for the packed columns: two
+    big-int multiplies and an addition for the whole block.  Adding
+    _BIAS makes slot i value i + 2**63, in [0, 2**64), so no slot
+    borrows from the next, and XOR with _BIAS leaves each value in two's
+    complement, read back by to_bytes in the host's byte order and a
+    cast to C int64s, negative values included.  Otherwise each value
+    is two C-level multiplies and one addition, exact at any size."""
+    a, c, packed = columns
+    if packed:
+        pa, pc, size_a, size_c = packed
+        if abs(x) * size_a + abs(y) * size_c < 2**63:
+            block = (x * pa + y * pc + _BIAS) ^ _BIAS
+            return memoryview(block.to_bytes(8 * len(a), sys.byteorder)
+                              ).cast("q").tolist()
+    return map(add, map(x.__mul__, a), map(y.__mul__, c))
+
+
 def _block(row, n, scan, columns):
-    """x A + y C for the columns (A, C), (x, y) the row after the bits of
-    n: two C-level multiplies and one addition per value.  With A and C
+    """x A + y C for the block columns (A, C) (_columns), (x, y) the row
+    after the bits of n: one _bits_product, then _values.  With A and C
     a byte table's entries 0 and 2, each value is entry 0 of the row
     after n and one byte.  The block evaluation of d's continuant route
     and of the matrix representation's sweep (regular._rep_terms)."""
     x, y = _bits_product(row, n, scan, readout=False)
-    a_m, c_m = columns
-    return map(add, map(x.__mul__, a_m), map(y.__mul__, c_m))
+    return _values(x, y, columns)
 
 
-def _blocks(j, block):
-    """v(j), v(j+1), ... from block(c) = v(256c), ..., v(256c + 255)."""
-    return islice(chain.from_iterable(map(block, count(j >> 8))), j & 255,
-                  None)
+def _blocks(j, blocks):
+    """v(j), v(j+1), ... from the blocks v(256c), ..., v(256c + 255) for
+    each c from j >> 8 on."""
+    return islice(chain.from_iterable(blocks), j & 255, None)
 
 
 @_evens
@@ -519,14 +582,14 @@ def _d_block_terms(j):
 
         e(256c + m) = x A(m) + y C(m)
 
-    (_d_columns): one _bits_product per block (_block), and two C-level
-    multiplies and one addition per value, the 2-regular block
+    (_d_columns): one _bits_product per block, and the block from the
+    packed columns or per value (_block), the 2-regular block
     evaluation (Allouche & Shallit, Automatic Sequences, 2003, ch. 16).
     At c = 0, t(c) has no bits, so its row is (1, 0).
     """
     columns = _d_columns()
-    return _blocks(j, lambda c: _block((1, 0), c ^ (c >> 1), _d_scan,
-                                       columns[c & 1]))
+    return _blocks(j, (_block((1, 0), c ^ (c >> 1), _d_scan, columns[c & 1])
+                       for c in count(j >> 8)))
 
 
 def _stern_scan(bits, a, b):
@@ -552,24 +615,39 @@ def stern(n: int) -> int:
     return _bits_product((0, 1), n, _stern_scan)[0]
 
 
-def _newman(a, b):
-    """s(m), s(m+1), ... from (a, b) = (s(m), s(m+1)), by Newman's rule;
-    s(m+1) >= 1 for every m >= 0, so the remainder is defined."""
+def _newman(x, y):
+    """(s(c+1), s(c+2)) from (x, y) = (s(c), s(c+1)), by Newman's rule
+    s(c+2) = s(c) + s(c+1) - 2 (s(c) mod s(c+1)); s(c+1) >= 1 for
+    every c >= 0, so the remainder is defined."""
+    return y, x + y - 2 * (x % y)
+
+
+def _stern_blocks(c, columns):
+    """The blocks x A(m) + y C(m), m < 256, for the block columns (A, C)
+    (_columns) of Stern's byte table and Stern's rows (x, y) =
+    (s(c), s(c+1)), (s(c+1), s(c+2)), ...: the row after the byte m is
+    (s(256c + m), s(256c + m + 1)).  One _bits_product gives the first
+    row, and one Newman step carries it to the next block."""
+    x, y = _bits_product((0, 1), c, _stern_scan, readout=False)
     while True:
-        yield a
-        a, b = b, a + b - 2 * (a % b)
+        yield _values(x, y, columns)
+        x, y = _newman(x, y)
 
 
 def _stern_terms(start: int):
-    """The endless stream s(start), s(start+1), ...; start is checked at
-    the call, not at the first term.  One scan of start gives the whole
-    row (s(start), s(start+1))."""
+    """The endless stream s(start), s(start+1), ..., a block of 256 at a
+    time from entries 0 and 2 of Stern's byte table (_stern_blocks);
+    start is checked at the call, not at the first term."""
     _require_index("start", start)
-    return _newman(*_bits_product((0, 1), start, _stern_scan, readout=False))
+    a, _, c, _ = zip(*_byte_table(_stern_scan))
+    return _blocks(start, _stern_blocks(start >> 8, _columns(a, c)))
 
 
 @_evens
 def _d_terms(j):
-    """e(j), e(j+1), ..., with e(j) = d(2j) = s(2j+1) = s(j) + s(j+1):
-    the sums of adjacent terms of the Stern sweep from j."""
-    return starmap(add, pairwise(_stern_terms(j)))
+    """e(j), e(j+1), ..., with e(j) = d(2j) = s(2j+1) = s(j) + s(j+1),
+    the sum of the row after j: Stern's block sweep (_stern_blocks) with
+    entries 0 + 1 and 2 + 3 of its byte table as columns."""
+    a, b, c, d = zip(*_byte_table(_stern_scan))
+    columns = _columns(tuple(map(add, a, b)), tuple(map(add, c, d)))
+    return _blocks(j, _stern_blocks(j >> 8, columns))

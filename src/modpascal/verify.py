@@ -160,8 +160,9 @@ def _parity_entry(index):
     return triangle.triangle_entry_parity(*triangle._entry_at(index))
 
 
-# s(2n+1) for consecutive n: every second term of the Stern sweep, which
-# steps by Newman's rule (kernel._stern_terms)
+# s(2n+1) for consecutive n: every second term of the Stern sweep, a
+# block of 256 terms from each row (s(c), s(c+1)), carried from block to
+# block by Newman's rule (kernel._stern_terms)
 _odd_stern = _route(ROUTES["stern"]["fast"], at=lambda n: 2 * n + 1, step=2)
 
 

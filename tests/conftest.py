@@ -27,3 +27,22 @@ def time_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, *old_timer)
         signal.signal(signal.SIGALRM, old_handler)
+
+
+@pytest.fixture
+def block_paths(monkeypatch):
+    """The path of each block that kernel._values evaluates, in order:
+    True where it read the packed columns, False where it went value by
+    value."""
+    from modpascal import kernel
+
+    paths = []
+    values = kernel._values
+
+    def spy(x, y, columns):
+        block = values(x, y, columns)
+        paths.append(isinstance(block, list))
+        return block
+
+    monkeypatch.setattr(kernel, "_values", spy)
+    return paths

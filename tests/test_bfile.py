@@ -21,6 +21,7 @@ from modpascal import (
     regular,
     row_sum_closed,
     serialize_bfile,
+    stern,
     triangle,
 )
 from modpascal.bfile import (
@@ -124,6 +125,24 @@ def test_d_block_sweep_across_block_edges(c):
 def test_d_block_sweep_matches_per_index_kernel_at_huge_starts(start):
     assert (list(islice(ROUTES["d"]["continuant"](start), 300))
             == [diagonal_sum_fast(n) for n in range(start, start + 300)])
+
+
+# The fast block sweeps of Stern and d against their per-index kernels
+# over windows that cross at least one block edge (256 terms of Stern,
+# 512 of d), from huge starts; d's continuant route has its own test
+# above.
+BLOCK_SWEEPS = [("stern", "fast", stern), ("d", "fast", diagonal_sum_fast)]
+
+
+@pytest.mark.parametrize("which, method, kernel", BLOCK_SWEEPS,
+                         ids=["stern-fast", "d-fast"])
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**4096))
+def test_block_sweeps_match_per_index_kernels_at_huge_starts(which, method,
+                                                             kernel, start):
+    size = 600
+    assert (list(islice(ROUTES[which][method](start), size))
+            == [kernel(n) for n in range(start, start + size)])
 
 
 def test_known_sequence_ids():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -38,11 +39,14 @@ from modpascal.kernel import (
     _LEAF,
     _bits_product,
     _byte_table,
+    _columns,
     _d_scan,
     _doubled,
     _one_bit,
     _stern_scan,
+    _values,
 )
+from modpascal.bfile import ROUTES
 from oracles import (
     binary_run_lengths,
     cf_numerator,
@@ -463,3 +467,76 @@ def test_non_int_arguments_raise_type_error(bad):
     for name, call in calls:
         with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
             call(bad)
+
+
+def _d_window(method, start, size):
+    """d(start..start + size - 1) from one of d's block sweeps, and from
+    the per-index kernel."""
+    got = list(islice(ROUTES["d"][method](start), size))
+    return got, [diagonal_sum_fast(n) for n in range(start, start + size)]
+
+
+@pytest.mark.parametrize("method", ["fast", "continuant"])
+@pytest.mark.parametrize("c", [1, 255, 256, 2**64 - 1, 2**64])
+def test_d_sweeps_across_block_edges(method, c):
+    # Both d sweeps run blocks of 256 values of e(j) = d(2j), 512 terms
+    # of d; check three blocks from just before, at and just after the
+    # edge of block c.
+    for start in (512 * c - 1, 512 * c, 512 * c + 1):
+        got, want = _d_window(method, start, 3 * 512)
+        assert got == want, start
+
+
+# Blocks of e(j) = d(2j) whose row fits the packed 64-bit slots, while
+# those on each side of it do not, for both d sweeps: found among
+# alternating-bit c near 2**83.  The fast route's rows are Stern's, the
+# continuant route's those after t(c); the bound falls at the same c.
+D_FLIP = alternating(83) + 3
+
+
+@pytest.mark.parametrize("method", ["fast", "continuant"])
+def test_d_sweeps_across_the_packing_bound(method, block_paths):
+    got, want = _d_window(method, 512 * (D_FLIP - 1), 3 * 512)
+    assert got == want
+    assert block_paths == [False, True, False]
+
+
+def test_packed_blocks_are_exact_at_the_bound():
+    # Signed columns, and rows on both sides of the bound
+    # |x| max|A| + |y| max|C| < 2**63: a block at the bound is packed,
+    # one past it goes value by value, and both are exact.
+    rng = random.Random(44)
+    a = [rng.randrange(-2**20, 2**20) for _ in range(256)]
+    c = [rng.randrange(1 - 2**12, 2**12) for _ in range(256)]
+    a[7], c[9] = -2**20, 2**12 - 1  # the largest sizes
+    columns = _columns(a, c)
+    for y in (0, 1, -5, 2**40):
+        for room in (0, 1):  # x at the bound, and one past it
+            x = (2**63 - 1 - abs(y) * (2**12 - 1)) // 2**20 + room
+            for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                got = _values(sx * x, sy * y, columns)
+                assert isinstance(got, list) == (room == 0)
+                assert list(got) == [sx * x * p + sy * y * q
+                                     for p, q in zip(a, c)]
+
+
+def test_packed_blocks_hold_values_next_to_the_slot_edges():
+    # Values up to 2**63 - 2 in size, next to values of the other sign,
+    # and 2**63 - 1 itself: no slot borrows from or carries into its
+    # neighbour.
+    a = [(-1) ** m * (2**62 + m) for m in range(256)]
+    c = [(-1) ** (m // 3) * (2**62 - 257) for m in range(256)]
+    assert _values(1, 1, _columns(a, c)) == [p + q for p, q in zip(a, c)]
+    for x in (1, -1):
+        assert _values(x, 5, _columns([2**63 - 1] * 256, [0] * 256)) == [
+            x * (2**63 - 1)] * 256
+
+
+def test_columns_past_a_slot_go_value_by_value():
+    for big in (2**63, -2**63 - 1, 10**30):
+        a = [1] * 256
+        a[100] = big
+        columns = _columns(a, list(range(256)))
+        assert columns[2] is None
+        assert list(_values(3, -2, columns)) == [3 * p - 2 * q for p, q in
+                                                  zip(a, range(256))]

@@ -502,6 +502,44 @@ def test_matrix_sweep_across_block_edges(c):
                        for n in range(start, start + 1030)], start
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**4096))
+def test_matrix_sweep_matches_per_index_eval_at_huge_starts(start):
+    assert (list(islice(regular._rep_terms(start), 600))
+            == [linear_rep_eval(regular._REP, n)
+                for n in range(start, start + 600)])
+
+
+# A block of states whose row fits the packed 64-bit slots, while those
+# on each side of it do not: found among alternating-bit c near 2**81.
+REP_FLIP = alternating(81) + 3
+
+
+def test_matrix_sweep_across_the_packing_bound(block_paths):
+    start = 512 * (REP_FLIP - 1)
+    got = list(islice(regular._rep_terms(start), 3 * 512))
+    assert got == [linear_rep_eval(regular._REP, n)
+                   for n in range(start, start + 3 * 512)]
+    assert block_paths == [False, True, False]
+
+
+def test_a_wrong_rep_streams_its_own_values(monkeypatch):
+    # One entry of m1 off by one (5 in place of 4): the matrix side leaves d
+    # at d(4) and gives negative values, which the packed blocks decode
+    # exactly, and thm1 names the first index where it leaves d.
+    wrong = regular._REP._replace(m1=((3, -1), (5, -1)))
+    monkeypatch.setattr(regular, "_REP", wrong)
+    for start in (0, 2**64 + 5):
+        got = list(islice(regular._rep_terms(start), 3000))
+        assert got == [linear_rep_eval(wrong, n)
+                       for n in range(start, start + 3000)], start
+        assert min(got) < 0
+    fail = ("  FAIL continuant route = matrix representation: "
+            "counterexample at 4: lhs=3 rhs=4 (2501 checks ran)")
+    report = run_suite("thm1", 2500)
+    assert [line for line in report.lines() if "FAIL " in line] == [fail]
+
+
 def test_matrix_sweep_from_the_first_indices():
     for start in range(6):
         assert (list(islice(regular._rep_terms(start), 600))

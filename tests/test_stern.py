@@ -1,10 +1,13 @@
 import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpascal import carlitz_sum, continuant, run_lengths, stern
+from modpascal import carlitz_sum, continuant, kernel, run_lengths, stern
+from modpascal.bfile import ROUTES
 from oracles import stern_naive
 
 
@@ -103,3 +106,49 @@ def test_tree_stern_is_run_length_continuant(n):
 def test_stern_rejects_non_int(bad):
     with pytest.raises(TypeError, match="^n must be an int, got "):
         stern(bad)
+
+
+def _stern_window(start, size):
+    """The Stern sweep's terms s(start..start + size - 1) and those of the
+    per-index kernel."""
+    got = list(islice(ROUTES["stern"]["fast"](start), size))
+    return got, [stern(n) for n in range(start, start + size)]
+
+
+@pytest.mark.parametrize("c", [1, 255, 256, 2**64 - 1, 2**64])
+def test_stern_sweep_across_block_edges(c):
+    # Block c of the Stern sweep is the row (s(c), s(c+1)), carried from
+    # the block before by Newman's rule, times two columns of Stern's
+    # byte table; check three blocks from just before, at and just after
+    # its edge.
+    for start in (256 * c - 1, 256 * c, 256 * c + 1):
+        got, want = _stern_window(start, 3 * 256)
+        assert got == want, start
+
+
+# The row (s(c), s(c+1)) of this block fits the packed 64-bit slots
+# (|x| max|A| + |y| max|C| < 2**63), and those of the blocks on each side
+# of it do not: found among alternating-bit c near 2**84, where Stern's
+# values are largest for their bit length.
+STERN_FLIP = alternating(84) - 3
+
+
+def test_stern_sweep_across_the_packing_bound(block_paths):
+    got, want = _stern_window(256 * (STERN_FLIP - 1), 3 * 256)
+    assert got == want
+    assert block_paths == [False, True, False]
+
+
+def test_stern_sweep_scans_once_and_steps_once_a_block(monkeypatch):
+    # 3000 terms from 77 into block 2**56 span 13 blocks: one bit scan
+    # for the first row, and one Newman step to each next one.
+    start = 2**64 + 77
+    want = [stern(n) for n in range(start, start + 3000)]
+    calls = Counter()
+    for name in ("_bits_product", "_newman", "_values"):
+        def counted(*args, name=name, fn=getattr(kernel, name), **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(kernel, name, counted)
+    assert list(islice(ROUTES["stern"]["fast"](start), 3000)) == want
+    assert calls == {"_bits_product": 1, "_newman": 12, "_values": 13}
