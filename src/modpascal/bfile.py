@@ -14,18 +14,19 @@ routes behind the `seq` command: an endless stream terms(start) that
 each reader cuts with its own range, so b-files stream a block of
 records at a time.  Every route checks start at the call.  The fast
 routes of d, r and stern are sweeps by blocks: d and stern from Stern's
-rows (s(c), s(c+1)), carried from one block of 256 terms to the next by
-one step of Newman's successor rule, and two columns of Stern's byte
-table (kernel._stern_terms), r at one multiply per term by blocks of the
+rows (s(c), s(c+1)) and two columns of Stern's byte table
+(kernel._stern_terms), r at one multiply per term by blocks of the
 binary weight (see triangle._row_sum_terms).  The routes beside them,
 continuant, closed and scan, check them term for term: closed and scan
 per index.  Every route of d is a sweep of e(j) = d(2j) = d(2j + 1),
 repeated into d by kernel._evens: the continuant route a block of 256
-values at a time from d's byte table and one bit scan per block
-(kernel._d_block_terms), the brute route the parity diagonals by
-Pascal's rule on bitsets (triangle._diagonal_sum_terms), and the
-recurrence route the 2-regular identities by a tower of half-rate
-streams (regular._recurrence_terms).
+values at a time from d's byte table (kernel._d_block_terms), the brute
+route the parity diagonals by Pascal's rule on bitsets
+(triangle._diagonal_sum_terms), and the recurrence route the 2-regular
+identities by a tower of half-rate streams (regular._recurrence_terms).
+The block sweeps of d, stern and the matrix representation take their
+rows from one row source (kernel._sweep): one bit scan per 2**16
+values, and one byte matrix per block of 256.
 
 The b-file layer is a stream of (index, value) records: records gives
 a b-file's records, record_lines writes them, read_records reads them

@@ -83,19 +83,18 @@ Stern's rows reach at starts of about 2**88, and for columns whose
 entries do not fit a slot, each value is two C-level multiplies and an
 addition, exact at any size.
 
-The rows come from one of two places.  d's continuant route
-(_d_block_terms) and the matrix representation's sweep
-(regular._rep_terms) run one _bits_product per block (_block).  Stern's
-route (_stern_terms) runs one _bits_product for its first row
-(s(c), s(c+1)) and carries it to the next block by Newman's rule
-
-    s(c+2) = s(c) + s(c+1) - 2 (s(c) mod s(c+1))
-
-(Calkin & Wilf, 2000), one step per block (_stern_blocks).  d's fast
-route (_d_terms) reads the same rows, as e(j) = d(2j) = s(j) + s(j+1),
-the sum of the entries of the row after j, so its columns are entries
-0 + 1 and 2 + 3 of Stern's table.  Every d sweep streams e, and _evens
-alone repeats it into d: the fast streams of bfile.ROUTES.
+Every sweep takes its rows from one row source, _sweep.  Write the block
+index c as 256h + b with b < 256: the bits of c are those of h and then
+the byte b, so the row after c is the row after h times b's byte
+matrix, four big-by-small multiplies, and one _bits_product gives the
+row after h for 256 blocks, 2**16 values.  d's continuant route
+(_d_block_terms) scans the Gray code t(c) = c ^ (c >> 1) instead, whose
+top bits are t(h) and whose low byte is b ^ (b >> 1) ^ ((h & 1) << 7).
+d's fast route (_d_terms) reads Stern's rows (s(c), s(c+1)), as
+e(j) = d(2j) = s(j) + s(j+1), the sum of the entries of the row after
+j, so its columns are entries 0 + 1 and 2 + 3 of Stern's table.  Every
+d sweep streams e, and _evens alone repeats it into d: the fast streams
+of bfile.ROUTES.
 """
 
 import sys
@@ -554,20 +553,34 @@ def _values(x, y, columns):
     return map(add, map(x.__mul__, a), map(y.__mul__, c))
 
 
-def _block(row, n, scan, columns):
-    """x A + y C for the block columns (A, C) (_columns), (x, y) the row
-    after the bits of n: one _bits_product, then _values.  With A and C
-    a byte table's entries 0 and 2, each value is entry 0 of the row
-    after n and one byte.  The block evaluation of d's continuant route
-    and of the matrix representation's sweep (regular._rep_terms)."""
-    x, y = _bits_product(row, n, scan, readout=False)
-    return _values(x, y, columns)
+def _sweep(j, row, scan, columns, gray=False):
+    """v(j), v(j+1), ..., where v(256c + m) = x A(m) + y C(m) for the
+    block columns (A, C) (_columns) and (x, y) the row after the bits of
+    c from row: of its Gray code t(c) = c ^ (c >> 1) with gray, where
+    columns is a pair, for even c and for odd.
 
+    With c = 256h + b, b < 256, one _bits_product gives the row after h
+    (or t(h)) for the 256 blocks of h, and each block's row is that row
+    times the byte matrix of b (or of t(c)'s low byte, b ^ (b >> 1) ^
+    ((h & 1) << 7)) in _byte_table(scan).  At h = 0 the byte's leading
+    zeros are read too, so row must be fixed by the scan's 0-bit matrix,
+    as d's, Stern's and _REP's start rows are.  _values evaluates each
+    block.
+    """
+    table = _byte_table(scan)
+    steps = [[(*table[b ^ (b >> 1) ^ flip if gray else b],
+               columns[b & 1] if gray else columns)
+              for b in range(256)] for flip in (0, 0x80)]
 
-def _blocks(j, blocks):
-    """v(j), v(j+1), ... from the blocks v(256c), ..., v(256c + 255) for
-    each c from j >> 8 on."""
-    return islice(chain.from_iterable(blocks), j & 255, None)
+    def blocks(low):
+        for h in count(j >> 16):
+            x, y = _bits_product(row, h ^ (h >> 1) if gray else h, scan,
+                                 readout=False)
+            for a, b, c, d, cols in islice(steps[h & 1], low, None):
+                yield _values(x * a + y * c, x * b + y * d, cols)
+            low = 0
+
+    return islice(chain.from_iterable(blocks(j >> 8 & 255)), j & 255, None)
 
 
 @_evens
@@ -582,14 +595,11 @@ def _d_block_terms(j):
 
         e(256c + m) = x A(m) + y C(m)
 
-    (_d_columns): one _bits_product per block, and the block from the
-    packed columns or per value (_block), the 2-regular block
-    evaluation (Allouche & Shallit, Automatic Sequences, 2003, ch. 16).
-    At c = 0, t(c) has no bits, so its row is (1, 0).
+    (_d_columns), the 2-regular block evaluation (Allouche & Shallit,
+    Automatic Sequences, 2003, ch. 16), with the rows after t(c) from
+    _sweep.  At c = 0, t(c) has no bits, so its row is (1, 0).
     """
-    columns = _d_columns()
-    return _blocks(j, (_block((1, 0), c ^ (c >> 1), _d_scan, columns[c & 1])
-                       for c in count(j >> 8)))
+    return _sweep(j, (1, 0), _d_scan, _d_columns(), gray=True)
 
 
 def _stern_scan(bits, a, b):
@@ -615,39 +625,21 @@ def stern(n: int) -> int:
     return _bits_product((0, 1), n, _stern_scan)[0]
 
 
-def _newman(x, y):
-    """(s(c+1), s(c+2)) from (x, y) = (s(c), s(c+1)), by Newman's rule
-    s(c+2) = s(c) + s(c+1) - 2 (s(c) mod s(c+1)); s(c+1) >= 1 for
-    every c >= 0, so the remainder is defined."""
-    return y, x + y - 2 * (x % y)
-
-
-def _stern_blocks(c, columns):
-    """The blocks x A(m) + y C(m), m < 256, for the block columns (A, C)
-    (_columns) of Stern's byte table and Stern's rows (x, y) =
-    (s(c), s(c+1)), (s(c+1), s(c+2)), ...: the row after the byte m is
-    (s(256c + m), s(256c + m + 1)).  One _bits_product gives the first
-    row, and one Newman step carries it to the next block."""
-    x, y = _bits_product((0, 1), c, _stern_scan, readout=False)
-    while True:
-        yield _values(x, y, columns)
-        x, y = _newman(x, y)
-
-
 def _stern_terms(start: int):
     """The endless stream s(start), s(start+1), ..., a block of 256 at a
-    time from entries 0 and 2 of Stern's byte table (_stern_blocks);
-    start is checked at the call, not at the first term."""
+    time from Stern's rows (s(c), s(c+1)) and entries 0 and 2 of its
+    byte table (_sweep); start is checked at the call, not at the first
+    term."""
     _require_index("start", start)
     a, _, c, _ = zip(*_byte_table(_stern_scan))
-    return _blocks(start, _stern_blocks(start >> 8, _columns(a, c)))
+    return _sweep(start, (0, 1), _stern_scan, _columns(a, c))
 
 
 @_evens
 def _d_terms(j):
     """e(j), e(j+1), ..., with e(j) = d(2j) = s(2j+1) = s(j) + s(j+1),
-    the sum of the row after j: Stern's block sweep (_stern_blocks) with
-    entries 0 + 1 and 2 + 3 of its byte table as columns."""
+    the sum of the row after j: Stern's sweep (_sweep) with entries
+    0 + 1 and 2 + 3 of its byte table as columns."""
     a, b, c, d = zip(*_byte_table(_stern_scan))
     columns = _columns(tuple(map(add, a, b)), tuple(map(add, c, d)))
-    return _blocks(j, _stern_blocks(j >> 8, columns))
+    return _sweep(j, (0, 1), _stern_scan, columns)

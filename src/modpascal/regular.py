@@ -58,30 +58,29 @@ nonnegative matrices takes the kernel's 64-bit lanes past their
 crossover, as d and Stern do.  n = 0 has no bits, so v(0) is v0.
 
 A range of states needs no product per state: _rep_terms, the matrix
-side of `verify thm1`, runs one _bits_product per block of 256 states
-and gives each state's component 0, e(s) = d(2s), from two columns of
-the byte table, packed at its call, by the block evaluation and cut of
-d's continuant route (kernel._columns, _block and _blocks).  The packed
-values are signed, so a representation that gives negative values
-gives them exactly.  Both sweeps stream e alone, and kernel._evens
-repeats it into d.
+side of `verify thm1`, gives each state's component 0, e(s) = d(2s),
+from two columns of the byte table, packed at its call, and the rows of
+the kernel's one row source, one _bits_product per 2**16 states
+(kernel._columns and _sweep).  The sweep reads a byte's leading zeros,
+so for a rep whose v0 is not fixed by m0 the states below 2**16 are
+evaluated one at a time.  The packed values are signed, so a
+representation that gives negative values gives them exactly.  Both
+sweeps stream e alone, and kernel._evens repeats it into d.
 """
 
 from collections import namedtuple
-from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, islice
 from operator import itemgetter
 from types import MappingProxyType
 
 from .kernel import (
     _bits_product,
-    _block,
-    _blocks,
     _byte_table,
     _columns,
     _evens,
     _require_index,
     _require_ints,
+    _sweep,
     diagonal_sum_fast,
     to_decimal,
 )
@@ -234,12 +233,16 @@ def _rep_terms(j):
     The state index s = 256c + m has the bits of c, then the byte m, so
     component 0 of v(s) is entry 0 of the row after c, v0 times the
     matrices of its bits, times the byte table's matrix of m
-    (kernel._block over the table's entries 0 and 2, packed at the call
-    by kernel._columns).  _REP and _rep_scan are read here, at the call,
-    so a rep or scan put in their place is what the stream runs.
+    (kernel._sweep over the table's entries 0 and 2, packed at the call
+    by kernel._columns).  If m0 moves v0, the leading zeros of a byte
+    are not free, and the states below 2**16, whose rows the sweep reads
+    with leading zeros, come one at a time.  _REP and _rep_scan are read
+    here, at the call, so a rep or scan put in their place is what the
+    stream runs.
     """
     rep = _REP
     scan = _rep_scan(rep)
     columns = _columns(*tuple(zip(*_byte_table(scan)))[::2])  # entries 0, 2
-    return _blocks(j, map(partial(_block, rep.v0, scan=scan, columns=columns),
-                          count(j >> 8)))
+    start = j if scan("0", *rep.v0) == tuple(rep.v0) else max(j, 2**16)
+    head = (_bits_product(rep.v0, s, scan)[0] for s in range(j, start))
+    return chain(head, _sweep(start, rep.v0, scan, columns))

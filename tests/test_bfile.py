@@ -34,6 +34,7 @@ from modpascal.bfile import (
     to_decimal,
 )
 from oracles import diag_sum, row_sum, stern_naive, t_entry, t_parity
+from test_stern import ROW_EDGES
 
 
 def _oracle_terms(which, method, start, stop):
@@ -105,7 +106,11 @@ def test_row_sum_sweep_across_block_edges(c):
                        for n in range(start, start + 3 * block)], start
 
 
-D_BLOCK_EDGES = [1, 2, 3, 255, 256, 2**56 - 1, 2**56, 2**64 - 1, 2**70]
+# Starts 256c - 1, 256c and 256c + 1 of d, and twice ROW_EDGES, which puts
+# 256c at e's block edges 256 (256h + k) where the sweep scans the row
+# after h anew.
+D_BLOCK_EDGES = sorted({1, 2, 3, 255, 256, 2**56 - 1, 2**56, 2**64 - 1, 2**70,
+                        *(2 * c for c in ROW_EDGES)})
 
 
 @pytest.mark.parametrize("c", D_BLOCK_EDGES)

@@ -55,7 +55,7 @@ from oracles import (
     stern_bits,
     stern_naive,
 )
-from test_stern import alternating
+from test_stern import ROW_EDGES, alternating
 
 
 def test_run_lengths_fixtures():
@@ -477,7 +477,8 @@ def _d_window(method, start, size):
 
 
 @pytest.mark.parametrize("method", ["fast", "continuant"])
-@pytest.mark.parametrize("c", [1, 255, 256, 2**64 - 1, 2**64])
+@pytest.mark.parametrize("c", sorted({1, 255, 256, 2**64 - 1, 2**64,
+                                      *ROW_EDGES}))
 def test_d_sweeps_across_block_edges(method, c):
     # Both d sweeps run blocks of 256 values of e(j) = d(2j), 512 terms
     # of d; check three blocks from just before, at and just after the

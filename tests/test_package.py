@@ -55,15 +55,16 @@ def test_no_module_under_a_function_name():
 
 def test_the_continuant_route_calls_the_kernel_block(monkeypatch):
     assert ismodule(kernel)
+    want = [kernel.diagonal_sum_fast(n) for n in range(1024, 1624)]
     calls = []
-    block = kernel._block
-
-    def spy(*args):
-        calls.append(args[1])
-        return block(*args)
-
-    monkeypatch.setattr(kernel, "_block", spy)
-    got = list(islice(ROUTES["d"]["continuant"](1024), 600))
-    assert got == [kernel.diagonal_sum_fast(n) for n in range(1024, 1624)]
-    # d(1024..1623) is e(512..811): blocks c = 2 and 3, at t(c) = c ^ c >> 1
-    assert calls == [3, 2]
+    for name in ("_bits_product", "_values"):
+        def spy(*args, name=name, fn=getattr(kernel, name), **kwargs):
+            calls.append((name, *args[:2]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(kernel, name, spy)
+    assert list(islice(ROUTES["d"]["continuant"](1024), 600)) == want
+    # d(1024..1623) is e(512..811): blocks c = 2 and 3 of h = c >> 8 = 0,
+    # one scan of t(0), no bits, from (1, 0), then each block from the row
+    # after the byte t(c) = c ^ c >> 1, 11 and then 10
+    assert calls == [("_bits_product", (1, 0), 0),
+                     ("_values", 2, 1), ("_values", 2, 1)]

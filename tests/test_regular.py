@@ -27,7 +27,7 @@ from modpascal import (
 from modpascal.bfile import ROUTES
 from modpascal.kernel import _bits_product, _d_scan, _doubled, _stern_scan
 from oracles import binary_run_lengths, cf_numerator, rep_state_bits
-from test_stern import BIG_N, alternating
+from test_stern import BIG_N, ROW_EDGES, alternating
 
 
 def test_recurrence_matches_continuant_route():
@@ -137,8 +137,8 @@ def without_other_routes(monkeypatch):
         raise AssertionError("the scalar recurrence read another route")
 
     for module, name in ((regular, "diagonal_sum_fast"),
-                         (regular, "_bits_product"), (regular, "_block"),
-                         (kernel, "_bits_product"), (kernel, "_block")):
+                         (regular, "_bits_product"), (regular, "_sweep"),
+                         (kernel, "_bits_product"), (kernel, "_sweep")):
         monkeypatch.setattr(module, name, refuse)
 
 
@@ -490,8 +490,8 @@ def test_recurrence_route_memory_is_logarithmic_in_the_window():
     assert peak < 256 * 1024
 
 
-@pytest.mark.parametrize("c", [1, 2, 3, 255, 256, 2**56 - 1, 2**56,
-                               2**64 - 1, 2**70])
+@pytest.mark.parametrize("c", sorted({1, 2, 3, 255, 256, 2**56 - 1, 2**56,
+                                      2**64 - 1, 2**70, *ROW_EDGES}))
 def test_matrix_sweep_across_block_edges(c):
     # Block c of the matrix sweep is the state row after c times two
     # columns of the byte table, each value twice: d indices 512c - 1,
@@ -526,18 +526,24 @@ def test_matrix_sweep_across_the_packing_bound(block_paths):
 def test_a_wrong_rep_streams_its_own_values(monkeypatch):
     # One entry of m1 off by one (5 in place of 4): the matrix side leaves d
     # at d(4) and gives negative values, which the packed blocks decode
-    # exactly, and thm1 names the first index where it leaves d.
-    wrong = regular._REP._replace(m1=((3, -1), (5, -1)))
-    monkeypatch.setattr(regular, "_REP", wrong)
-    for start in (0, 2**64 + 5):
-        got = list(islice(regular._rep_terms(start), 3000))
-        assert got == [linear_rep_eval(wrong, n)
-                       for n in range(start, start + 3000)], start
-        assert min(got) < 0
-    fail = ("  FAIL continuant route = matrix representation: "
-            "counterexample at 4: lhs=3 rhs=4 (2501 checks ran)")
-    report = run_suite("thm1", 2500)
-    assert [line for line in report.lines() if "FAIL " in line] == [fail]
+    # exactly, and thm1 names the first index where it leaves d.  With
+    # m0's -1 made -2, m0 moves v0 to (1, 0), so the leading zeros of a
+    # state's byte are not free: the stream still gives the per-index
+    # values, and thm1 names d(8), not a value the rep does not give.
+    wrongs = [(((0, 1), (-1, 2)), ((3, -1), (5, -1)), "at 4: lhs=3 rhs=4"),
+              (((0, 1), (-2, 2)), ((3, -1), (4, -1)), "at 8: lhs=4 rhs=2")]
+    for m0, m1, at in wrongs:
+        wrong = regular._REP._replace(m0=m0, m1=m1)
+        monkeypatch.setattr(regular, "_REP", wrong)
+        for start in (0, 2**64 + 5):
+            got = list(islice(regular._rep_terms(start), 3000))
+            assert got == [linear_rep_eval(wrong, n)
+                           for n in range(start, start + 3000)], (m0, start)
+            assert min(got) < 0
+        fail = ("  FAIL continuant route = matrix representation: "
+                f"counterexample {at} (2501 checks ran)")
+        report = run_suite("thm1", 2500)
+        assert [line for line in report.lines() if "FAIL " in line] == [fail]
 
 
 def test_matrix_sweep_from_the_first_indices():

@@ -115,12 +115,21 @@ def _stern_window(start, size):
     return got, [stern(n) for n in range(start, start + size)]
 
 
-@pytest.mark.parametrize("c", [1, 255, 256, 2**64 - 1, 2**64])
+# Block indices c = 256h - 1, 256h and 256h + 1 around the edges where a
+# block sweep scans the row after h = c >> 8 anew: from odd h - 1 to even
+# h (h = 2, 2**48, 2**64) and from even to odd (h = 1, 2**48 + 1,
+# 2**64 + 1).
+ROW_EDGES = [256 * h + k for h in (1, 2, 2**48, 2**48 + 1, 2**64, 2**64 + 1)
+             for k in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("c", sorted({1, 255, 256, 2**64 - 1, 2**64,
+                                      *ROW_EDGES}))
 def test_stern_sweep_across_block_edges(c):
-    # Block c of the Stern sweep is the row (s(c), s(c+1)), carried from
-    # the block before by Newman's rule, times two columns of Stern's
-    # byte table; check three blocks from just before, at and just after
-    # its edge.
+    # Block c of the Stern sweep is the row (s(c), s(c+1)), the row after
+    # c >> 8 times the byte matrix of c & 255, times two columns of
+    # Stern's byte table; check three blocks from just before, at and
+    # just after its edge.
     for start in (256 * c - 1, 256 * c, 256 * c + 1):
         got, want = _stern_window(start, 3 * 256)
         assert got == want, start
@@ -140,15 +149,16 @@ def test_stern_sweep_across_the_packing_bound(block_paths):
 
 
 def test_stern_sweep_scans_once_and_steps_once_a_block(monkeypatch):
-    # 3000 terms from 77 into block 2**56 span 13 blocks: one bit scan
-    # for the first row, and one Newman step to each next one.
+    # 3000 terms from 77 into block 2**56 span 13 blocks, all of h =
+    # 2**48: one bit scan for the row after h, and one byte matrix step
+    # to each block's row, evaluated once.
     start = 2**64 + 77
     want = [stern(n) for n in range(start, start + 3000)]
     calls = Counter()
-    for name in ("_bits_product", "_newman", "_values"):
+    for name in ("_bits_product", "_values"):
         def counted(*args, name=name, fn=getattr(kernel, name), **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(kernel, name, counted)
     assert list(islice(ROUTES["stern"]["fast"](start), 3000)) == want
-    assert calls == {"_bits_product": 1, "_newman": 12, "_values": 13}
+    assert calls == {"_bits_product": 1, "_values": 13}

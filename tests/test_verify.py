@@ -210,38 +210,60 @@ def test_recurrence_side_is_the_tower_from_base(monkeypatch, capsys):
 def test_thm1_reference_sides_are_sweeps(monkeypatch):
     # The recurrence side seeds each level of its tower by one _pair,
     # about log2(1251) levels for e(0..1250), and the matrix side runs
-    # one block per 512 indices, not one evaluation per index.
+    # one block per 512 indices, not one evaluation per index, from one
+    # bit scan of its rows for all 1251 states.  The per-index side of
+    # each of the three identities scans d's bits once an index.
     calls = Counter()
 
     def counted(name, fn):
         def call(*args, **kwargs):
             calls[name] += 1
+            if name == "_bits_product" and args[2] is not kernel._d_scan:
+                calls["rep rows"] += 1
             return fn(*args, **kwargs)
         return call
 
-    for name in ("_pair", "_block", "linear_rep_eval"):
-        monkeypatch.setattr(regular, name,
-                            counted(name, getattr(regular, name)))
+    for module, name in ((regular, "_pair"), (regular, "linear_rep_eval"),
+                         (kernel, "_bits_product"), (kernel, "_values")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert run_suite("thm1", 2500).passed
     assert 0 < calls["_pair"] <= (1250).bit_length() + 2
-    assert calls["_block"] == 5
+    assert calls["_values"] == 5
+    assert calls["rep rows"] == 1
+    assert calls["_bits_product"] == 3 * 2501 + 1
     assert calls["linear_rep_eval"] == 0
 
 
 def test_eq3_builds_each_row_once_over_e(monkeypatch):
     # Each eq3 row reads d(0..80001) from d's continuant route, which
-    # sweeps e(j) = d(2j) for j <= 40000: 157 blocks of 256 per row.  A
-    # sweep that built d itself, each value twice, would make 313.
-    calls = []
-    block = kernel._block
+    # sweeps e(j) = d(2j) for j <= 40000: 157 blocks of 256 per row, all
+    # of h = 0, so one scan of their rows.  A sweep that built d itself,
+    # each value twice, would make 313.  Each row's Stern side, s(1..80001),
+    # spans h = 0 and 1: two scans.
+    d_columns = []  # the columns of d's continuant route, built per row
+    calls = Counter()
+    d_columns_of, bits_product, values = (
+        kernel._d_columns, kernel._bits_product, kernel._values)
 
-    def counted(*args):
-        calls.append(args)
-        return block(*args)
+    def counted_columns():
+        d_columns.extend(d_columns_of())
+        return tuple(d_columns[-2:])
 
-    monkeypatch.setattr(kernel, "_block", counted)
+    def counted_scan(row, n, scan, **kwargs):
+        calls[scan.__name__] += 1
+        return bits_product(row, n, scan, **kwargs)
+
+    def counted_values(x, y, columns):
+        mine = any(columns is built for built in d_columns)
+        calls["d blocks" if mine else "Stern blocks"] += 1
+        return values(x, y, columns)
+
+    monkeypatch.setattr(kernel, "_d_columns", counted_columns)
+    monkeypatch.setattr(kernel, "_bits_product", counted_scan)
+    monkeypatch.setattr(kernel, "_values", counted_values)
     assert run_suite("eq3", 40000).passed
-    assert len(calls) == 2 * 157
+    assert calls == {"_d_scan": 2, "d blocks": 2 * 157,
+                     "_stern_scan": 4, "Stern blocks": 2 * 313}
 
 
 def test_passing_report_rendering():
