@@ -24,9 +24,9 @@ values at a time from d's byte table (kernel._d_block_terms), the brute
 route the parity diagonals by Pascal's rule on bitsets
 (triangle._diagonal_sum_terms), and the recurrence route the 2-regular
 identities by a tower of half-rate streams (regular._recurrence_terms).
-The block sweeps of d, stern and the matrix representation take their
-rows from one row source (kernel._sweep): one bit scan per 2**16
-values, and one byte matrix per block of 256.
+The block sweeps of d, stern and the matrix representation are each
+one call of kernel._sweep, which reads their byte table: one bit scan
+per 2**16 values, and one byte matrix per block of 256.
 
 The b-file layer is a stream of (index, value) records: records gives
 a b-file's records, record_lines writes them, read_records reads them
@@ -35,9 +35,10 @@ the reference for two block routes, which the CLI runs and which build
 no pair per record: _text renders a block's lines from two columns, an
 index range and a list of terms, with the index digits of each thousand
 lines cut from one template (_LINES) and one conversion of index //
-1000.  record_blocks(indices, values) writes
-the text of an index range and a term stream that way, and
-compare_stream gives compare_records' result over read_records from the
+1000.  record_blocks(indices, values) writes the text of an index range
+and a term stream that way, for `seq` and `bfile` alike, its blocks
+growing from one record to at most twice the last, so a slow route's
+first lines come out while it runs on; and compare_stream gives compare_records' result over read_records from the
 text itself: a block of the file that equals its rendered terms is
 never parsed.  Both readers take the text with .read() in blocks of
 whole lines, and _block_records parses a block: canonical records take
@@ -245,7 +246,8 @@ def record_lines(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
 # block's values as a list, for its fallback, and blocks of 4096 wrote
 # slower than blocks of 1024.  Each next block is sized to about
 # _WRITE_CHARS characters by the mean line length of the last, so a
-# block of long values holds only a few lines.
+# block of long values holds only a few lines, and to at most twice the
+# last, so a slow route's first lines are written while it runs on.
 _WRITE_RECORDS = 1024
 _WRITE_CHARS = 1 << 16
 
@@ -300,8 +302,9 @@ def _text(indices: range, values: list[int]) -> str:
 
 def record_blocks(indices: range, values: Iterable[int]) -> Iterator[str]:
     """The text of record_lines(zip(indices, values)) in blocks of whole
-    lines: up to _WRITE_RECORDS records a block, each block's size set
-    by the text of the last.  A block with a value past the int/str
+    lines: the first block one record, and each next one at most twice
+    the last and _WRITE_RECORDS records, sized by the text of the last.
+    A block with a value past the int/str
     digit limit goes line by line through record_lines, and the next
     block is one record; indices take their text from _text's template
     at any size (a negative one past the limit goes line by line too)."""
@@ -316,7 +319,7 @@ def record_blocks(indices: range, values: Iterable[int]) -> Iterator[str]:
             size = 1
             continue
         yield text
-        size = min(_WRITE_RECORDS,
+        size = min(2 * len(chunk), _WRITE_RECORDS,
                    max(1, _WRITE_CHARS * len(chunk) // len(text)))
 
 

@@ -55,8 +55,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             f"choose from {', '.join(routes)}"
         )
     first, last = args.range
-    records = zip(range(first, last + 1), routes[method](first))
-    sys.stdout.writelines(bfile_mod.record_lines(records))
+    sys.stdout.writelines(bfile_mod.record_blocks(range(first, last + 1),
+                                                  routes[method](first)))
     return 0
 
 

@@ -74,8 +74,10 @@ value j is entry 0 of the row after the bits of c and then the byte
 j & 255, that is x A(m) + y C(m) for the row (x, y) after c and two
 columns A, C of the route's byte table (the 2-regular block evaluation,
 Allouche & Shallit, Automatic Sequences, 2003, ch. 16).  _values
-evaluates a block.  Each sweep packs its columns at its call, entry m
-in 64-bit slot m of one int each (_columns), and while
+evaluates a block.  Every sweep is one call of _sweep, the only code
+that knows how a block reads the byte table: it packs the columns of
+the table, in the order the blocks read it, once per call, entry m in
+64-bit slot m of one int each (_columns), and while
 |x| max|A| + |y| max|C| < 2**63 a block is x PA + y PC, two big-int
 multiplies, read back as 256 signed C int64s through one bias constant
 (_BIAS), negative values included.  Past that bound, which d's and
@@ -83,24 +85,26 @@ Stern's rows reach at starts of about 2**88, and for columns whose
 entries do not fit a slot, each value is two C-level multiplies and an
 addition, exact at any size.
 
-Every sweep takes its rows from one row source, _sweep.  Write the block
-index c as 256h + b with b < 256: the bits of c are those of h and then
-the byte b, so the row after c is the row after h times b's byte
-matrix, four big-by-small multiplies, and one _bits_product gives the
-row after h for 256 blocks, 2**16 values.  d's continuant route
-(_d_block_terms) scans the Gray code t(c) = c ^ (c >> 1) instead, whose
-top bits are t(h) and whose low byte is b ^ (b >> 1) ^ ((h & 1) << 7).
-d's fast route (_d_terms) reads Stern's rows (s(c), s(c+1)), as
-e(j) = d(2j) = s(j) + s(j+1), the sum of the entries of the row after
-j, so its columns are entries 0 + 1 and 2 + 3 of Stern's table.  Every
-d sweep streams e, and _evens alone repeats it into d: the fast streams
-of bfile.ROUTES.
+_sweep is also the one row source.  Write the block index c as 256h + b
+with b < 256: the bits of c are those of h and then the byte b, so the
+row after c is the row after h times b's byte matrix, four
+big-by-small multiplies, and one _bits_product gives the row after h
+for 256 blocks, 2**16 values.  Two flags say what a sweep reads.  With
+gray, d's continuant route (_d_block_terms) scans the Gray code
+t(c) = c ^ (c >> 1), whose top bits are t(h) and whose low byte is
+b ^ (b >> 1) ^ ((h & 1) << 7), so the table is read in that order, one
+for each parity of h.  With pair, a value is the sum of the entries of
+its row, not entry 0: d's fast route (_d_terms) reads Stern's rows
+(s(c), s(c+1)), as e(j) = d(2j) = s(j) + s(j+1), so its columns are
+entries 0 + 1 and 2 + 3 of Stern's table, and d's continuant route
+reads d's table so too.  Every d sweep streams e, and _evens alone
+repeats it into d: the fast streams of bfile.ROUTES.
 """
 
 import sys
 from collections.abc import Iterable
 from functools import lru_cache, wraps
-from itertools import chain, count, islice, tee, zip_longest
+from itertools import chain, count, cycle, islice, tee, zip_longest
 from operator import add
 
 __all__ = [
@@ -496,19 +500,6 @@ def _evens(sweep):
     return terms
 
 
-def _d_columns():
-    """The block columns (_columns) of the sums (A, C) of entries 0 + 1
-    and 2 + 3 of d's byte matrices of the low bytes m ^ (m >> 1) of
-    t(j), m < 256: one pair for even j >> 8 and one for odd, whose low
-    bit sets the 0x80 bit of that byte.  Built at each sweep's call,
-    from the byte table's cache."""
-    table = _byte_table(_d_scan)
-    entries = (zip(*(table[m ^ (m >> 1) ^ flip] for m in range(256)))
-               for flip in (0, 0x80))
-    return tuple(_columns(tuple(map(add, a, b)), tuple(map(add, c, d)))
-                 for a, b, c, d in entries)
-
-
 def _pack(column):
     """The ints of column, each below 2**63 in size, as one int with
     entry i in 64-bit slot i in the order that to_bytes in the host's
@@ -553,30 +544,42 @@ def _values(x, y, columns):
     return map(add, map(x.__mul__, a), map(y.__mul__, c))
 
 
-def _sweep(j, row, scan, columns, gray=False):
-    """v(j), v(j+1), ..., where v(256c + m) = x A(m) + y C(m) for the
-    block columns (A, C) (_columns) and (x, y) the row after the bits of
-    c from row: of its Gray code t(c) = c ^ (c >> 1) with gray, where
-    columns is a pair, for even c and for odd.
+def _sweep(j, row, scan, pair=False, gray=False):
+    """v(j), v(j+1), ..., where v(256c + m) is entry 0 of the row after
+    the bits of c from row and then the byte m, or with pair the sum of
+    its two entries; with gray, the bits of the Gray code t(c) = c ^
+    (c >> 1) and then t(j)'s low byte, m ^ (m >> 1) ^ ((c & 1) << 7).
+
+    The only code that knows how a block reads _byte_table(scan): in
+    byte order, or with gray in the order m -> m ^ (m >> 1) ^ (p << 7)
+    for each parity p.  The columns (A, C) of each order are its
+    entries 0 and 2, or with pair the sums 0 + 1 and 2 + 3, packed once
+    (_columns), so that v(256c + m) = x A(m) + y C(m) for the row (x, y)
+    after c (or t(c)) and the order of c's parity, which _values
+    evaluates a block at a time.
 
     With c = 256h + b, b < 256, one _bits_product gives the row after h
     (or t(h)) for the 256 blocks of h, and each block's row is that row
-    times the byte matrix of b (or of t(c)'s low byte, b ^ (b >> 1) ^
-    ((h & 1) << 7)) in _byte_table(scan).  At h = 0 the byte's leading
-    zeros are read too, so row must be fixed by the scan's 0-bit matrix,
-    as d's, Stern's and _REP's start rows are.  _values evaluates each
-    block.
+    times entry b of the order of h's parity.  At h = 0 the byte's
+    leading zeros are read too, so row must be fixed by the scan's 0-bit
+    matrix, as d's, Stern's and _REP's start rows are.
     """
     table = _byte_table(scan)
-    steps = [[(*table[b ^ (b >> 1) ^ flip if gray else b],
-               columns[b & 1] if gray else columns)
-              for b in range(256)] for flip in (0, 0x80)]
+    orders = ([tuple(table[m ^ (m >> 1) ^ flip] for m in range(256))
+               for flip in (0, 0x80)] if gray else [table])
+    columns = []
+    for a, b, c, d in (zip(*order) for order in orders):
+        if pair:
+            a, c = tuple(map(add, a, b)), tuple(map(add, c, d))
+        columns.append(_columns(a, c))
 
     def blocks(low):
         for h in count(j >> 16):
             x, y = _bits_product(row, h ^ (h >> 1) if gray else h, scan,
                                  readout=False)
-            for a, b, c, d, cols in islice(steps[h & 1], low, None):
+            # the order of h's parity, and the columns of each c's
+            reads = zip(orders[h % len(orders)], cycle(columns))
+            for (a, b, c, d), cols in islice(reads, low, None):
                 yield _values(x * a + y * c, x * b + y * d, cols)
             low = 0
 
@@ -595,11 +598,12 @@ def _d_block_terms(j):
 
         e(256c + m) = x A(m) + y C(m)
 
-    (_d_columns), the 2-regular block evaluation (Allouche & Shallit,
-    Automatic Sequences, 2003, ch. 16), with the rows after t(c) from
-    _sweep.  At c = 0, t(c) has no bits, so its row is (1, 0).
+    for A and C the sums of entries 0 + 1 and 2 + 3 of d's byte matrices
+    of those low bytes, the 2-regular block evaluation (Allouche &
+    Shallit, Automatic Sequences, 2003, ch. 16): _sweep with pair and
+    gray.  At c = 0, t(c) has no bits, so its row is (1, 0).
     """
-    return _sweep(j, (1, 0), _d_scan, _d_columns(), gray=True)
+    return _sweep(j, (1, 0), _d_scan, pair=True, gray=True)
 
 
 def _stern_scan(bits, a, b):
@@ -627,19 +631,16 @@ def stern(n: int) -> int:
 
 def _stern_terms(start: int):
     """The endless stream s(start), s(start+1), ..., a block of 256 at a
-    time from Stern's rows (s(c), s(c+1)) and entries 0 and 2 of its
-    byte table (_sweep); start is checked at the call, not at the first
-    term."""
+    time, each s(256c + m) entry 0 of Stern's row (s(c), s(c+1)) times
+    the byte matrix of m (_sweep); start is checked at the call, not at
+    the first term."""
     _require_index("start", start)
-    a, _, c, _ = zip(*_byte_table(_stern_scan))
-    return _sweep(start, (0, 1), _stern_scan, _columns(a, c))
+    return _sweep(start, (0, 1), _stern_scan)
 
 
 @_evens
 def _d_terms(j):
     """e(j), e(j+1), ..., with e(j) = d(2j) = s(2j+1) = s(j) + s(j+1),
-    the sum of the row after j: Stern's sweep (_sweep) with entries
-    0 + 1 and 2 + 3 of its byte table as columns."""
-    a, b, c, d = zip(*_byte_table(_stern_scan))
-    columns = _columns(tuple(map(add, a, b)), tuple(map(add, c, d)))
-    return _sweep(j, (0, 1), _stern_scan, columns)
+    the sum of the entries of Stern's row after j: Stern's sweep
+    (_sweep) with pair."""
+    return _sweep(j, (0, 1), _stern_scan, pair=True)

@@ -59,9 +59,9 @@ crossover, as d and Stern do.  n = 0 has no bits, so v(0) is v0.
 
 A range of states needs no product per state: _rep_terms, the matrix
 side of `verify thm1`, gives each state's component 0, e(s) = d(2s),
-from two columns of the byte table, packed at its call, and the rows of
-the kernel's one row source, one _bits_product per 2**16 states
-(kernel._columns and _sweep).  The sweep reads a byte's leading zeros,
+by one call of the kernel's block sweep, kernel._sweep, which packs
+the columns of the rep's byte table and takes one _bits_product per
+2**16 states.  The sweep reads a byte's leading zeros,
 so for a rep whose v0 is not fixed by m0 the states below 2**16 are
 evaluated one at a time.  The packed values are signed, so a
 representation that gives negative values gives them exactly.  Both
@@ -75,8 +75,6 @@ from types import MappingProxyType
 
 from .kernel import (
     _bits_product,
-    _byte_table,
-    _columns,
     _evens,
     _require_index,
     _require_ints,
@@ -153,22 +151,32 @@ def _recurrence_terms(j):
     return map(itemgetter(0), islice(_tower(j >> 1), j & 1, None))
 
 
+def _require_two(name, items, kind="entries"):
+    """ValueError unless the sequence items has 2 items."""
+    if len(items) != 2:
+        raise ValueError(f"{name} must have 2 {kind}, got {len(items)}")
+
+
 class LinearRep(namedtuple("LinearRep", "v0 m0 m1")):
     """2x2 integer linear representation of the diagonal sums.
 
     State vector at n is (d(2n), d(4n)), the pair v0 at n = 0; m0/m1,
     pairs of rows, append a 0/1 bit to n; d(n) is component 0 of the
-    state at floor(n/2).  Every entry must be an int (bool is not),
-    checked when built, also by _make and _replace.
+    state at floor(n/2).  v0 and each row must have 2 entries, m0 and
+    m1 2 rows, and every entry must be an int (bool is not), checked
+    when built, also by _make and _replace.
     """
 
     __slots__ = ()
 
     def __new__(cls, v0, m0, m1):
         _require_ints("v0 entry", tuple(v0))
+        _require_two("v0", tuple(v0))
         for name, rows in (("m0", m0), ("m1", m1)):
+            _require_two(name, tuple(rows), "rows")
             for pos, row in enumerate(rows):
                 _require_ints(f"{name} row {pos} entry", tuple(row))
+                _require_two(f"{name} row {pos}", tuple(row))
         return super().__new__(cls, v0, m0, m1)
 
     @classmethod
@@ -232,9 +240,8 @@ def _rep_terms(j):
 
     The state index s = 256c + m has the bits of c, then the byte m, so
     component 0 of v(s) is entry 0 of the row after c, v0 times the
-    matrices of its bits, times the byte table's matrix of m
-    (kernel._sweep over the table's entries 0 and 2, packed at the call
-    by kernel._columns).  If m0 moves v0, the leading zeros of a byte
+    matrices of its bits, times the byte table's matrix of m: one
+    kernel._sweep over the rep's scan.  If m0 moves v0, the leading zeros of a byte
     are not free, and the states below 2**16, whose rows the sweep reads
     with leading zeros, come one at a time.  _REP and _rep_scan are read
     here, at the call, so a rep or scan put in their place is what the
@@ -242,7 +249,6 @@ def _rep_terms(j):
     """
     rep = _REP
     scan = _rep_scan(rep)
-    columns = _columns(*tuple(zip(*_byte_table(scan)))[::2])  # entries 0, 2
     start = j if scan("0", *rep.v0) == tuple(rep.v0) else max(j, 2**16)
     head = (_bits_product(rep.v0, s, scan)[0] for s in range(j, start))
-    return chain(head, _sweep(start, rep.v0, scan, columns))
+    return chain(head, _sweep(start, rep.v0, scan))

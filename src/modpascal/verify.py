@@ -161,8 +161,8 @@ def _parity_entry(index):
 
 
 # s(2n+1) for consecutive n: every second term of the Stern sweep, a
-# block of 256 terms from each row (s(c), s(c+1)), which one row source
-# gives every block sweep (kernel._stern_terms and _sweep)
+# block of 256 terms from each row (s(c), s(c+1)), one kernel._sweep
+# call like every block sweep (kernel._stern_terms)
 _odd_stern = _route(ROUTES["stern"]["fast"], at=lambda n: 2 * n + 1, step=2)
 
 

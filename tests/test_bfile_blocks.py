@@ -191,6 +191,20 @@ def test_record_blocks_is_record_lines(sid):
     assert "".join(record_blocks(range(5), [7] * 3)) == "0 7\n1 7\n2 7\n"
 
 
+def test_record_blocks_writes_each_block_before_reading_on():
+    # A stream that fails after its third term: the blocks of one and
+    # two records before it come out first.
+    def terms():
+        yield from (5, 6, 7)
+        raise RuntimeError("the route failed")
+
+    blocks = record_blocks(range(10), terms())
+    assert next(blocks) == "0 5\n"
+    assert next(blocks) == "1 6\n2 7\n"
+    with pytest.raises(RuntimeError, match="the route failed"):
+        next(blocks)
+
+
 # The int/str digit limit is 4300 digits: 10**4299 is the longest value
 # str() takes, and 10**4300 goes through record_lines' fallback.
 _LONG = st.builds(lambda digits, sign, low: sign * (10 ** (digits - 1) + low),
@@ -228,10 +242,10 @@ def test_record_blocks_is_record_lines_by_columns(first, head, filler, tail):
     lines = list(record_lines(zip(indices, values)))
     assert "".join(blocks) == "".join(lines)
     # The block sizes: the first block is one record, each next one is
-    # sized by the last block's text to at most _WRITE_RECORDS, and a
-    # block with a value past the digit limit goes line by line and is
-    # followed by a one-record block.  An index past the limit takes
-    # its text from _text's template like any other.
+    # sized by the last block's text to at most twice the last block and
+    # _WRITE_RECORDS, and a block with a value past the digit limit goes
+    # line by line and is followed by a one-record block.  An index past
+    # the limit takes its text from _text's template like any other.
     want, size = [], 1
     while lines:
         chunk, lines = lines[:size], lines[size:]
@@ -240,7 +254,7 @@ def test_record_blocks_is_record_lines_by_columns(first, head, filler, tail):
             size = 1
             continue
         want.append(len(chunk))
-        size = min(bfile._WRITE_RECORDS, max(
+        size = min(2 * len(chunk), bfile._WRITE_RECORDS, max(
             1, bfile._WRITE_CHARS * len(chunk) // len("".join(chunk))))
     assert [block.count("\n") for block in blocks] == want
 

@@ -14,6 +14,7 @@ from modpascal.bfile import (
     ROUTES,
     generate_bfile,
     parse_bfile,
+    record_lines,
     serialize_bfile,
     to_decimal,
 )
@@ -193,6 +194,17 @@ def test_seq_stream_is_a_bfile(capsys):
         parsed = parse_bfile(out, argv[1])
         assert parsed.offset == offset, argv
         assert serialize_bfile(parsed) == out, argv
+
+
+def test_seq_by_blocks_past_the_digit_limit(capsys):
+    # From an index of 4300 digits across 10**4300, the first of 4301,
+    # and the multiple of 1000 after it: seq writes by blocks, with the
+    # index digits of each thousand from one template.
+    first, last = 10**4300 - 3, 10**4300 + 1002
+    assert main(["seq", "d", f"{to_decimal(first)}..{to_decimal(last)}"]) == 0
+    indices = range(first, last + 1)
+    want = record_lines(zip(indices, ROUTES["d"]["fast"](first)))
+    assert capsys.readouterr().out == "".join(want)
 
 
 def test_seq_t_row_ends_of_a_huge_row(capsys):

@@ -502,6 +502,24 @@ def test_d_sweeps_across_the_packing_bound(method, block_paths):
     assert block_paths == [False, True, False]
 
 
+@pytest.mark.parametrize("sweep, builds", [
+    (ROUTES["d"]["fast"], 1), (ROUTES["stern"]["fast"], 1),
+    (regular._rep_terms, 1), (ROUTES["d"]["continuant"], 2)])
+def test_each_sweep_packs_its_columns_once(monkeypatch, sweep, builds):
+    # A short window pays for its columns once per order of the byte
+    # table it reads: d's continuant route reads one for each parity.
+    packed = []
+    columns_of = kernel._columns
+
+    def counted(a, c):
+        packed.append(len(a))
+        return columns_of(a, c)
+
+    monkeypatch.setattr(kernel, "_columns", counted)
+    assert len(list(islice(sweep(10**6), 300))) == 300
+    assert packed == [256] * builds
+
+
 def test_packed_blocks_are_exact_at_the_bound():
     # Signed columns, and rows on both sides of the bound
     # |x| max|A| + |y| max|C| < 2**63: a block at the bound is packed,

@@ -105,6 +105,18 @@ def test_identity_result_counterexample_defaults_to_none():
     (lambda: LinearRep._make(
         ((1, 1), ((0, 1), (-1, 2.0)), ((3, -1), (4, -1)))),
      TypeError, "m0 row 1 entry 1 must be an int, got float"),
+    (lambda: LinearRep((1,), ((0, 1), (-1, 2)), ((3, -1), (4, -1))),
+     ValueError, "v0 must have 2 entries, got 1"),
+    (lambda: LinearRep((1, 1), ((0, 1, 0), (-1, 2)), ((3, -1), (4, -1))),
+     ValueError, "m0 row 0 must have 2 entries, got 3"),
+    (lambda: LinearRep((1, 1), ((0, 1), (-1, 2)), ((3, -1),)),
+     ValueError, "m1 must have 2 rows, got 1"),
+    (lambda: LinearRep._make(
+        ((1, 1), ((0, 1), (-1, 2)), ((3, -1), (4, -1, 0)))),
+     ValueError, "m1 row 1 must have 2 entries, got 3"),
+    (lambda: LinearRep((1, 1), ((0, 1), (-1, 2)),
+                       ((3, -1), (4, -1)))._replace(v0=(1, 1, 1)),
+     ValueError, "v0 must have 2 entries, got 3"),
 ])
 def test_validation_errors(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -242,12 +242,19 @@ def test_eq3_builds_each_row_once_over_e(monkeypatch):
     # spans h = 0 and 1: two scans.
     d_columns = []  # the columns of d's continuant route, built per row
     calls = Counter()
-    d_columns_of, bits_product, values = (
-        kernel._d_columns, kernel._bits_product, kernel._values)
+    sweep, columns_of, bits_product, values = (
+        kernel._sweep, kernel._columns, kernel._bits_product, kernel._values)
+    sweep_scans = []  # the scan of each sweep, as it builds its columns
 
-    def counted_columns():
-        d_columns.extend(d_columns_of())
-        return tuple(d_columns[-2:])
+    def spied_sweep(j, row, scan, **flags):
+        sweep_scans.append(scan)
+        return sweep(j, row, scan, **flags)
+
+    def spied_columns(a, c):
+        columns = columns_of(a, c)
+        if sweep_scans[-1] is kernel._d_scan:
+            d_columns.append(columns)
+        return columns
 
     def counted_scan(row, n, scan, **kwargs):
         calls[scan.__name__] += 1
@@ -258,7 +265,8 @@ def test_eq3_builds_each_row_once_over_e(monkeypatch):
         calls["d blocks" if mine else "Stern blocks"] += 1
         return values(x, y, columns)
 
-    monkeypatch.setattr(kernel, "_d_columns", counted_columns)
+    monkeypatch.setattr(kernel, "_sweep", spied_sweep)
+    monkeypatch.setattr(kernel, "_columns", spied_columns)
     monkeypatch.setattr(kernel, "_bits_product", counted_scan)
     monkeypatch.setattr(kernel, "_values", counted_values)
     assert run_suite("eq3", 40000).passed
