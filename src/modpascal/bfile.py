@@ -38,12 +38,13 @@ lines cut from one template (_LINES) and one conversion of index //
 1000.  record_blocks(indices, values) writes the text of an index range
 and a term stream that way, for `seq` and `bfile` alike, its blocks
 growing from one record to at most twice the last, so a slow route's
-first lines come out while it runs on; and compare_stream gives compare_records' result over read_records from the
-text itself: a block of the file that equals its rendered terms is
-never parsed.  Both readers take the text with .read() in blocks of
-whole lines, and _block_records parses a block: canonical records take
-one regex match and one split, any other block goes line by line under
-the grammar _RECORD.  Only to_decimal (from the kernel module) and
+first lines come out while it runs on; and compare_stream gives
+compare_records' result over read_records from the text itself: a
+block of the file that equals its rendered terms is never parsed.  Both
+readers take the text with .read() in blocks of whole lines, and
+_block_records parses a block: canonical records take one regex match
+and one split, any other block goes line by line under the grammar
+_RECORD.  Only to_decimal (from the kernel module) and
 from_decimal convert ints to decimal text and back, at any length.  The
 whole-file functions (generate_bfile, parse_bfile, ...) are views over
 this stream.
@@ -304,10 +305,10 @@ def record_blocks(indices: range, values: Iterable[int]) -> Iterator[str]:
     """The text of record_lines(zip(indices, values)) in blocks of whole
     lines: the first block one record, and each next one at most twice
     the last and _WRITE_RECORDS records, sized by the text of the last.
-    A block with a value past the int/str
-    digit limit goes line by line through record_lines, and the next
-    block is one record; indices take their text from _text's template
-    at any size (a negative one past the limit goes line by line too)."""
+    A block with a value past the int/str digit limit goes line by line
+    through record_lines, and the next block is one record; indices
+    take their text from _text's template at any size (a negative one
+    past the limit goes line by line too)."""
     values = iter(values)
     size = 1
     while chunk := list(islice(values, len(indices[:size]))):

@@ -241,11 +241,11 @@ def _rep_terms(j):
     The state index s = 256c + m has the bits of c, then the byte m, so
     component 0 of v(s) is entry 0 of the row after c, v0 times the
     matrices of its bits, times the byte table's matrix of m: one
-    kernel._sweep over the rep's scan.  If m0 moves v0, the leading zeros of a byte
-    are not free, and the states below 2**16, whose rows the sweep reads
-    with leading zeros, come one at a time.  _REP and _rep_scan are read
-    here, at the call, so a rep or scan put in their place is what the
-    stream runs.
+    kernel._sweep over the rep's scan.  If m0 moves v0, the leading
+    zeros of a byte are not free, and the states below 2**16, whose rows
+    the sweep reads with leading zeros, come one at a time.  _REP and
+    _rep_scan are read here, at the call, so a rep or scan put in their
+    place is what the stream runs.
     """
     rep = _REP
     scan = _rep_scan(rep)
