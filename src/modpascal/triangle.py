@@ -279,7 +279,32 @@ def _mirror(half, n):
 
 def _exact_rows(n, k):
     """The exact rows n (from entry k on), n + 1, n + 2, ..., each an
-    iterable of its entries.
+    iterable of its entries (_added_rows); a MemoryError at the call
+    when row n's pass would outgrow the machine's memory before its
+    first term.
+
+    That pass keeps T(n, i) and E(n, i) for i from 0 up to h - 1, h =
+    min(k, n - k) + 1, before it gives T(n, k), and T(n, i) has about as
+    many bits as C(n, i), at least i log2(n/i).  Summed over i < h, that
+    is estimated from n and k alone as h^2 (2n // h).bit_length() / 16
+    bytes, about half of what the two lists hold (measured for n up to
+    8000).  So from linear index 2^64, entry 2,746,052,116 of row
+    6,074,000,999, the stream refuses at once (about 10^18 bytes)
+    instead of growing until it is killed, while the first and last
+    entries of a huge row still come at once.  Read on along such a
+    row, the pass still grows with every entry, with no such check.
+    """
+    h = min(k, n - k) + 1
+    need = h * h * (2 * n // h).bit_length() // 16
+    if need > _memory_bytes():
+        raise MemoryError(
+            f"exact row {to_decimal(n)} to entry {to_decimal(k)} holds "
+            f"about {to_decimal(need)} bytes")
+    return _added_rows(n, k)
+
+
+def _added_rows(n, k):
+    """The rows of _exact_rows, unchecked.
 
     Row n comes from _exact_row(n, k), so a stream that ends inside it
     does no other work.  The additions are seeded by the half rows of T

@@ -2,10 +2,10 @@
 
 The suites are one table, _SUITES: each names its identities as rows
 (name, indices, lhs, rhs), and whether "all" runs it.  indices(max_n)
-gives the indices to scan, which may be read more than once, and lhs
-and rhs are two independently computed sides of the identity, each a
-value stream values(indices) that yields the side's value at each index
-in turn.  A per-index function enters as partial(map, fn), and an
+gives the indices to scan, a sequence (a range, (0,), or the pairs of
+_Pairs) that may be read more than once, and lhs and rhs are two
+independently computed sides of the identity, each a value stream
+values(indices) that yields the side's value at each index in turn.  A per-index function enters as partial(map, fn), and an
 endless route of bfile.ROUTES, such as the exact row stream or a sweep,
 enters as that route started at the first index: `thm1` checks the
 per-index continuant against three streams of d, each a sweep of
@@ -15,12 +15,15 @@ matrix representation, a block of 256 states at a time
 (regular._rep_terms); `eq3` reads d's continuant route, a block of 256
 values of e at a time, a stream per row, against the Stern sweep.  Over
 the pairs (n, k), which start at (0, 0), a side may also be rows built
-from row 0 on: `lucas` reads the exact Pascal rows by Pascal's rule,
-and `rows` reads the exact row stream, which builds rows by additions,
-against both the defining sum and rows by the order-2 recurrence in k.
-run_suite scans the rows of one suite, or of every suite "all" runs in
-table order, and reports per-identity check counts plus the first
-counterexample, if any.  A route that disagrees, the matrix
+from row 0 on: `proposition` reads Lucas' reduction a row at a time
+against the exact row stream, `lucas` the subset test a row at a time
+against the exact Pascal rows by Pascal's rule, and `rows` the exact
+row stream, which builds rows by additions, against both the defining
+sum and rows by the order-2 recurrence in k.  run_suite scans the rows
+of one suite, or of every suite "all" runs in table order, each by
+_scan, which compares the two sides a block of values at a time, and
+reports per-identity check counts plus the first counterexample, if
+any.  A route that disagrees, the matrix
 representation included, or a stream that ends before its indices do,
 is reported as a counterexample in the report, never raised; the CLI
 maps a failing report to its exit status.
@@ -29,6 +32,7 @@ maps a failing report to its exit status.
 from collections import namedtuple
 from functools import partial
 from itertools import chain, count, islice, repeat, starmap
+from operator import and_
 from types import MappingProxyType
 
 from . import regular, triangle
@@ -94,21 +98,38 @@ class VerifyReport(namedtuple("VerifyReport", "suite max_n results")):
         return out
 
 
+# _scan reads and compares each side this many values at a time.
+_SCAN_BLOCK = 1024
+
+
 def _scan(name, indices, lhs, rhs):
-    """Compare the value streams lhs(indices) and rhs(indices) index by
-    index; keep the first mismatch.  Each side is read only as far as
-    indices go, so an endless route needs no cut, and a side that ends
-    early reads None from there on: a mismatch at its first missing
-    index, never a pass."""
-    checked = 0
+    """Compare the value streams lhs(indices) and rhs(indices) a block of
+    _SCAN_BLOCK values at a time, with one list == per block; keep the
+    first mismatch.  indices is a sequence (len and indexing).  Each
+    side is read exactly as far as indices go, also past the first
+    mismatch, so an endless route needs no cut.  Only a block that
+    differs, or that a side fills short because it ended, is searched
+    for its first position, reported as Counterexample(indices[pos],
+    lhs, rhs) with None for a side that had ended there: a side that
+    ends early is a mismatch at its first missing index, never a pass."""
+    left, right = lhs(indices), rhs(indices)
     first = None
-    sides = zip(indices, chain(lhs(indices), repeat(None)),
-                chain(rhs(indices), repeat(None)))
-    for i, a, b in sides:
-        checked += 1
-        if first is None and (a != b or a is None):
-            first = Counterexample(i, a, b)
-    return IdentityResult(name, checked, first)
+    # len() stops at sys.maxsize; a range (in steps of 1) is counted by
+    # its ends, so any max_n scans for as long as it runs
+    total = (indices.stop - indices.start if isinstance(indices, range)
+             else indices.__len__())
+    for start in range(0, total, _SCAN_BLOCK):
+        size = min(_SCAN_BLOCK, total - start)
+        a = list(islice(left, size))
+        b = list(islice(right, size))
+        if first is None and (a != b or len(a) < size):
+            pos = next((pos for pos, (x, y) in enumerate(zip(a, b))
+                        if x != y), min(len(a), len(b)))
+            first = Counterexample(
+                indices[start + pos],
+                a[pos] if pos < len(a) else None,
+                b[pos] if pos < len(b) else None)
+    return IdentityResult(name, total, first)
 
 
 def _route(terms, at=None, step=1):
@@ -130,13 +151,20 @@ def _past_2_64(max_n):
 
 
 class _Pairs:
-    """The pairs (n, k), 0 <= k <= n <= max_n, by rows, anew at each
-    iteration, so that _scan and both sides can read them."""
+    """The pairs (n, k), 0 <= k <= n <= max_n, by rows: a sequence with
+    len and indexing for _scan, iterated anew each time, so that both
+    sides can read them too."""
 
     __slots__ = ("max_n",)
 
     def __init__(self, max_n):
         self.max_n = max_n
+
+    def __len__(self):
+        return (self.max_n + 1) * (self.max_n + 2) // 2
+
+    def __getitem__(self, index):
+        return triangle._entry_at(index)
 
     def __iter__(self):
         return chain.from_iterable(
@@ -179,10 +207,12 @@ class _Suite(namedtuple("_Suite", "rows in_all", defaults=(True,))):
 # this order; the others run only by name.
 _SUITES = MappingProxyType({
     "proposition": _Suite((
-        # Lucas' reduction per entry against the exact row stream
+        # Lucas' reduction a row at a time, from row 0, where _Pairs
+        # starts, against the exact row stream
         ("parity entry = exact entry mod 2", _Pairs,
-         partial(starmap, triangle.triangle_entry_parity),
-         lambda pairs: map((1).__and__, _exact_stream(pairs))),
+         lambda pairs: chain.from_iterable(
+             map(triangle._parity_row, count(0), repeat(0))),
+         lambda pairs: map(and_, _exact_stream(pairs), repeat(1))),
     )),
     "thm1": _Suite((
         # the brute force as Pascal's rule on the diagonals' bitsets
@@ -238,13 +268,16 @@ _SUITES = MappingProxyType({
          partial(map, lambda n: 4 * _d(2 * n) - _d(4 * n))),
     )),
     "lucas": _Suite((
-        # exact Pascal rows by Pascal's rule, reduced mod 2; like the
-        # order-2 recurrence in rows below, read from row 0, where
-        # _Pairs starts
+        # the subset test a row at a time, C(n, k) for k in range(n + 1),
+        # against exact Pascal rows by Pascal's rule, reduced mod 2; like
+        # the order-2 recurrence in rows below, both read from row 0,
+        # where _Pairs starts
         ("bitwise binomial parity = exact binomial mod 2", _Pairs,
-         partial(starmap, triangle.binom_parity),
-         lambda pairs: map((1).__and__,
-                           chain.from_iterable(triangle._pascal_rows()))),
+         lambda pairs: map(int, chain.from_iterable(map(
+             triangle._odd_binomials, map(repeat, count(0)),
+             map(range, count(1))))),
+         lambda pairs: map(and_, chain.from_iterable(triangle._pascal_rows()),
+                           repeat(1))),
     )),
     "glaisher": _Suite((
         ("odd entries in Pascal row n = 2^popcount(n)", _upto,

@@ -7,7 +7,7 @@ the package is evidence, not circularity.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from math import comb
 
 # Rows 0..8 of the triangle, keyed in by hand from the A119326 entry:
@@ -100,3 +100,19 @@ def rep_state_bits(rep, n: int) -> tuple[int, int]:
         (a, b), (c, d) = rep.m1 if bit == "1" else rep.m0
         x, y = a * x + b * y, c * x + d * y
     return x, y
+
+
+def scan(name, indices, lhs, rhs):
+    """verify's scan index by index: the value streams lhs(indices) and
+    rhs(indices) side by side, a side that has ended read as None, the
+    first mismatch kept and every index counted.  Returns (name, checked,
+    first), with first an (index, lhs, rhs) tuple or None."""
+    checked = 0
+    first = None
+    sides = zip(indices, chain(lhs(indices), repeat(None)),
+                chain(rhs(indices), repeat(None)))
+    for i, a, b in sides:
+        checked += 1
+        if first is None and (a != b or a is None):
+            first = (i, a, b)
+    return name, checked, first

@@ -64,9 +64,10 @@ def _with_value(lines, pos, delta):
     return [*lines[:pos], f"{index} {int(value) + delta}\n", *lines[pos + 1:]]
 
 
-def _mutations(sid):
-    """(name, text) pairs: the b-file of sid and its edits."""
-    lines = LINES[sid]
+def _mutations(sid, lines=None):
+    """(name, text) pairs: the b-file of sid, or lines in its place, and
+    its edits."""
+    lines = LINES[sid] if lines is None else lines
     mid = len(lines) // 2
     edge = _first_block_end(lines)
     yield "clean", "".join(lines)
@@ -141,6 +142,36 @@ def test_compare_stream_finds_each_mutation():
         assert got.mismatch == (pos, value + 1, value)
         assert got.checked == len(lines)
     assert _blocks("A114212", "".join(lines).replace("\n", "\r\n")).passed
+
+
+@pytest.mark.parametrize("sid", SIZES)
+def test_compare_stream_after_a_mismatch_is_compare_records(sid):
+    # Past the first mismatch, at record 0, every edit is in the tail that
+    # is only counted: the same count, or the same error and line number.
+    wrong = _with_value(LINES[sid], 0, 1)
+    for block in (1, 7, 256, bfile._BLOCK):
+        with mock.patch.object(bfile, "_BLOCK", block):
+            for _name, text in _mutations(sid, wrong):
+                _assert_same(sid, text)
+    # negative indices past the int/str digit limit, which _text refuses
+    first = -10**5000
+    _assert_same(sid, "".join(
+        f"{bfile.to_decimal(first + pos)} {line.split()[1]}\n"
+        for pos, line in enumerate(wrong[:50])))
+
+
+def test_compare_stream_counts_a_canonical_tail_without_parsing(monkeypatch):
+    # Only the first block, which holds the mismatch, is parsed.
+    parsed = []
+    block_records = bfile._block_records
+    monkeypatch.setattr(bfile, "_block_records", lambda *args: (
+        parsed.append(args[2]) or block_records(*args)))
+    lines = _with_value(LINES["A114212"], 5, 1)
+    got = _blocks("A114212", "".join(lines))
+    value = int(LINES["A114212"][5].split()[1])
+    assert got.mismatch == (5, value + 1, value)
+    assert got.checked == len(lines)
+    assert parsed == [0]
 
 
 @pytest.mark.parametrize("sid", SIZES)

@@ -316,6 +316,23 @@ def test_brute_sweep_past_memory_is_out_of_memory(capsys):
     assert peak < 2**20
 
 
+def test_exact_stream_past_memory_is_out_of_memory(capsys):
+    # 2^64 is entry 2,746,052,116 of row 6,074,000,999: the exact row's
+    # pass would hold about 10^18 bytes before its first term, so the
+    # command ends at once with exit 3 and nothing on stdout.
+    first = 2**64
+    tracemalloc.start()
+    try:
+        code = main(["seq", "t-row", f"{first}..{first + 4}",
+                     "--method", "exact"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert peak < 2**20
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
 @pytest.mark.parametrize("argv", [
     ["triangle", "3"],

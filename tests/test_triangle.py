@@ -265,6 +265,37 @@ def test_diagonal_bitset_sweep_refuses_seeds_past_memory(monkeypatch):
         triangle._diagonal_sum_terms(4005)
 
 
+def test_exact_stream_refuses_a_first_term_past_memory(monkeypatch):
+    # From linear index 2^64, entry k = 2,746,052,116 of row n =
+    # 6,074,000,999, the pass would hold T and E for i <= k before its
+    # first term: h^2 (2n // h).bit_length() / 16 bytes, h = k + 1.
+    n, k = triangle._entry_at(2**64)
+    h = k + 1
+    need = h * h * (2 * n // h).bit_length() // 16
+    assert (n, k, need > 10**18) == (6074000999, 2746052116, True)
+    for start in (lambda: triangle._triangle_terms(2**64, "exact"),
+                  lambda: iter_triangle_terms(2**64, 2**64 + 5)):
+        with pytest.raises(MemoryError, match=(
+                f"^exact row {n} to entry {k} holds about {need} bytes$")):
+            start()
+    # The ends of that row hold a few entries before their first term.
+    first = n * (n + 1) // 2
+    assert list(iter_triangle_terms(first, first + 3)) == [
+        triangle_entry(n, i) for i in range(3)]
+    assert list(iter_triangle_terms(first + n - 2, first + n + 1)) == [
+        triangle_entry(n, i) for i in range(2, -1, -1)]
+    # With 300 bytes of memory, row 100 is within it from entries 0 to 39
+    # (h <= 40, 300 bytes) and from 61 to 100, and refused between.
+    monkeypatch.setattr(triangle, "_memory_bytes", lambda: 300)
+    for k in (39, 61):
+        row = next(triangle._exact_rows(100, k))
+        assert next(iter(row)) == triangle_entry(100, k)
+    for k in (40, 60):
+        with pytest.raises(MemoryError, match=(
+                f"^exact row 100 to entry {k} holds about 315 bytes$")):
+            triangle._exact_rows(100, k)
+
+
 def test_machine_memory_is_a_positive_int(monkeypatch):
     memory = triangle._memory_bytes()
     assert type(memory) is int and memory > 0

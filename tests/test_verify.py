@@ -1,10 +1,13 @@
 from collections import Counter
 from functools import partial
 from itertools import chain, count, islice
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modpascal import kernel, regular, run_suite, triangle, verify
+from modpascal import kernel, regular, run_suite, stern, triangle, verify
 from modpascal.cli import main
 from modpascal.verify import (
     Counterexample,
@@ -15,6 +18,7 @@ from modpascal.verify import (
     _route,
     _scan,
 )
+from oracles import scan as scan_per_index
 
 # `modpascal verify all --max-n 24` in full: a change to any label, count
 # or line of the report fails here, not only in the benchmark's digest.
@@ -335,3 +339,108 @@ def test_scan_fails_a_side_that_ends_early():
     ]:
         result = _scan("short", range(5), lhs, rhs)
         assert result == IdentityResult("short", 5, counterexample)
+
+
+# _scan's block size, and the positions around its block edges
+BLOCK = verify._SCAN_BLOCK
+EDGES = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK)
+_POSITIONS = st.one_of(st.sampled_from((0,) + EDGES),
+                       st.integers(0, 3 * BLOCK))
+
+
+@st.composite
+def _index_sequences(draw):
+    """A range, a tuple or the pairs of _Pairs, of 0 to about 3 blocks."""
+    kind = draw(st.sampled_from(["range", "tuple", "pairs"]))
+    if kind == "pairs":
+        return verify._Pairs(draw(st.integers(0, isqrt(6 * BLOCK))))
+    start = draw(st.sampled_from([0, 7, 2**64]))
+    indices = range(start, start + draw(_POSITIONS))
+    return indices if kind == "range" else tuple(indices)
+
+
+def _side(end, wrong, reads, key):
+    """The value stream 0, 1, 2, ... with -1 at the positions in wrong,
+    ended after end values (endless if None), counting in reads[key] the
+    values read from it."""
+    def values(_indices):
+        for pos in count() if end is None else range(end):
+            reads[key] += 1
+            yield -1 if pos in wrong else pos
+    return values
+
+
+@settings(deadline=None, max_examples=300)
+@given(indices=_index_sequences(),
+       ends=st.tuples(st.none() | _POSITIONS, st.none() | _POSITIONS),
+       wrong=st.tuples(st.sets(_POSITIONS, max_size=3),
+                       st.sets(_POSITIONS, max_size=3)))
+def test_block_scan_is_the_per_index_scan(indices, ends, wrong):
+    # Mismatches and early ends anywhere and at the block edges, on either
+    # side or both, over every kind of index sequence _SUITES uses: the
+    # same result as the per-index scan, and each side read exactly as far
+    # as the indices go, or to its end.
+    reads = Counter()
+    sides = [_side(end, bad, reads, (how, which))
+             for how in ("blocks", "per index")
+             for which, (end, bad) in enumerate(zip(ends, wrong))]
+    got = _scan("x", indices, sides[0], sides[1])
+    assert got == scan_per_index("x", indices, sides[2], sides[3])
+    for which, end in enumerate(ends):
+        want = len(indices) if end is None else min(end, len(indices))
+        assert reads["blocks", which] == reads["per index", which] == want
+
+
+def test_pairs_is_a_sequence_of_its_pairs():
+    for max_n in range(61):
+        pairs = verify._Pairs(max_n)
+        listed = list(pairs)
+        assert len(pairs) == len(listed) == (max_n + 1) * (max_n + 2) // 2
+        assert [pairs[i] for i in range(len(pairs))] == listed
+        assert list(pairs) == listed  # iterated anew
+
+
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK])
+def test_proposition_names_a_corrupt_entry_at_a_block_edge(monkeypatch, at):
+    n, k = triangle._entry_at(at)
+    monkeypatch.setattr(triangle, "_ROWS", _exact_rows_off_by_one_at(n, k))
+    result, = run_suite("proposition", 250).results
+    parity = triangle.triangle_entry_parity(n, k)
+    assert result == IdentityResult(
+        "parity entry = exact entry mod 2", 31626,
+        Counterexample((n, k), parity, 1 - parity))
+
+
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK])
+def test_lucas_names_a_flipped_pascal_entry_at_a_block_edge(monkeypatch, at):
+    n, k = triangle._entry_at(at)
+    pascal_rows = triangle._pascal_rows
+
+    def flipped():
+        for m, row in enumerate(pascal_rows()):
+            yield [c + (m == n and i == k) for i, c in enumerate(row)]
+
+    monkeypatch.setattr(triangle, "_pascal_rows", flipped)
+    result, = run_suite("lucas", 250).results
+    parity = triangle.binom_parity(n, k)
+    assert result == IdentityResult(
+        "bitwise binomial parity = exact binomial mod 2", 31626,
+        Counterexample((n, k), parity, 1 - parity))
+
+
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK])
+def test_eq3_names_a_corrupt_stern_value_at_a_block_edge(monkeypatch, at):
+    # s(2 at + 1) one too large in Stern's sweep, which both rows read
+    sweep, target = kernel._sweep, 2 * at + 1
+
+    def corrupt(j, row, scan, **flags):
+        values = sweep(j, row, scan, **flags)
+        if scan is not kernel._stern_scan or flags:  # not Stern's route
+            return values
+        return (v + (i == target) for i, v in enumerate(values, j))
+
+    monkeypatch.setattr(kernel, "_sweep", corrupt)
+    value = stern(target)
+    assert run_suite("eq3", 3000).results == tuple(
+        IdentityResult(name, 3001, Counterexample(at, value, value + 1))
+        for name in ("d(2n) = s(2n+1)", "d(2n+1) = s(2n+1)"))
