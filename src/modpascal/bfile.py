@@ -505,8 +505,9 @@ def compare_stream(sequence_id: str, stream: io.TextIOBase) -> BFileComparison:
     _block_records, as read_records reads it, and its values compared
     with the terms drawn for them; terms drawn for lines that held no
     record serve the next records.  Once a record disagrees, the rest
-    of the file is only counted: a block that _counted finds canonical
-    by its own text, with no int() per record, else parsed.
+    of the file is only counted: by its text in a block that _counted
+    accepts, with no int() per record, and by _block_records in any
+    other, so its errors and line numbers are those of read_records.
     """
     terms = _terms(sequence_id)(0)
     drawn = []  # terms drawn for records not yet checked
