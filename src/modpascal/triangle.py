@@ -286,13 +286,14 @@ def _exact_rows(n, k):
     That pass keeps T(n, i) and E(n, i) for i from 0 up to h - 1, h =
     min(k, n - k) + 1, before it gives T(n, k), and most T(n, i) have
     about as many bits as C(n, i), at least i log2(n/i).  Summed over
-    i < h, that is estimated from n and k alone as h^2 (2n // h).bit_length() / 16
-    bytes, about half of what the two lists hold (measured for n up to
-    8000).  So from linear index 2^64, entry 2,746,052,116 of row
-    6,074,000,999, the stream refuses at once (about 10^18 bytes)
-    instead of growing until it is killed, while the first and last
-    entries of a huge row still come at once.  Read on along such a
-    row, the pass still grows with every entry, with no such check.
+    i < h, that is estimated from n and k alone as
+    h^2 (2n // h).bit_length() / 16 bytes, about half of what the two
+    lists hold (measured for n up to 8000).  So from linear index 2^64,
+    entry 2,746,052,116 of row 6,074,000,999, the stream refuses at
+    once (about 10^18 bytes) instead of growing until it is killed,
+    while the first and last entries of a huge row still come at once.
+    Read on along such a row, the pass still grows with every entry,
+    with no such check.
     """
     h = min(k, n - k) + 1
     need = h * h * (2 * n // h).bit_length() // 16

@@ -5,27 +5,27 @@ The suites are one table, _SUITES: each names its identities as rows
 gives the indices to scan, a sequence (a range, (0,), or the pairs of
 _Pairs) that may be read more than once, and lhs and rhs are two
 independently computed sides of the identity, each a value stream
-values(indices) that yields the side's value at each index in turn.  A per-index function enters as partial(map, fn), and an
-endless route of bfile.ROUTES, such as the exact row stream or a sweep,
-enters as that route started at the first index: `thm1` checks the
-per-index continuant against three streams of d, each a sweep of
-e(j) = d(2j): the brute route, Pascal's rule on the parity diagonals'
-bitsets, the recurrence route, a tower of half-rate streams, and the
-matrix representation, a block of 256 states at a time
-(regular._rep_terms); `eq3` reads d's continuant route, a block of 256
-values of e at a time, a stream per row, against the Stern sweep.  Over
-the pairs (n, k), which start at (0, 0), a side may also be rows built
-from row 0 on: `proposition` reads Lucas' reduction a row at a time
-against the exact row stream, `lucas` the subset test a row at a time
-against the exact Pascal rows by Pascal's rule, and `rows` the exact
-row stream, which builds rows by additions, against both the defining
-sum and rows by the order-2 recurrence in k.  run_suite scans the rows
-of one suite, or of every suite "all" runs in table order, each by
-_scan, which compares the two sides a block of values at a time, and
-reports per-identity check counts plus the first counterexample, if
-any.  A route that disagrees, the matrix
-representation included, or a stream that ends before its indices do,
-is reported as a counterexample in the report, never raised; the CLI
+values(indices) that yields the side's value at each index in turn.  A
+per-index function enters as partial(map, fn), and an endless route of
+bfile.ROUTES, such as the exact row stream or a sweep, enters as that
+route started at the first index: `thm1` checks the per-index continuant
+against three streams of d, each a sweep of e(j) = d(2j): the brute
+route, Pascal's rule on the parity diagonals' bitsets, the recurrence
+route, a tower of half-rate streams, and the matrix representation, a
+block of 256 states at a time (regular._rep_terms); `eq3` reads d's
+continuant route, a block of 256 values of e at a time, a stream per
+row, against the Stern sweep.  Over the pairs (n, k), which start at
+(0, 0), a side may also be rows built from row 0 on: `proposition` reads
+Lucas' reduction a row at a time against the exact row stream, `lucas`
+the subset test a row at a time against the exact Pascal rows by
+Pascal's rule, and `rows` the exact row stream, which builds rows by
+additions, against both the defining sum and rows by the order-2
+recurrence in k.  run_suite scans the rows of one suite, or of every
+suite "all" runs in table order, each by _scan, which compares the two
+sides a block of values at a time, and reports per-identity check counts
+plus the first counterexample, if any.  A route that disagrees, the
+matrix representation included, or a stream that ends before its indices
+do, is reported as a counterexample in the report, never raised; the CLI
 maps a failing report to its exit status.
 """
 
