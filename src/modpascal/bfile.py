@@ -15,15 +15,20 @@ each reader cuts with its own range, so b-files stream a block of
 records at a time.  Every route checks start at the call.  The fast
 routes of d, r and stern are sweeps by blocks: d and stern from Stern's
 rows (s(c), s(c+1)) and two columns of Stern's byte table
-(kernel._stern_terms), r at one multiply per term by blocks of the
-binary weight (see triangle._row_sum_terms).  The routes beside them,
-continuant, closed and scan, check them term for term: closed and scan
-per index.  Every route of d is a sweep of e(j) = d(2j) = d(2j + 1),
-repeated into d by kernel._evens: the continuant route a block of 256
-values at a time from d's byte table (kernel._d_block_terms), the brute
-route the parity diagonals by Pascal's rule on bitsets
-(triangle._diagonal_sum_terms), and the recurrence route the 2-regular
-identities by a tower of half-rate streams (regular._recurrence_terms).
+(kernel._stern_terms), r by blocks of the binary weight, each block's
+terms one list of block 0's shifted by its weight (see
+triangle._row_sum_terms).  The routes beside them, continuant, closed
+and scan, check them term for term: closed and scan per index.  Every
+route of d is a sweep of e(j) = d(2j) = d(2j + 1), repeated into d by
+kernel._evens: the continuant route a block of 256 values at a time
+from d's byte table (kernel._d_block_terms), the brute route the parity
+diagonals by Pascal's rule on bitsets (triangle._diagonal_sum_terms),
+and the recurrence route the 2-regular identities by a tower of
+half-rate streams (regular._recurrence_terms).  Pascal's rule on
+bitsets also gives the reference routes of r and stern: r's brute
+route counts the parity rows' bits (triangle._pascal_row_sum_terms),
+and stern's carlitz route the parity diagonals' bits, every top of
+them (triangle._carlitz_terms).
 The block sweeps of d, stern and the matrix representation are each
 one call of kernel._sweep, which reads their byte table: one bit scan
 per 2**16 values, and one byte matrix per block of 256.
@@ -75,11 +80,11 @@ from .kernel import (
 from .regular import _recurrence_terms
 from .triangle import (
     _ROWS,
+    _carlitz_terms,
     _diagonal_sum_terms,
+    _pascal_row_sum_terms,
     _row_sum_terms,
     _triangle_terms,
-    carlitz_sum,
-    row_sum_brute,
     row_sum_closed,
 )
 
@@ -158,14 +163,12 @@ ROUTES = MappingProxyType({
     "r": MappingProxyType({
         "fast": _row_sum_terms,
         "closed": _per_index(row_sum_closed),
-        "brute": _per_index(row_sum_brute),
+        "brute": _pascal_row_sum_terms,
     }),
     "stern": MappingProxyType({
         "fast": _stern_terms,
         "scan": _per_index(stern),
-        # s(n) read off the binomial-parity diagonal sum, which equals
-        # s(n+1); shift by one and patch the n=0 hole.
-        "carlitz": _per_index(lambda n: carlitz_sum(n - 1) if n else 0),
+        "carlitz": _carlitz_terms,
     }),
     "t-row": MappingProxyType(
         {mode: partial(_triangle_terms, mode=mode) for mode in _ROWS}),

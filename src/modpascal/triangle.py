@@ -48,12 +48,15 @@ keeps both routes so they can be checked against each other.  A row
 alone (_parity_row) runs the subset test as maps over its entries; the
 parity stream (_parity_rows) reads each row as bitsets, a window of
 4096 entries at a time, by Lucas' theorem on the window's position and
-the low bits of n, with no Python step per entry.  One
-diagonal sum counts Kummer's carry test along its diagonal
-(diagonal_sum_brute, and carlitz_sum, Stern's reference, along
-Pascal's own); a range of them sweeps the diagonals as bitsets by
-Pascal's rule, D_t = D_(t-1) ^ (D_(t-2) << 1), one shift and xor per
-diagonal (_diagonal_sum_terms).
+the low bits of n, with no Python step per entry.  One row sum
+(row_sum_brute) adds up _parity_row; a range of them sweeps Pascal's
+rows mod 2 as bitsets by Pascal's rule, P_n = P_(n-1) ^ (P_(n-1) << 1),
+one masked bit count per row (_pascal_row_sums).  One diagonal sum
+counts Kummer's carry test along its diagonal (diagonal_sum_brute, and
+carlitz_sum, Stern's reference, along Pascal's own); a range of them
+sweeps the diagonals as bitsets by Pascal's rule, D_t = D_(t-1) ^
+(D_(t-2) << 1), one shift and xor per diagonal (_diagonal_sum_terms,
+and _carlitz_terms for Stern).
 
 Everything here is a pure function of its arguments (no shared state),
 safe to call from any number of threads.  Values are plain Python ints,
@@ -163,13 +166,6 @@ def binom_parity(n: int, k: int) -> int:
         raise ValueError(
             f"n and k must be >= 0, got n={to_decimal(n)}, k={to_decimal(k)}")
     return 1 if n & k == k else 0
-
-
-def _odd_binomials(tops, ks):
-    """Whether C(top, k) is odd, as a bool, for tops and the range ks
-    taken in step: binom_parity's subset test as maps, with no Python
-    step per pair.  ks is iterated twice, so it must be a range."""
-    return map(eq, map(and_, tops, ks), ks)
 
 
 def triangle_entry_parity(n: int, k: int) -> int:
@@ -351,9 +347,12 @@ def _pascal_rows():
 
 def _parity_row(n, k):
     """T(n, k), ..., T(n, n) mod 2: T(n, i) is C(n - (n + i) % 2, i) mod 2,
-    so the tops alternate n and n - 1 from the phase of n + k."""
+    so the tops alternate n and n - 1 from the phase of n + k, each
+    tested by binom_parity's subset test as maps, with no Python step
+    per entry."""
     tops = (n, n - 1) if (n + k) % 2 == 0 else (n - 1, n)
-    return map(int, _odd_binomials(cycle(tops), range(k, n + 1)))
+    ks = range(k, n + 1)
+    return map(int, map(eq, map(and_, cycle(tops), ks), ks))
 
 
 # _parity_rows cuts each row into windows of _WINDOW entries, so that it
@@ -383,6 +382,26 @@ def _lucas(m):
     return bits
 
 
+def _entries(bits, width):
+    """Bits 0 to width - 1 of bits, from bit 0 up, as bytes that iterate
+    as the ints 0 and 1: one binary text, with no Python step per bit."""
+    return f"{bits:0{width}b}"[::-1].encode().translate(_ENTRIES)
+
+
+def _pascal_bits(n):
+    """P_n, P_(n+1), ...: Pascal's rows mod 2 as bitsets, bit k of P_m
+    being C(m, k) mod 2.  Seeded by Lucas (_lucas(n)), then stepped by
+    Pascal's rule C(m+1, k) = C(m, k) + C(m, k-1), which mod 2 is
+
+        P_(m+1) = P_m ^ (P_m << 1),
+
+    one shift and one xor of ints of about m bits per row."""
+    bits = _lucas(n)
+    while True:
+        yield bits
+        bits ^= bits << 1
+
+
 def _parity_rows(n, k):
     """The mod-2 entries of row n from T(n, k) on and of every row after
     it, as bytes that iterate as the ints 0 and 1, a window of at most
@@ -408,8 +427,7 @@ def _parity_rows(n, k):
             window = ((here if c & ~high == 0 else 0)
                       | (before if c & ~high_prev == 0 else 0))
             width = (_WINDOW if c < high else (n & _LOW) + 1) - skip
-            yield (f"{window >> skip:0{width}b}"[::-1].encode()
-                   .translate(_ENTRIES) if window else _ZEROS[:width])
+            yield _entries(window >> skip, width) if window else _ZEROS[:width]
             skip = 0
         k = 0
 
@@ -466,16 +484,29 @@ def row_sum_closed(n: int) -> int:
 # the sweep runs as fast at any larger size.
 _ROW_SUM_BITS = 8
 
+# _row_sum_blocks keeps block 0's tail shifted by each binary weight
+# below this one that it meets: at most this many lists of small ints.
+_ROW_SUM_WEIGHTS = 32
+
 
 def _row_sum_blocks(c, tail):
     """The row sums from block c on, as two iterables per block: its
-    first term, then tail (block 0 less its first term) times 2^s2(c)."""
+    first term, then tail (block 0 less its first term) times 2^s2(c).
+    For a weight s2(c) below _ROW_SUM_WEIGHTS that is one list, shifted
+    once and read again by every block of that weight; past it, a
+    multiply per term, so the sweep holds no big ints of its own."""
+    scaled = {}
     for c in count(c):
-        scale = 1 << c.bit_count()
+        w = c.bit_count()
         # r(2cB) = 2^s2(cB) + 2^s2(cB - 1), and cB - 1 = (c - 1)B + B - 1
-        yield (scale + (1 << ((c - 1).bit_count() + _ROW_SUM_BITS))
+        yield ((1 << w) + (1 << ((c - 1).bit_count() + _ROW_SUM_BITS))
                if c else 1,)
-        yield map(scale.__mul__, tail)
+        if w >= _ROW_SUM_WEIGHTS:
+            yield map((1 << w).__mul__, tail)
+        else:
+            if w not in scaled:
+                scaled[w] = [v << w for v in tail]
+            yield scaled[w]
 
 
 def _row_sum_terms(start: int):
@@ -499,6 +530,44 @@ def _row_sum_terms(start: int):
     tail = [odds[0], *chain.from_iterable(zip(evens, odds[1:]))]
     c, offset = divmod(start, 2 << _ROW_SUM_BITS)
     return islice(chain.from_iterable(_row_sum_blocks(c, tail)), offset, None)
+
+
+def _pascal_row_sums(n):
+    """r(n), r(n+1), ... summed across the parity rows as bitsets.
+
+    By triangle_entry_parity's reduction, T(m, k) mod 2 is bit k of
+    Pascal's row P_m (_pascal_bits) for k of m's parity and of P_(m-1)
+    for the others.  So with h(m) the bit count of P_m at the k of m's
+    parity, one AND with an alternating mask, r(m) = h(m) + h(m - 1),
+    and h(-1) = 0: one masked bit count per row, each row read once.
+    The masks cover twice the last row they were built for, so they are
+    rebuilt each time the row index doubles."""
+    width = 0  # the masks cover the bits below width
+    last = 0  # h(m - 1)
+    first = max(n - 1, 0)
+    for m, bits in zip(count(first), _pascal_bits(first)):
+        if m >= width:
+            width = 2 * m + 2
+            even = ((1 << width) - 1) // 3  # the bits 0, 2, ..., width - 2
+            masks = (even, even << 1)
+        h = (bits & masks[m & 1]).bit_count()
+        if m >= n:
+            yield h + last
+        last = h
+
+
+def _pascal_row_sum_terms(start: int):
+    """The endless stream r(start), r(start+1), ... by Pascal's rule on
+    bitsets (_pascal_row_sums); start is checked at the call, not at the
+    first term.  It holds two rows of about start bits and two masks of
+    twice that, about start bytes in all, so a start whose start bytes
+    pass the machine's memory is a MemoryError at the call.  Its seed
+    reads Lucas' subset test and its steps Pascal's rule mod 2, never the
+    closed form, so it is a reference route for r's sweep, as
+    row_sum_brute is for one index."""
+    _require_index("start", start)
+    _within_memory("Pascal row sweep", start, start)
+    return _pascal_row_sums(start)
 
 
 def _odd_diagonal(top):
@@ -553,21 +622,26 @@ def _diagonal_bits(top):
     return bits
 
 
-@_evens
-def _diagonal_sums(j):
-    """e(j) = d(2j), e(j+1), ...: D_top.bit_count() for the even tops
-    from 2j.  Pascal's rule C(t - k, k) = C(t - 1 - k, k)
-    + C(t - 2 - (k - 1), k - 1) is, on the bitsets of _diagonal_bits,
+def _diagonals(top):
+    """D_top, D_(top+1), ... for top >= 0.  Pascal's rule C(t - k, k) =
+    C(t - 1 - k, k) + C(t - 2 - (k - 1), k - 1) is, on the bitsets of
+    _diagonal_bits,
 
         D_t = D_(t-1) ^ (D_(t-2) << 1),
 
-    so past its two seeds the stream takes two shifts and two xors of
-    ints of about j bits per even top."""
-    low, high = _diagonal_bits(2 * j - 1), _diagonal_bits(2 * j)
+    so past its two seeds, D_(top-1) and D_top, the stream takes one
+    shift and one xor of ints of about t/2 bits per top t."""
+    low, high = _diagonal_bits(top - 1), _diagonal_bits(top)
     while True:
-        yield high.bit_count()
-        low = high ^ (low << 1)  # D_(top+1)
-        high = low ^ (high << 1)  # D_(top+2)
+        yield high
+        low, high = high, high ^ (low << 1)
+
+
+@_evens
+def _diagonal_sums(j):
+    """e(j) = d(2j), e(j+1), ...: D_top.bit_count() for the even tops
+    from 2j (_diagonals)."""
+    return map(int.bit_count, islice(_diagonals(2 * j), 0, None, 2))
 
 
 def _memory_bytes():
@@ -578,6 +652,15 @@ def _memory_bytes():
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return sys.maxsize
+
+
+def _within_memory(sweep, start, need):
+    """MemoryError, naming the sweep and its start, when the need bytes
+    it holds pass the machine's memory."""
+    if need > _memory_bytes():
+        raise MemoryError(
+            f"the {sweep} from {to_decimal(start)} holds about "
+            f"{to_decimal(need)} bytes")
 
 
 def _diagonal_sum_terms(start: int):
@@ -591,11 +674,23 @@ def _diagonal_sum_terms(start: int):
     never the continuant or Stern's sequence, so it is a reference route
     for the d sweeps, as diagonal_sum_brute is for one index."""
     _require_index("start", start)
-    if start // 4 > _memory_bytes():
-        raise MemoryError(
-            f"the brute sweep from {to_decimal(start)} holds about "
-            f"{to_decimal(start // 4)} bytes")
+    _within_memory("brute sweep", start, start // 4)
     return _diagonal_sums(start)
+
+
+def _carlitz_terms(start: int):
+    """The endless stream s(start), s(start+1), ... of Stern's sequence,
+    s(n) being the bit count of D_(n-1) (carlitz_sum) and s(0) = 0, by
+    Pascal's rule on the diagonals' bitsets (_diagonals); start is
+    checked at the call, not at the first term.  Like d's brute sweep it
+    holds about start/4 bytes and refuses a start past memory at the
+    call.  Its seeds read Kummer's carry test and its steps Pascal's rule
+    mod 2, never Stern's bit scan, so it is a reference route for the
+    Stern sweep, as carlitz_sum is for one index."""
+    _require_index("start", start)
+    _within_memory("Carlitz sweep", start, start // 4)
+    sums = map(int.bit_count, _diagonals(max(start - 1, 0)))
+    return sums if start else chain((0,), sums)
 
 
 def _entry_at(index):

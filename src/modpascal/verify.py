@@ -14,18 +14,24 @@ route, Pascal's rule on the parity diagonals' bitsets, the recurrence
 route, a tower of half-rate streams, and the matrix representation, a
 block of 256 states at a time (regular._rep_terms); `eq3` reads d's
 continuant route, a block of 256 values of e at a time, a stream per
-row, against the Stern sweep.  Over the pairs (n, k), which start at
-(0, 0), a side may also be rows built from row 0 on: `proposition` reads
-Lucas' reduction a row at a time against the exact row stream, `lucas`
-the subset test a row at a time against the exact Pascal rows by
-Pascal's rule, and `rows` the exact row stream, which builds rows by
-additions, against both the defining sum and rows by the order-2
-recurrence in k.  run_suite scans the rows of one suite, or of every
-suite "all" runs in table order, each by _scan, which compares the two
-sides a block of values at a time, and reports per-identity check counts
-plus the first counterexample, if any.  A route that disagrees, the
-matrix representation included, or a stream that ends before its indices
-do, is reported as a counterexample in the report, never raised; the CLI
+row, against the Stern sweep.  Pascal's rule mod 2 on bitsets gives
+three more sides: `thm2`'s brute force is r's brute route, the parity
+rows' bits counted against the closed form, `carlitz`'s diagonal sums
+are Stern's carlitz route, the parity diagonals' bits counted against
+the per-index scan, and `glaisher` counts the bits of each Pascal row
+against 2^s2(n).  Over the pairs (n, k), which start at (0, 0), a side
+may also be rows built from row 0 on: `proposition` reads the parity
+triangle stream, Lucas' reduction on bitsets a window of a row at a
+time, against the exact row stream, `lucas` the subset test as the
+bits of each row's _lucas(n) against the exact Pascal rows by Pascal's
+rule, and `rows` the exact row stream, which builds rows by additions,
+against both the defining sum and rows by the order-2 recurrence in k.
+run_suite scans the rows of one suite, or of every suite "all" runs in
+table order, each by _scan, which compares the two sides a block of
+values at a time, and reports per-identity check counts plus the first
+counterexample, if any.  A route that disagrees, the matrix
+representation included, or a stream that ends before its indices do,
+is reported as a counterexample in the report, never raised; the CLI
 maps a failing report to its exit status.
 """
 
@@ -207,11 +213,10 @@ class _Suite(namedtuple("_Suite", "rows in_all", defaults=(True,))):
 # this order; the others run only by name.
 _SUITES = MappingProxyType({
     "proposition": _Suite((
-        # Lucas' reduction a row at a time, from row 0, where _Pairs
-        # starts, against the exact row stream
+        # Lucas' reduction on the bitsets of the parity stream, a window
+        # of a row at a time, against the exact row stream
         ("parity entry = exact entry mod 2", _Pairs,
-         lambda pairs: chain.from_iterable(
-             map(triangle._parity_row, count(0), repeat(0))),
+         _route(ROUTES["t-row"]["parity"], at=_linear),
          lambda pairs: map(and_, _exact_stream(pairs), repeat(1))),
     )),
     "thm1": _Suite((
@@ -226,10 +231,10 @@ _SUITES = MappingProxyType({
          partial(map, _d), _route(regular._rep_terms)),
     )),
     "thm2": _Suite((
+        # the brute force as Pascal's rule on the parity rows' bitsets
         ("row sum closed form = brute force",
          lambda max_n: range(1, max_n + 1),
-         partial(map, triangle.row_sum_closed),
-         partial(map, triangle.row_sum_brute)),
+         partial(map, triangle.row_sum_closed), _route(ROUTES["r"]["brute"])),
         ("row sum at 0 is the single entry", lambda _max_n: (0,),
          partial(map, triangle.row_sum_closed),
          partial(map, lambda _n: 1)),
@@ -249,8 +254,10 @@ _SUITES = MappingProxyType({
          _odd_stern),
     )),
     "carlitz": _Suite((
+        # the diagonal's bit count D_n, by Pascal's rule on the
+        # diagonals' bitsets, as stern's carlitz route reads it for s(n+1)
         ("binomial-parity diagonal = s(n+1)", _upto,
-         partial(map, triangle.carlitz_sum),
+         _route(ROUTES["stern"]["carlitz"], at=lambda n: n + 1),
          partial(map, lambda n: stern(n + 1))),
     )),
     "remark": _Suite((
@@ -268,21 +275,20 @@ _SUITES = MappingProxyType({
          partial(map, lambda n: 4 * _d(2 * n) - _d(4 * n))),
     )),
     "lucas": _Suite((
-        # the subset test a row at a time, C(n, k) for k in range(n + 1),
-        # against exact Pascal rows by Pascal's rule, reduced mod 2; like
-        # the order-2 recurrence in rows below, both read from row 0,
-        # where _Pairs starts
+        # the subset test a row at a time, C(n, k) for k in range(n + 1)
+        # as the bits of _lucas(n), against exact Pascal rows by Pascal's
+        # rule, reduced mod 2; like the order-2 recurrence in rows below,
+        # both read from row 0, where _Pairs starts
         ("bitwise binomial parity = exact binomial mod 2", _Pairs,
-         lambda pairs: map(int, chain.from_iterable(map(
-             triangle._odd_binomials, map(repeat, count(0)),
-             map(range, count(1))))),
+         lambda pairs: chain.from_iterable(map(
+             triangle._entries, map(triangle._lucas, count(0)), count(1))),
          lambda pairs: map(and_, chain.from_iterable(triangle._pascal_rows()),
                            repeat(1))),
     )),
     "glaisher": _Suite((
+        # the bit count of each row's bitset by Pascal's rule mod 2
         ("odd entries in Pascal row n = 2^popcount(n)", _upto,
-         partial(map, lambda n: sum(
-             triangle._odd_binomials(repeat(n), range(n + 1)))),
+         _route(lambda n: map(int.bit_count, triangle._pascal_bits(n))),
          partial(map, lambda n: 1 << n.bit_count())),
     )),
     "rows": _Suite((

@@ -150,6 +150,37 @@ def test_block_sweeps_match_per_index_kernels_at_huge_starts(which, method,
             == [kernel(n) for n in range(start, start + size)])
 
 
+# The bitset sweeps of r and stern, each against its per-index reference:
+# r(n) across the parity row, and s(n) as the parity diagonal below n.
+BITSET_SWEEPS = {
+    "r": ("brute", triangle.row_sum_brute),
+    "stern": ("carlitz",
+              lambda n: triangle.carlitz_sum(n - 1) if n else 0),
+}
+
+# 0 and 1 (s(0) = 0, r(0) = 1), 2j and 2j + 1 for j near 2^k, and 10^5.
+BITSET_STARTS = sorted({0, 1, 10**5, *(
+    2 * j + e for k in (1, 5, 10, 13)
+    for j in (2**k - 1, 2**k, 2**k + 1) for e in (0, 1))})
+
+
+@pytest.mark.parametrize("which", BITSET_SWEEPS)
+@pytest.mark.parametrize("start", BITSET_STARTS)
+def test_bitset_sweeps_match_per_index_references(which, start):
+    method, per_index = BITSET_SWEEPS[which]
+    got = list(islice(ROUTES[which][method](start), 40))
+    assert got == [per_index(n) for n in range(start, start + 40)]
+    assert got == list(islice(ROUTES[which]["fast"](start), 40))
+
+
+@pytest.mark.parametrize("which", BITSET_SWEEPS)
+def test_bitset_sweeps_match_fast_routes_over_a_wide_window(which):
+    # 2,000 terms from 1,000, where r's masks are rebuilt at 2,002
+    method, _per_index = BITSET_SWEEPS[which]
+    assert (list(islice(ROUTES[which][method](1000), 2000))
+            == list(islice(ROUTES[which]["fast"](1000), 2000)))
+
+
 def test_known_sequence_ids():
     assert sorted(SEQUENCES) == ["A114212", "A114213", "A114214", "A119326"]
 

@@ -3,6 +3,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -314,6 +315,20 @@ def test_brute_sweep_past_memory_is_out_of_memory(capsys):
     assert code == 3
     assert capsys.readouterr() == ("", "error: out of memory\n")
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("which, method", [("r", "brute"),
+                                           ("stern", "carlitz")])
+def test_bitset_sweeps_past_memory_are_out_of_memory(capsys, which, method):
+    # From 2^64 the bitsets of r's and Stern's reference sweeps would hold
+    # about 2^64 and 2^62 bytes: exit 3 within seconds, not a run with no
+    # end and no output.
+    first = 2**64
+    began = time.monotonic()
+    code = main(["seq", which, f"{first}..{first + 4}", "--method", method])
+    assert time.monotonic() - began < 5
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_exact_stream_past_memory_is_out_of_memory(capsys):

@@ -265,6 +265,40 @@ def test_diagonal_bitset_sweep_refuses_seeds_past_memory(monkeypatch):
         triangle._diagonal_sum_terms(4005)
 
 
+def test_bitset_sweeps_of_r_and_stern_refuse_starts_past_memory(monkeypatch):
+    # r's sweep holds about start bytes, Stern's about start/4 (as d's):
+    # with 1000 bytes of memory, 1000 and 4003 are within it, and 1001
+    # and 4004 are a MemoryError at the call.
+    monkeypatch.setattr(triangle, "_memory_bytes", lambda: 1000)
+    assert next(triangle._pascal_row_sum_terms(1000)) == row_sum_closed(1000)
+    assert next(triangle._carlitz_terms(4003)) == stern(4003)
+    with pytest.raises(MemoryError, match="^the Pascal row sweep from 1001 "
+                                          "holds about 1001 bytes$"):
+        triangle._pascal_row_sum_terms(1001)
+    with pytest.raises(MemoryError, match="^the Carlitz sweep from 4004 "
+                                          "holds about 1001 bytes$"):
+        triangle._carlitz_terms(4004)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**14), st.integers(1, 40))
+def test_pascal_bitsets_by_pascals_rule_follow_lucas(n, rows):
+    assert (list(islice(triangle._pascal_bits(n), rows))
+            == [triangle._lucas(m) for m in range(n, n + rows)])
+
+
+def test_pascal_bitsets_hold_binomial_parity():
+    for n, bits in zip(range(130), triangle._pascal_bits(0)):
+        assert bits == sum((comb(n, k) % 2) << k for k in range(n + 1)), n
+
+
+def test_diagonal_bitsets_hold_every_top():
+    for top, bits in zip(range(260), triangle._diagonals(0)):
+        assert bits.bit_count() == carlitz_sum(top), top
+        assert bits == sum((comb(top - k, k) % 2) << k
+                           for k in range(top // 2 + 1)), top
+
+
 def test_exact_stream_refuses_a_first_term_past_memory(monkeypatch):
     # From linear index 2^64, entry k = 2,746,052,116 of row n =
     # 6,074,000,999, the pass would hold T and E for i <= k before its

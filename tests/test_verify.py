@@ -428,6 +428,79 @@ def test_lucas_names_a_flipped_pascal_entry_at_a_block_edge(monkeypatch, at):
         Counterexample((n, k), parity, 1 - parity))
 
 
+def _flip_bit(bitsets, at, k):
+    """The stream bitsets(first), with bit k of the one at index at
+    flipped: its state, which the next index steps from, unchanged."""
+    def flipped(first):
+        for index, bits in enumerate(bitsets(first), first):
+            yield bits ^ ((index == at) << k)
+    return flipped
+
+
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK])
+def test_lucas_names_a_flipped_subset_bit_at_a_block_edge(monkeypatch, at):
+    n, k = triangle._entry_at(at)
+    lucas = triangle._lucas
+    monkeypatch.setattr(triangle, "_lucas",
+                        lambda m: lucas(m) ^ ((m == n) << k))
+    result, = run_suite("lucas", 250).results
+    parity = triangle.binom_parity(n, k)
+    assert result == IdentityResult(
+        "bitwise binomial parity = exact binomial mod 2", 31626,
+        Counterexample((n, k), 1 - parity, parity))
+
+
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK])
+def test_proposition_names_a_flipped_parity_entry_at_a_block_edge(
+        monkeypatch, at):
+    n, k = triangle._entry_at(at)
+
+    def rows(m, i):
+        terms = chain.from_iterable(triangle._parity_rows(m, i))
+        first = m * (m + 1) // 2 + i
+        yield (t ^ (j == at) for j, t in enumerate(terms, first))
+
+    monkeypatch.setattr(triangle, "_ROWS", {**triangle._ROWS, "parity": rows})
+    result, = run_suite("proposition", 250).results
+    parity = triangle.triangle_entry_parity(n, k)
+    assert result == IdentityResult(
+        "parity entry = exact entry mod 2", 31626,
+        Counterexample((n, k), 1 - parity, parity))
+
+
+@pytest.mark.parametrize("n, k", [(200, 100), (201, 77), (201, 0)])
+def test_thm2_and_glaisher_name_a_flipped_pascal_bit(monkeypatch, n, k):
+    # Bit k of P_n is read by r(n) when k has n's parity (and by r(n + 1),
+    # so r(n) names it first), and by Glaisher's count of row n always.
+    monkeypatch.setattr(triangle, "_pascal_bits",
+                        _flip_bit(triangle._pascal_bits, n, k))
+    delta = 1 - 2 * triangle.binom_parity(n, k)
+    thm2, _at_0 = run_suite("thm2", 250).results
+    closed = triangle.row_sum_closed(n)
+    assert thm2 == IdentityResult(
+        "row sum closed form = brute force", 250,
+        Counterexample(n, closed, closed + delta) if (n - k) % 2 == 0
+        else None)
+    glaisher, = run_suite("glaisher", 250).results
+    odd = 1 << n.bit_count()
+    assert glaisher == IdentityResult(
+        "odd entries in Pascal row n = 2^popcount(n)", 251,
+        Counterexample(n, odd + delta, odd))
+
+
+@pytest.mark.parametrize("top, k", [(0, 0), (150, 40), (249, 124)])
+def test_carlitz_names_a_flipped_diagonal_bit(monkeypatch, top, k):
+    # s(top + 1) is the bit count of D_top, at index top of the suite
+    monkeypatch.setattr(triangle, "_diagonals",
+                        _flip_bit(triangle._diagonals, top, k))
+    result, = run_suite("carlitz", 250).results
+    delta = 1 - 2 * triangle.binom_parity(top - k, k)
+    value = stern(top + 1)
+    assert result == IdentityResult(
+        "binomial-parity diagonal = s(n+1)", 251,
+        Counterexample(top, value + delta, value))
+
+
 @pytest.mark.parametrize("at", [BLOCK - 1, BLOCK])
 def test_eq3_names_a_corrupt_stern_value_at_a_block_edge(monkeypatch, at):
     # s(2 at + 1) one too large in Stern's sweep, which both rows read
