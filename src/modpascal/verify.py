@@ -254,8 +254,8 @@ _SUITES = MappingProxyType({
          _odd_stern),
     )),
     "carlitz": _Suite((
-        # the diagonal's bit count D_n, by Pascal's rule on the
-        # diagonals' bitsets, as stern's carlitz route reads it for s(n+1)
+        # the bit count of D_n, by Pascal's rule on the diagonals'
+        # bitsets: Stern's carlitz route, read from n + 1
         ("binomial-parity diagonal = s(n+1)", _upto,
          _route(ROUTES["stern"]["carlitz"], at=lambda n: n + 1),
          partial(map, lambda n: stern(n + 1))),

@@ -175,7 +175,7 @@ def test_bitset_sweeps_match_per_index_references(which, start):
 
 @pytest.mark.parametrize("which", BITSET_SWEEPS)
 def test_bitset_sweeps_match_fast_routes_over_a_wide_window(which):
-    # 2,000 terms from 1,000, where r's masks are rebuilt at 2,002
+    # 2,000 terms from 1,000, across row 2,000, where r's masks are rebuilt
     method, _per_index = BITSET_SWEEPS[which]
     assert (list(islice(ROUTES[which][method](1000), 2000))
             == list(islice(ROUTES[which]["fast"](1000), 2000)))
